@@ -115,6 +115,10 @@ class PipelineConfig:
         return self.raw.get("cep", {})
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_config(path: str | Path) -> PipelineConfig:
     path = Path(path)
     if not path.exists():
@@ -129,6 +133,11 @@ def load_config(path: str | Path) -> PipelineConfig:
     digest = hashlib.sha256(canonical.encode()).hexdigest()
     cfg = PipelineConfig(raw=raw, path=path, config_hash=digest)
     siting = cfg.siting
+    if "varsigma" in siting and not (_is_int(siting["varsigma"]) or isinstance(siting["varsigma"], float)):
+        raise DataError("siting.varsigma must be a number")
+    for key in ("delta", "coverage_threshold"):
+        if key in siting and not _is_int(siting[key]):
+            raise DataError(f"siting.{key} must be an integer")
     if "varsigma" in siting and not 0 < siting["varsigma"] <= 1:
         raise DataError("siting.varsigma must lie in (0, 1]")
     if "delta" in siting and siting["delta"] < 1:
@@ -202,16 +211,20 @@ def run_siting(config: PipelineConfig, out_dir: Path, threads: int = 1,
         except ValueError as exc:
             raise DataError(str(exc)) from exc
     else:
-        threshold = siting_cfg.get("coverage_threshold") or plan.default_threshold()
-        matrix = build_criticality_matrix(
-            catalog, total_demand,
-            varsigma=float(siting_cfg.get("varsigma", 0.3)),
-            k=plan.k,
-            delta=int(siting_cfg.get("delta", 1)),
-            c=int(threshold),
-        )
-        anneal = {**_DEFAULT_ANNEAL, **siting_cfg.get("anneal", {})}
-        params = AnnealParams(**anneal)
+        try:
+            params = AnnealParams(**{**_DEFAULT_ANNEAL, **siting_cfg.get("anneal", {})})
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"invalid siting.anneal: {exc}") from exc
+        try:
+            matrix = build_criticality_matrix(
+                catalog, total_demand,
+                varsigma=float(siting_cfg.get("varsigma", 0.3)),
+                k=plan.k,
+                delta=int(siting_cfg.get("delta", 1)),
+                c=siting_cfg.get("coverage_threshold", plan.default_threshold()),
+            )
+        except ValueError as exc:
+            raise DataError(f"invalid criticality matrix settings: {exc}") from exc
         base_seed = int(seed_override if seed_override is not None
                         else siting_cfg.get("base_seed", 0))
         try:

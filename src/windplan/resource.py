@@ -262,8 +262,8 @@ def build_criticality_matrix(
         raise ValueError("varsigma must lie in (0, 1]")
     if k < 1:
         raise ValueError("k must be >= 1")
-    window_cf = np.stack([window_values(row, delta) for row in catalog.cf_matrix])
-    window_demand = window_values(demand.values, delta)
+    window_demand = window_values(demand.values, delta)  # also validates delta
+    window_cf = np.lib.stride_tricks.sliding_window_view(catalog.cf_matrix, int(delta), axis=1).mean(axis=2)
     potentials = np.array([site.technical_potential_MW for site in catalog.sites])
     reference = varsigma * window_demand / k
     covered = potentials[:, None] * window_cf >= reference[None, :]

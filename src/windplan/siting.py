@@ -271,16 +271,50 @@ def coverage_count(matrix: CriticalityMatrix, selected: Iterable[str]) -> int:
     return int(np.count_nonzero(hits >= matrix.threshold_c))
 
 
-def _counts_for(matrix: CriticalityMatrix, indices: np.ndarray) -> np.ndarray:
-    """Per-window count of selected covering sites (dense int32)."""
-    counts = np.zeros(matrix.n_windows, dtype=np.int32)
-    for idx in indices:
-        counts += matrix.dense[idx]
-    return counts
+def _site_columns(matrix: CriticalityMatrix, windows: np.ndarray) -> np.ndarray:
+    """``matrix.dense[:, windows]``, unpacked from the window-major rows."""
+    return np.unpackbits(matrix.packed_rows[windows], axis=1, count=matrix.n_sites).T
 
 
-def _objective(counts: np.ndarray, c: int) -> int:
-    return int(np.count_nonzero(counts >= c))
+class _Coverage:
+    """Window counts of the incumbent and the one swap evaluator of the search.
+
+    Swapping at most ``r`` sites in and ``r`` out moves each count by at most
+    ``r``, so only boundary windows with a count in ``[c - r, c + r - 1]`` can
+    cross the threshold; the boundary columns are cached until :meth:`move`.
+    """
+
+    def __init__(self, matrix: CriticalityMatrix, selection: np.ndarray):
+        self.matrix = matrix
+        self.c = matrix.threshold_c
+        self.counts = matrix.dense[selection].sum(axis=0, dtype=np.int32)
+        self.f = int(np.count_nonzero(self.counts >= self.c))
+        self._boundary: dict[int, tuple[np.ndarray, np.ndarray, int]] = {}
+
+    def gains(self, ins: np.ndarray, outs: np.ndarray) -> np.ndarray:
+        """Objective change of neighbour ``j`` adding ``ins[j]`` and dropping
+        ``outs[j]`` (2-D index arrays, one row per neighbour)."""
+        r = max(ins.shape[1], outs.shape[1])
+        if r not in self._boundary:
+            cols = np.flatnonzero((self.counts >= self.c - r) & (self.counts <= self.c + r - 1))
+            base = self.counts[cols]
+            sub = np.ascontiguousarray(_site_columns(self.matrix, cols))
+            self._boundary[r] = (base, sub, np.count_nonzero(base >= self.c))
+        base, sub, f_base = self._boundary[r]
+        new = np.broadcast_to(base, (len(ins), base.size))
+        for site in ins.T:
+            new = new + sub.take(site, axis=0)
+        for site in outs.T:
+            new = new - sub.take(site, axis=0)
+        return np.add.reduce(new >= self.c, axis=1, dtype=np.intp) - f_base
+
+    def move(self, ins: np.ndarray, outs: np.ndarray, gain: int) -> None:
+        for site in ins:
+            self.counts += self.matrix.dense[site]
+        for site in outs:
+            self.counts -= self.matrix.dense[site]
+        self.f += gain
+        self._boundary.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -299,36 +333,49 @@ def greedy_init(
     with remaining quota; ties break to the lower catalog index.  Stands in
     for solving a mixed-integer relaxation with an external solver (see
     :func:`build_comp_mir` for that escape hatch).
+
+    A candidate's gain is the number of windows at ``c - 1`` it covers.
+    Counts only grow, so a pick changes the gains only on its windows that
+    moved from ``c - 1`` to ``c`` or from ``c - 2`` to ``c - 1``; the gains
+    are updated on those columns alone, O(L·W) for the whole start instead
+    of O(L·W) per pick.
     """
     members = _partition_members(catalog, plan)
     dense = matrix.dense
     c = matrix.threshold_c
     selected: list[str] = []
-    remaining: dict[str, int] = {}
-    partition_of: dict[str, str] = {}
-    for quota in plan.quotas:
+    remaining = np.zeros(len(plan.quotas), dtype=np.int64)
+    partition_of: dict[str, int] = {}
+    for p, quota in enumerate(plan.quotas):
         legacy = [sid for sid in members[quota.partition_id] if catalog.site(sid).is_legacy]
         selected.extend(legacy)
-        remaining[quota.partition_id] = quota.final_k - len(legacy)
-        for sid in members[quota.partition_id]:
-            partition_of[sid] = quota.partition_id
-    counts = _counts_for(matrix, np.array([matrix.index_of[sid] for sid in selected], dtype=np.intp))
+        remaining[p] = quota.final_k - len(legacy)
+        partition_of.update(dict.fromkeys(members[quota.partition_id], p))
+    counts = dense[[matrix.index_of[sid] for sid in selected]].sum(axis=0, dtype=np.int32)
     chosen = set(selected)
     candidates = [site.id for site in catalog.sites if site.id not in chosen and site.id in partition_of]
-    while any(v > 0 for v in remaining.values()):
-        open_ids = [sid for sid in candidates if sid not in chosen and remaining[partition_of[sid]] > 0]
-        if not open_ids:
+    cand_idx = np.array([matrix.index_of[sid] for sid in candidates], dtype=np.intp)
+    cand_part = np.array([partition_of[sid] for sid in candidates], dtype=np.intp)
+    is_open = remaining[cand_part] > 0
+
+    def covering(windows: np.ndarray) -> np.ndarray:  # per site, flagged windows covered
+        return _site_columns(matrix, np.flatnonzero(windows)).sum(axis=1, dtype=np.int64)
+
+    gains = covering(counts == c - 1)
+    while (remaining > 0).any():
+        if not is_open.any():
             raise ValueError("quota left open but no candidates remain")
-        idx = np.array([matrix.index_of[sid] for sid in open_ids], dtype=np.intp)
-        needy = (counts == c - 1).astype(np.int64)
-        gains = dense[idx] @ needy
-        best = int(np.argmax(gains))  # first occurrence = lowest catalog index
-        pick = open_ids[best]
-        chosen.add(pick)
-        selected.append(pick)
-        remaining[partition_of[pick]] -= 1
-        counts += dense[matrix.index_of[pick]]
-    return _finish_solution(catalog, plan, selected, _objective(counts, c), "comp")
+        best = int(np.argmax(np.where(is_open, gains[cand_idx], -1)))  # first = lowest catalog index
+        selected.append(candidates[best])
+        remaining[cand_part[best]] -= 1
+        is_open[best] = False
+        is_open &= remaining[cand_part] > 0
+        row = dense[cand_idx[best]]
+        counts += row
+        hit = row.astype(bool)
+        gains -= covering(hit & (counts == c))
+        gains += covering(hit & (counts == c - 1))
+    return _finish_solution(catalog, plan, selected, int(np.count_nonzero(counts >= c)), "comp")
 
 
 # ---------------------------------------------------------------------------
@@ -365,12 +412,8 @@ class _SearchSpace:
         self.uns_sizes = np.array([seg.size for seg in uns_segments], dtype=np.intp)
         self.sel_off = np.concatenate([[0], np.cumsum(self.sel_sizes)[:-1]])
         self.uns_off = np.concatenate([[0], np.cumsum(self.uns_sizes)[:-1]])
-        self.sel_flat = (
-            np.concatenate(sel_segments) if sel_segments else np.empty(0, dtype=np.intp)
-        )
-        self.uns_flat = (
-            np.concatenate(uns_segments) if uns_segments else np.empty(0, dtype=np.intp)
-        )
+        self.sel_flat = np.concatenate([np.empty(0, dtype=np.intp), *sel_segments])
+        self.uns_flat = np.concatenate([np.empty(0, dtype=np.intp), *uns_segments])
         self.caps = np.minimum(self.sel_sizes, self.uns_sizes)
 
     def allocations(self, r: int) -> tuple[list[tuple[int, ...]], int]:
@@ -389,10 +432,20 @@ class _SearchSpace:
         ids += [self.matrix.site_ids[i] for i in self.legacy_idx]
         return frozenset(ids)
 
-    def apply_swap(self, partition: int, out_pos: np.ndarray, in_pos: np.ndarray) -> None:
-        sel_at = self.sel_off[partition] + out_pos
-        uns_at = self.uns_off[partition] + in_pos
-        out_sites = self.sel_flat[sel_at].copy()
+    def draw(self, alloc: Sequence[int], rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """Flat pool positions of a uniform swap with ``alloc[p]`` exchanges
+        in partition ``p``: selected positions leaving, unselected entering."""
+        sel_at, uns_at = [], []
+        for partition, s in enumerate(alloc):
+            if s:
+                out_pos = rng.choice(int(self.sel_sizes[partition]), size=s, replace=False)
+                in_pos = rng.choice(int(self.uns_sizes[partition]), size=s, replace=False)
+                sel_at.append(self.sel_off[partition] + np.asarray(out_pos))
+                uns_at.append(self.uns_off[partition] + np.asarray(in_pos))
+        return np.concatenate(sel_at), np.concatenate(uns_at)
+
+    def swap(self, sel_at: np.ndarray, uns_at: np.ndarray) -> None:
+        out_sites = self.sel_flat[sel_at]
         self.sel_flat[sel_at] = self.uns_flat[uns_at]
         self.uns_flat[uns_at] = out_sites
 
@@ -436,13 +489,7 @@ def sample_neighbor(
     solution = _finish_solution(catalog, plan, selected, 0.0, "probe")
     space = _SearchSpace(matrix, catalog, plan, solution.selected)
     allocations, _ = space.allocations(r)
-    alloc = allocations[int(rng.integers(0, len(allocations)))]
-    for partition, s in enumerate(alloc):
-        if s == 0:
-            continue
-        out_pos = rng.choice(int(space.sel_sizes[partition]), size=s, replace=False)
-        in_pos = rng.choice(int(space.uns_sizes[partition]), size=s, replace=False)
-        space.apply_swap(partition, np.asarray(out_pos), np.asarray(in_pos))
+    space.swap(*space.draw(allocations[int(rng.integers(0, len(allocations)))], rng))
     return space.selection_ids()
 
 
@@ -504,6 +551,11 @@ def local_search(
     (the initial one included) is returned, so the result never scores
     below the input; ``final_incumbent`` returns the last incumbent as in
     the plain annealing loop.
+
+    Neighbours are scored only on the boundary windows ``B`` whose count
+    lies in ``[c - r, c + r - 1]``, the only ones ``r`` swaps can flip: an
+    iteration costs O(n·r·|B|) instead of O(n·W), and ``B`` is recomputed
+    only after an accepted move.  Draws and results equal a full recount.
     """
     if isinstance(rng, (int, np.integer)):
         seed: int | None = int(rng)
@@ -521,93 +573,48 @@ def local_search(
     if params.radius > free_slots:
         raise ValueError(f"radius {params.radius} exceeds the {free_slots} swappable slots")
 
-    dense = matrix.dense
-    c = matrix.threshold_c
-    counts = _counts_for(matrix, np.concatenate([space.sel_flat, space.legacy_idx]))
-    f_cur = _objective(counts, c)
-    best_f = f_cur
-    best_sel = space.sel_flat.copy()
+    cover = _Coverage(matrix, np.concatenate([space.sel_flat, space.legacy_idx]))
+    best_f, best_sel = cover.f, space.sel_flat.copy()
 
     allocations, r_eff = space.allocations(params.radius)
-    single_swap = r_eff == 1 and neighbor_sampler is None
-    if single_swap:
-        # With radius one an allocation is just a choice of partition.
-        feas_parts = np.array([next(p for p, s in enumerate(a) if s) for a in allocations],
-                              dtype=np.intp)
+    # With radius one an allocation is just a choice of partition.
+    feas_parts = np.array([a.index(1) for a in allocations], dtype=np.intp) if r_eff == 1 else None
 
     n = params.neighbors
     for i in range(params.iterations):
+        # Every sampler yields, per neighbour, the sites entering and leaving.
         if neighbor_sampler is not None:
-            delta_best = -math.inf
-            best_counts = counts
-            chosen_sel = space.sel_flat
             current_ids = tuple(matrix.site_ids[s] for s in space.sel_flat)
-            for j in range(n):
-                cand_ids = tuple(neighbor_sampler(current_ids, i, j, rng))
-                cand_idx = np.array([matrix.index_of[s] for s in cand_ids], dtype=np.intp)
-                cand_counts = _counts_for(matrix, np.concatenate([cand_idx, space.legacy_idx]))
-                delta = _objective(cand_counts, c) - f_cur
-                if delta > delta_best:
-                    delta_best, best_counts, chosen_sel = delta, cand_counts, cand_idx
-            if _objective(best_counts, c) > best_f:
-                best_f = _objective(best_counts, c)
-                best_sel = chosen_sel.copy()
-            accepted = _accept(delta_best, params.temperature(i), rng)
-            if accepted:
-                _replace_selection(space, chosen_sel)
-                counts, f_cur = best_counts, f_cur + int(delta_best)
-        elif single_swap:
-            part = feas_parts[rng.integers(0, len(feas_parts), size=n)]
-            out_pos = rng.integers(0, space.sel_sizes[part])
-            in_pos = rng.integers(0, space.uns_sizes[part])
-            out_site = space.sel_flat[space.sel_off[part] + out_pos]
-            in_site = space.uns_flat[space.uns_off[part] + in_pos]
-            trial = counts[None, :] + dense[in_site].astype(np.int32) - dense[out_site]
-            f_new = (trial >= c).sum(axis=1)
-            j_star = int(np.argmax(f_new))  # ties to the lowest draw index
-            delta_best = int(f_new[j_star]) - f_cur
-            if int(f_new[j_star]) > best_f:
-                best_f = int(f_new[j_star])
-                best_sel = space.sel_flat.copy()
-                best_sel[space.sel_off[part[j_star]] + out_pos[j_star]] = in_site[j_star]
-            accepted = _accept(delta_best, params.temperature(i), rng)
-            if accepted:
-                space.apply_swap(int(part[j_star]),
-                                 np.array([out_pos[j_star]]), np.array([in_pos[j_star]]))
-                counts = trial[j_star]
-                f_cur += delta_best
+            scripted = [np.array([matrix.index_of[s] for s in neighbor_sampler(current_ids, i, j, rng)],
+                                 dtype=np.intp) for j in range(n)]
+            ins = [cand[~np.isin(cand, space.sel_flat)] for cand in scripted]
+            outs = [space.sel_flat[~np.isin(space.sel_flat, cand)] for cand in scripted]
+            gains = [int(cover.gains(a[None], b[None])[0]) for a, b in zip(ins, outs)]
         else:
-            delta_best = -math.inf
-            best_counts = counts
-            pending: list[tuple[int, np.ndarray, np.ndarray]] = []
-            for j in range(n):
-                alloc = allocations[int(rng.integers(0, len(allocations)))]
-                delta_counts = np.zeros_like(counts)
-                swaps = []
-                for partition, s in enumerate(alloc):
-                    if s == 0:
-                        continue
-                    out_pos = np.asarray(rng.choice(int(space.sel_sizes[partition]), size=s, replace=False))
-                    in_pos = np.asarray(rng.choice(int(space.uns_sizes[partition]), size=s, replace=False))
-                    outs = space.sel_flat[space.sel_off[partition] + out_pos]
-                    ins = space.uns_flat[space.uns_off[partition] + in_pos]
-                    delta_counts += dense[ins].sum(axis=0, dtype=np.int32)
-                    delta_counts -= dense[outs].sum(axis=0, dtype=np.int32)
-                    swaps.append((partition, out_pos, in_pos))
-                cand_counts = counts + delta_counts
-                delta = _objective(cand_counts, c) - f_cur
-                if delta > delta_best:
-                    delta_best, best_counts, pending = delta, cand_counts, swaps
-            if _objective(best_counts, c) > best_f:
-                best_f = _objective(best_counts, c)
-                best_sel = _swapped_copy(space, pending)
-            accepted = _accept(delta_best, params.temperature(i), rng)
-            if accepted:
-                for partition, out_pos, in_pos in pending:
-                    space.apply_swap(partition, out_pos, in_pos)
-                counts, f_cur = best_counts, f_cur + int(delta_best)
+            if feas_parts is not None:
+                part = feas_parts[rng.integers(0, len(feas_parts), size=n)]
+                sel_at = (space.sel_off[part] + rng.integers(0, space.sel_sizes[part]))[:, None]
+                uns_at = (space.uns_off[part] + rng.integers(0, space.uns_sizes[part]))[:, None]
+            else:
+                draws = [space.draw(allocations[int(rng.integers(0, len(allocations)))], rng)
+                         for _ in range(n)]
+                sel_at, uns_at = map(np.array, zip(*draws))
+            ins, outs = space.uns_flat[uns_at], space.sel_flat[sel_at]
+            gains = cover.gains(ins, outs)
+        j = int(np.argmax(gains))  # ties to the lowest draw index
+        gain = int(gains[j])
+        if cover.f + gain > best_f:
+            best_f = cover.f + gain
+            best_sel = np.concatenate([space.sel_flat[~np.isin(space.sel_flat, outs[j])], ins[j]])
+        accepted = _accept(gain, params.temperature(i), rng)
+        if accepted:
+            cover.move(ins[j], outs[j], gain)
+            if neighbor_sampler is not None:
+                _replace_selection(space, scripted[j])
+            else:
+                space.swap(sel_at[j], uns_at[j])
         if on_iteration is not None:
-            on_iteration(i, float(delta_best), bool(accepted), int(f_cur))
+            on_iteration(i, float(gain), accepted, cover.f)
 
     final_sel = best_sel if params.return_mode == "best_visited" else space.sel_flat
     ids = [matrix.site_ids[s] for s in final_sel] + [matrix.site_ids[s] for s in space.legacy_idx]
@@ -621,14 +628,6 @@ def _accept(delta: float, temperature: float, rng) -> bool:
     exponent = delta / temperature
     p = math.exp(exponent) if exponent > -700 else 0.0
     return bool(rng.random() < p)
-
-
-def _swapped_copy(space: _SearchSpace, swaps) -> np.ndarray:
-    """Selection array after applying swaps, without mutating the space."""
-    sel = space.sel_flat.copy()
-    for partition, out_pos, in_pos in swaps:
-        sel[space.sel_off[partition] + out_pos] = space.uns_flat[space.uns_off[partition] + in_pos]
-    return sel
 
 
 def _replace_selection(space: _SearchSpace, new_sel: np.ndarray) -> None:

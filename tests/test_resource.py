@@ -7,7 +7,7 @@ from windplan.resource import (
     CriticalityMatrix, SiteCatalog, build_criticality_matrix,
     capacity_factors_from_speeds, make_site,
 )
-from windplan.timeseries import TimeSeries
+from windplan.timeseries import TimeSeries, window_values
 
 
 def test_site_invariants():
@@ -102,6 +102,25 @@ def test_matrix_varsigma_monotonicity():
         if previous is not None:
             assert np.all(m <= previous)  # raising the share never adds coverage
         previous = m
+
+
+def test_matrix_window_cf_equals_per_row_windows():
+    # the criticality build windows all rows at once; the per-row means
+    # computed by window_values must come out bit for bit the same
+    rng = np.random.default_rng(21)
+    catalog = build_catalog(rng.uniform(0, 1, (7, 48)), "P",
+                            potentials=rng.uniform(300, 900, 7))
+    demand = TimeSeries(rng.uniform(500, 1500, 48))
+    potentials = np.array([site.technical_potential_MW for site in catalog.sites])
+    for delta in (1, 3, 8):
+        window_cf = np.stack([window_values(row, delta) for row in catalog.cf_matrix])
+        assert np.array_equal(
+            np.lib.stride_tricks.sliding_window_view(catalog.cf_matrix, delta, axis=1).mean(axis=2),
+            window_cf)
+        reference = 0.3 * window_values(demand.values, delta) / 3
+        expected = potentials[:, None] * window_cf >= reference[None, :]
+        matrix = build_criticality_matrix(catalog, demand, 0.3, 3, delta, 2)
+        assert np.array_equal(matrix.dense.astype(bool), expected)
 
 
 def test_matrix_rejects_bad_inputs():

@@ -258,6 +258,24 @@ def test_exit_data_on_infeasible_plan(dataset, capsys):
     assert "NOPE" in err["message"]
 
 
+@pytest.mark.parametrize("siting, message", [
+    ({"anneal": {"iterations": 15, "bogus": 1}}, "bogus"),
+    ({"anneal": {"radius": 0}}, "radius must be >= 1"),
+    ({"coverage_threshold": 99}, "threshold must satisfy"),
+    ({"coverage_threshold": 0}, "threshold must satisfy"),
+    ({"delta": 1000}, "exceeds series length"),
+    ({"varsigma": "0.3"}, "siting.varsigma must be a number"),
+], ids=["unknown-anneal-key", "radius-zero", "threshold-above-sites", "threshold-zero",
+        "delta-beyond-horizon", "string-varsigma"])
+def test_exit_data_on_bad_comp_settings(dataset, capsys, siting, message):
+    tmp_path, data_dir = dataset
+    config = write_config(tmp_path, data_dir, siting=siting)
+    assert main(["site", str(config)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "data" and err["exit_code"] == 2
+    assert message in err["message"]
+
+
 def test_exit_data_when_siting_output_missing(dataset, capsys):
     tmp_path, data_dir = dataset
     config = write_config(tmp_path, data_dir)
