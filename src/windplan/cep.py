@@ -50,6 +50,10 @@ class SolverStatusError(RuntimeError):
         self.status = status
 
 
+class CostCheckError(AssertionError):
+    """Raised when the decoded system cost disagrees with the solver objective."""
+
+
 def annualize(overnight_cost: float, lifetime_years: float, discount_rate: float) -> float:
     """Annualised investment cost of one unit of capacity.
 
@@ -366,17 +370,26 @@ class CepIndex:
     res_credit: dict = field(default_factory=dict)
 
 
-def _availability_values(pl: Placement, t: int) -> np.ndarray:
-    if pl.availability is None:
-        return np.ones(t)
-    return pl.availability.values
-
-
 def _resolve_credit(tech: Technology, series: TimeSeries | None, bus: Bus, t: int) -> float:
     if tech.capacity_credit == "computed":
         cf = series if series is not None else TimeSeries(np.ones(t), bus.demand.resolution_hours)
         return capacity_credit(cf, bus.demand)
     return float(tech.capacity_credit)
+
+
+def _series_names(prefix: str, periods) -> list[str]:
+    return [f"{prefix}|{t}" for t in periods]
+
+
+def _add_by_period(builder: LpBuilder, t_len: int, sense: str, *families) -> None:
+    """Add ``(prefix, rhs, terms)`` row families interleaved period by
+    period: the rows of every family for period t, then for t + 1."""
+    names = [f"{prefix}|{t}" for t in range(t_len) for prefix, _, _ in families]
+    rhs = np.column_stack([np.broadcast_to(value, t_len) for _, value, _ in families])
+    rows = builder.add_rows(names, sense, rhs.ravel()).reshape(t_len, len(families))
+    for family_rows, (_, _, terms) in zip(rows.T, families):
+        for cols, vals in terms:
+            builder.add_entries(family_rows, cols, vals)
 
 
 def build_lp(instance: CepInstance) -> tuple[CanonicalLp, CepIndex]:
@@ -386,9 +399,10 @@ def build_lp(instance: CepInstance) -> tuple[CanonicalLp, CepIndex]:
     per-period definition straight into the budget row.  Rows that are
     vacuous by construction (unit ramp rates, zero must-run levels, zero
     minimum states of charge, non-positive adequacy requirements) are not
-    emitted.
+    emitted.  Each per-period row family is added as one block.
     """
     t_len = instance.n_periods
+    periods = range(t_len)
     omega = instance.weight_hours
     builder = LpBuilder(name="cep")
     ix = CepIndex()
@@ -399,6 +413,9 @@ def build_lp(instance: CepInstance) -> tuple[CanonicalLp, CepIndex]:
         if potential is None:
             return math.inf
         return potential - legacy
+
+    def series_vars(prefix: str, objective: float = 0.0) -> np.ndarray:
+        return builder.add_vars(_series_names(prefix, periods), objective=objective)
 
     sited_tech = (
         instance.technology(instance.sited_technology) if instance.sited_technology else None
@@ -446,167 +463,109 @@ def build_lp(instance: CepInstance) -> tuple[CanonicalLp, CepIndex]:
 
     # -- dispatch variables --------------------------------------------------
     for asset in instance.sited:
-        ix.site_p[asset.id] = np.array([
-            builder.add_var(f"p|site|{asset.id}|{t}", 0.0, math.inf,
-                            objective=omega * sited_tech.marginal_cost)
-            for t in range(t_len)
-        ])
+        ix.site_p[asset.id] = series_vars(f"p|site|{asset.id}", omega * sited_tech.marginal_cost)
     for pl in instance.placements:
         tech = instance.technology(pl.tech)
         key = (pl.bus, pl.tech)
+        tag = f"{pl.bus}|{pl.tech}"
         if tech.kind in (RES, DISPATCHABLE):
-            ix.gen_p[key] = np.array([
-                builder.add_var(f"p|{pl.bus}|{pl.tech}|{t}", 0.0, math.inf,
-                                objective=omega * tech.marginal_cost)
-                for t in range(t_len)
-            ])
+            ix.gen_p[key] = series_vars(f"p|{tag}", omega * tech.marginal_cost)
         else:
-            ix.charge[key] = np.array([
-                builder.add_var(f"pc|{pl.bus}|{pl.tech}|{t}", 0.0, math.inf,
-                                objective=omega * tech.marginal_cost)
-                for t in range(t_len)
-            ])
-            ix.discharge[key] = np.array([
-                builder.add_var(f"pd|{pl.bus}|{pl.tech}|{t}", 0.0, math.inf,
-                                objective=omega * tech.marginal_cost)
-                for t in range(t_len)
-            ])
-            ix.soc[key] = np.array([
-                builder.add_var(f"e|{pl.bus}|{pl.tech}|{t}", 0.0, math.inf)
-                for t in range(t_len)
-            ])
+            ix.charge[key] = series_vars(f"pc|{tag}", omega * tech.marginal_cost)
+            ix.discharge[key] = series_vars(f"pd|{tag}", omega * tech.marginal_cost)
+            ix.soc[key] = series_vars(f"e|{tag}")
             if pl.inflow is not None:
-                ix.spill[key] = np.array([
-                    builder.add_var(f"spill|{pl.bus}|{pl.tech}|{t}", 0.0, math.inf)
-                    for t in range(t_len)
-                ])
+                ix.spill[key] = series_vars(f"spill|{tag}")
     for line in instance.lines:
-        ix.flow_fw[line.id] = np.array([
-            builder.add_var(f"f+|{line.id}|{t}", 0.0, math.inf,
-                            objective=omega * line.variable_om)
-            for t in range(t_len)
-        ])
-        ix.flow_bw[line.id] = np.array([
-            builder.add_var(f"f-|{line.id}|{t}", 0.0, math.inf,
-                            objective=omega * line.variable_om)
-            for t in range(t_len)
-        ])
+        ix.flow_fw[line.id] = series_vars(f"f+|{line.id}", omega * line.variable_om)
+        ix.flow_bw[line.id] = series_vars(f"f-|{line.id}", omega * line.variable_om)
     for bus in instance.buses:
-        ix.ens[bus.id] = np.array([
-            builder.add_var(f"ens|{bus.id}|{t}", 0.0, math.inf,
-                            objective=omega * instance.shed_penalty)
-            for t in range(t_len)
-        ])
+        ix.ens[bus.id] = series_vars(f"ens|{bus.id}", omega * instance.shed_penalty)
 
     # -- energy balance -------------------------------------------------------
     for bus in instance.buses:
-        for t in range(t_len):
-            row = builder.add_row(f"bal|{bus.id}|{t}", "=", float(bus.demand.values[t]))
-            for asset in instance.sited:
-                if asset.bus == bus.id:
-                    builder.add_entry(row, ix.site_p[asset.id][t], 1.0)
-            for key, p_vars in ix.gen_p.items():
-                if key[0] == bus.id:
-                    builder.add_entry(row, p_vars[t], 1.0)
-            for key in ix.discharge:
-                if key[0] == bus.id:
-                    builder.add_entry(row, ix.discharge[key][t], 1.0)
-                    builder.add_entry(row, ix.charge[key][t], -1.0)
-            for line in instance.lines:
-                eff = line.delivery_efficiency(instance.apply_line_losses)
-                if line.from_bus == bus.id:
-                    builder.add_entry(row, ix.flow_fw[line.id][t], -1.0)
-                    builder.add_entry(row, ix.flow_bw[line.id][t], eff)
-                elif line.to_bus == bus.id:
-                    builder.add_entry(row, ix.flow_fw[line.id][t], eff)
-                    builder.add_entry(row, ix.flow_bw[line.id][t], -1.0)
-            builder.add_entry(row, ix.ens[bus.id][t], 1.0)
+        terms = [(ix.site_p[a.id], 1.0) for a in instance.sited if a.bus == bus.id]
+        terms += [(p_vars, 1.0) for key, p_vars in ix.gen_p.items() if key[0] == bus.id]
+        for key in ix.discharge:
+            if key[0] == bus.id:
+                terms += [(ix.discharge[key], 1.0), (ix.charge[key], -1.0)]
+        for line in instance.lines:
+            eff = line.delivery_efficiency(instance.apply_line_losses)
+            if line.from_bus == bus.id:
+                terms += [(ix.flow_fw[line.id], -1.0), (ix.flow_bw[line.id], eff)]
+            elif line.to_bus == bus.id:
+                terms += [(ix.flow_fw[line.id], eff), (ix.flow_bw[line.id], -1.0)]
+        terms.append((ix.ens[bus.id], 1.0))
+        builder.add_rows(_series_names(f"bal|{bus.id}", periods), "=", bus.demand.values, *terms)
+
+    def availability_rows(prefix: str, cf: np.ndarray, legacy: float,
+                          p_vars: np.ndarray, k_var: int) -> None:
+        rows = builder.add_rows(_series_names(prefix, periods), "<", cf * legacy, (p_vars, 1.0))
+        nonzero = cf != 0.0
+        builder.add_entries(rows[nonzero], k_var, -cf[nonzero])
 
     # -- sited RES operation ---------------------------------------------------
     for asset in instance.sited:
-        cf = asset.cf.values
-        for t in range(t_len):
-            row = builder.add_row(f"avail|site|{asset.id}|{t}", "<", cf[t] * asset.legacy_MW)
-            builder.add_entry(row, ix.site_p[asset.id][t], 1.0)
-            if cf[t] != 0.0:
-                builder.add_entry(row, ix.site_K[asset.id], -cf[t])
+        availability_rows(f"avail|site|{asset.id}", asset.cf.values, asset.legacy_MW,
+                          ix.site_p[asset.id], ix.site_K[asset.id])
 
     # -- bus technology operation ----------------------------------------------
     for pl in instance.placements:
         tech = instance.technology(pl.tech)
         key = (pl.bus, pl.tech)
+        tag = f"{pl.bus}|{pl.tech}"
+        k_var = ix.tech_K[key]
         if tech.kind in (RES, DISPATCHABLE):
-            pi = _availability_values(pl, t_len)
-            k_var = ix.tech_K[key]
             p_vars = ix.gen_p[key]
-            for t in range(t_len):
-                row = builder.add_row(f"avail|{pl.bus}|{pl.tech}|{t}", "<", pi[t] * pl.legacy_MW)
-                builder.add_entry(row, p_vars[t], 1.0)
-                if pi[t] != 0.0:
-                    builder.add_entry(row, k_var, -pi[t])
+            cf = pl.availability.values if pl.availability is not None else np.ones(t_len)
+            availability_rows(f"avail|{tag}", cf, pl.legacy_MW, p_vars, k_var)
             if tech.kind == DISPATCHABLE:
+                later = range(1, t_len)
                 if tech.ramp_up < 1.0:
-                    for t in range(1, t_len):
-                        row = builder.add_row(f"rampu|{pl.bus}|{pl.tech}|{t}", "<",
-                                              tech.ramp_up * pl.legacy_MW)
-                        builder.add_entry(row, p_vars[t], 1.0)
-                        builder.add_entry(row, p_vars[t - 1], -1.0)
-                        builder.add_entry(row, k_var, -tech.ramp_up)
+                    builder.add_rows(_series_names(f"rampu|{tag}", later), "<",
+                                     tech.ramp_up * pl.legacy_MW,
+                                     (p_vars[1:], 1.0), (p_vars[:-1], -1.0),
+                                     (k_var, -tech.ramp_up))
                 if tech.ramp_down < 1.0:
-                    for t in range(1, t_len):
-                        row = builder.add_row(f"rampd|{pl.bus}|{pl.tech}|{t}", "<",
-                                              tech.ramp_down * pl.legacy_MW)
-                        builder.add_entry(row, p_vars[t], -1.0)
-                        builder.add_entry(row, p_vars[t - 1], 1.0)
-                        builder.add_entry(row, k_var, -tech.ramp_down)
+                    builder.add_rows(_series_names(f"rampd|{tag}", later), "<",
+                                     tech.ramp_down * pl.legacy_MW,
+                                     (p_vars[1:], -1.0), (p_vars[:-1], 1.0),
+                                     (k_var, -tech.ramp_down))
                 if tech.must_run > 0.0:
-                    for t in range(t_len):
-                        row = builder.add_row(f"mustrun|{pl.bus}|{pl.tech}|{t}", "<",
-                                              -tech.must_run * pl.legacy_MW)
-                        builder.add_entry(row, k_var, tech.must_run)
-                        builder.add_entry(row, p_vars[t], -1.0)
+                    builder.add_rows(_series_names(f"mustrun|{tag}", periods), "<",
+                                     -tech.must_run * pl.legacy_MW,
+                                     (k_var, tech.must_run), (p_vars, -1.0))
         else:
-            k_var = ix.tech_K[key]
+            charge, discharge, soc = ix.charge[key], ix.discharge[key], ix.soc[key]
             s_var = ix.storage_S[key]
-            for t in range(t_len):
-                row = builder.add_row(f"dis|{pl.bus}|{pl.tech}|{t}", "<", pl.legacy_MW)
-                builder.add_entry(row, ix.discharge[key][t], 1.0)
-                builder.add_entry(row, k_var, -1.0)
-                row = builder.add_row(f"chg|{pl.bus}|{pl.tech}|{t}", "<",
-                                      tech.charge_ratio * pl.legacy_MW)
-                builder.add_entry(row, ix.charge[key][t], 1.0)
-                if tech.charge_ratio != 0.0:
-                    builder.add_entry(row, k_var, -tech.charge_ratio)
-            inflow = pl.inflow.values if pl.inflow is not None else None
-            for t in range(t_len):
-                prev = (t - 1) % t_len
-                if t == 0 and not instance.storage_cyclic:
-                    continue  # initial state free inside its bounds
-                rhs = float(inflow[t]) if inflow is not None else 0.0
-                row = builder.add_row(f"soc|{pl.bus}|{pl.tech}|{t}", "=", rhs)
-                builder.add_entry(row, ix.soc[key][t], 1.0)
-                builder.add_entry(row, ix.soc[key][prev], -tech.eta_self)
-                builder.add_entry(row, ix.charge[key][t], -omega * tech.eta_charge)
-                builder.add_entry(row, ix.discharge[key][t], omega / tech.eta_discharge)
-                if inflow is not None:
-                    builder.add_entry(row, ix.spill[key][t], 1.0)
-            for t in range(t_len):
-                row = builder.add_row(f"socmax|{pl.bus}|{pl.tech}|{t}", "<", pl.legacy_energy_MWh)
-                builder.add_entry(row, ix.soc[key][t], 1.0)
-                builder.add_entry(row, s_var, -1.0)
-                if tech.min_soc > 0.0:
-                    row = builder.add_row(f"socmin|{pl.bus}|{pl.tech}|{t}", "<",
-                                          -tech.min_soc * pl.legacy_energy_MWh)
-                    builder.add_entry(row, s_var, tech.min_soc)
-                    builder.add_entry(row, ix.soc[key][t], -1.0)
+            charge_terms = [(charge, 1.0)]
+            if tech.charge_ratio != 0.0:
+                charge_terms.append((k_var, -tech.charge_ratio))
+            _add_by_period(builder, t_len, "<",
+                           (f"dis|{tag}", pl.legacy_MW, [(discharge, 1.0), (k_var, -1.0)]),
+                           (f"chg|{tag}", tech.charge_ratio * pl.legacy_MW, charge_terms))
+            # the cyclic recursion links period 0 to the last period; without
+            # it the initial state is free inside its bounds
+            first = 0 if instance.storage_cyclic else 1
+            now = np.arange(first, t_len)
+            terms = [(soc[now], 1.0), (soc[now - 1], -tech.eta_self),
+                     (charge[now], -omega * tech.eta_charge),
+                     (discharge[now], omega / tech.eta_discharge)]
+            if pl.inflow is not None:
+                terms.append((ix.spill[key][now], 1.0))
+            builder.add_rows(_series_names(f"soc|{tag}", range(first, t_len)), "=",
+                             pl.inflow.values[now] if pl.inflow is not None else 0.0, *terms)
+            families = [(f"socmax|{tag}", pl.legacy_energy_MWh, [(soc, 1.0), (s_var, -1.0)])]
+            if tech.min_soc > 0.0:
+                families.append((f"socmin|{tag}", -tech.min_soc * pl.legacy_energy_MWh,
+                                 [(s_var, tech.min_soc), (soc, -1.0)]))
+            _add_by_period(builder, t_len, "<", *families)
 
     # -- transmission capacity ---------------------------------------------------
     for line in instance.lines:
-        for t in range(t_len):
-            row = builder.add_row(f"cap|{line.id}|{t}", "<", line.legacy_MW)
-            builder.add_entry(row, ix.flow_fw[line.id][t], 1.0)
-            builder.add_entry(row, ix.flow_bw[line.id][t], 1.0)
-            builder.add_entry(row, ix.line_K[line.id], -1.0)
+        builder.add_rows(_series_names(f"cap|{line.id}", periods), "<", line.legacy_MW,
+                         (ix.flow_fw[line.id], 1.0), (ix.flow_bw[line.id], 1.0),
+                         (ix.line_K[line.id], -1.0))
 
     # -- CO2 budget ---------------------------------------------------------------
     if instance.co2_budget is not None:
@@ -614,16 +573,15 @@ def build_lp(instance: CepInstance) -> tuple[CanonicalLp, CepIndex]:
         for pl in instance.placements:
             tech = instance.technology(pl.tech)
             if tech.kind in (RES, DISPATCHABLE) and tech.co2_per_mwh_elec > 0.0:
-                rate = omega * tech.co2_per_mwh_elec
-                for t in range(t_len):
-                    builder.add_entry(row, ix.gen_p[(pl.bus, pl.tech)][t], rate)
+                builder.add_entries(row, ix.gen_p[(pl.bus, pl.tech)],
+                                    omega * tech.co2_per_mwh_elec)
 
     # -- adequacy -------------------------------------------------------------------
     for bus in instance.buses:
         if bus.reserve_margin is None:
             continue
         firm_legacy = 0.0
-        terms: list[tuple[int, float]] = []
+        terms = []
         for pl in instance.placements:
             if pl.bus != bus.id:
                 continue
@@ -646,9 +604,7 @@ def build_lp(instance: CepInstance) -> tuple[CanonicalLp, CepIndex]:
         required = (1.0 + bus.reserve_margin) * bus.peak_demand - firm_legacy
         if required <= 0.0:
             continue  # legacy firm capacity already meets the requirement
-        row = builder.add_row(f"adequacy|{bus.id}", ">", required)
-        for var, coeff in terms:
-            builder.add_entry(row, var, coeff)
+        builder.add_rows([f"adequacy|{bus.id}"], ">", required, *terms)
 
     return builder.build(), ix
 
@@ -690,8 +646,9 @@ def decode_solution(solution: LpSolution, index: CepIndex, instance: CepInstance
     """Map an optimal LP solution back onto the data model.
 
     Recomputes the annualised system cost from the decoded quantities and
-    checks it against the solver objective (1e-6 relative); any other
-    status is rejected with the solver status preserved.
+    checks it against the solver objective (1e-6 relative), raising
+    :class:`CostCheckError` on a mismatch; any other status is rejected
+    with the solver status preserved.
     """
     if solution.status != "optimal":
         raise SolverStatusError(solution.status)
@@ -766,7 +723,7 @@ def decode_solution(solution: LpSolution, index: CepIndex, instance: CepInstance
     recomputed = invest + op_generation + op_storage + op_lines + op_shed
     scale = max(1.0, abs(solution.objective))
     if abs(recomputed - solution.objective) > 1e-6 * scale:
-        raise AssertionError(
+        raise CostCheckError(
             f"decoded cost {recomputed} disagrees with solver objective {solution.objective}"
         )
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,7 +25,7 @@ import windplan.fileio as fileio
 import windplan.mps as mps_io
 from windplan import __version__
 from windplan.cep import (
-    Bus, CepInstance, Line, Placement, SitedAsset, Technology, build_lp,
+    Bus, CepInstance, CostCheckError, Line, Placement, SitedAsset, Technology, build_lp,
     decode_solution, with_connection_cost,
 )
 from windplan.fileio import technology_from_dict
@@ -53,8 +54,8 @@ class DataError(Exception):
 
 
 class SolverFailure(Exception):
-    def __init__(self, status: str):
-        super().__init__(f"solver did not reach optimality: {status}")
+    def __init__(self, status: str, message: str | None = None):
+        super().__init__(message or f"solver did not reach optimality: {status}")
         self.status = status
 
 
@@ -119,6 +120,10 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
 def load_config(path: str | Path) -> PipelineConfig:
     path = Path(path)
     if not path.exists():
@@ -132,8 +137,14 @@ def load_config(path: str | Path) -> PipelineConfig:
     canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(canonical.encode()).hexdigest()
     cfg = PipelineConfig(raw=raw, path=path, config_hash=digest)
+    factor = raw.get("resample_factor", 1)
+    if not (_is_int(factor) and factor >= 1):
+        raise DataError("resample_factor must be a positive integer")
+    resolution = raw.get("resolution_hours", 1.0)
+    if not (_is_number(resolution) and 0 < resolution < math.inf):
+        raise DataError("resolution_hours must be a positive number")
     siting = cfg.siting
-    if "varsigma" in siting and not (_is_int(siting["varsigma"]) or isinstance(siting["varsigma"], float)):
+    if "varsigma" in siting and not _is_number(siting["varsigma"]):
         raise DataError("siting.varsigma must be a number")
     for key in ("delta", "coverage_threshold"):
         if key in siting and not _is_int(siting[key]):
@@ -153,14 +164,21 @@ def load_config(path: str | Path) -> PipelineConfig:
 # Stage one
 # ---------------------------------------------------------------------------
 
+def _resampled(series: dict, factor: int) -> dict:
+    try:
+        return {k: resample_mean(v, factor) for k, v in series.items()}
+    except ValueError as exc:
+        raise DataError(f"cannot apply resample_factor {factor}: {exc}") from exc
+
+
 def _load_stage_inputs(config: PipelineConfig):
     resolution = float(config.raw.get("resolution_hours", 1.0))
     factor = int(config.raw.get("resample_factor", 1))
     speeds = fileio.read_series_csv(config.resolve("wind_speeds"), resolution)
     demand = fileio.read_series_csv(config.resolve("demand"), resolution)
     if factor > 1:
-        speeds = {k: resample_mean(v, factor) for k, v in speeds.items()}
-        demand = {k: resample_mean(v, factor) for k, v in demand.items()}
+        speeds = _resampled(speeds, factor)
+        demand = _resampled(demand, factor)
     curves_dir = config.resolve("curves_dir", required=False)
     curves = fileio.load_curves_dir(curves_dir) if curves_dir else fileio.load_default_curves()
     siting_cfg = config.siting
@@ -297,12 +315,12 @@ def _hydro_components(config: PipelineConfig, bus_ids, weight_hours: float):
     grid = fileio.read_runoff_manifest(runoff_path, resolution)
     if factor > 1:
         # runoff is a depth per period: aggregated blocks accumulate it
-        cells = []
-        for cell in grid.cells:
-            mean = resample_mean(cell.runoff_m, factor)
-            cells.append(RunoffCell(cell.cell_id, cell.country, cell.area_km2,
-                                    mean.with_values(mean.values * factor)))
-        grid = RunoffGrid(tuple(cells))
+        means = _resampled(dict(enumerate(cell.runoff_m for cell in grid.cells)), factor)
+        grid = RunoffGrid(tuple(
+            RunoffCell(cell.cell_id, cell.country, cell.area_km2,
+                       means[i].with_values(means[i].values * factor))
+            for i, cell in enumerate(grid.cells)
+        ))
     countries = [c for c in grid.countries() if c in set(bus_ids)]
     ror = ror_capacity_factors(grid, {c: params[c] for c in countries if c in params})
     placements = []
@@ -349,7 +367,7 @@ def _build_instance(config: PipelineConfig, catalog, selected_ids) -> CepInstanc
     factor = int(config.raw.get("resample_factor", 1))
     demand = fileio.read_series_csv(config.resolve("demand"), resolution)
     if factor > 1:
-        demand = {k: resample_mean(v, factor) for k, v in demand.items()}
+        demand = _resampled(demand, factor)
     reserve = float(cep_cfg.get("reserve_margin", 0.2))
     buses = tuple(Bus(id=bid, demand=series, reserve_margin=reserve)
                   for bid, series in demand.items())
@@ -440,19 +458,28 @@ def _build_instance(config: PipelineConfig, catalog, selected_ids) -> CepInstanc
     )
 
 
+def _export_cep(config: PipelineConfig, out_dir: Path, catalog, selected_ids) -> Path:
+    """Build the sizing problem for a selection and write it as ``cep.mps``."""
+    lp, _ = build_lp(_build_instance(config, catalog, selected_ids))
+    return mps_io.export_mps(lp, out_dir / "cep.mps",
+                             comments=[f"config_hash={config.config_hash}"])
+
+
 def run_cep(config: PipelineConfig, out_dir: Path, catalog, selected_ids):
     """Build and solve (or export) the sizing problem for a selection."""
+    if config.cep.get("solver", "embedded") == "mps-export":
+        _export_cep(config, out_dir, catalog, selected_ids)
+        return None
     instance = _build_instance(config, catalog, selected_ids)
     lp, index = build_lp(instance)
     stamp = {"config_hash": config.config_hash, "tool_version": __version__}
-    if config.cep.get("solver", "embedded") == "mps-export":
-        mps_io.export_mps(lp, out_dir / "cep.mps",
-                          comments=[f"config_hash={config.config_hash}"])
-        return None
     solution = solve(lp, iteration_limit=int(config.cep.get("iteration_limit", 200000)))
     if solution.status != "optimal":
         raise SolverFailure(solution.status)
-    decoded = decode_solution(solution, index, instance)
+    try:
+        decoded = decode_solution(solution, index, instance)
+    except CostCheckError as exc:
+        raise SolverFailure("cost_mismatch", str(exc)) from exc
     fileio.write_cep_report_csv(out_dir / "cep_report.csv", decoded, instance,
                                 comments=[f"config_hash={config.config_hash}"])
     doc = {
@@ -559,9 +586,7 @@ def main(argv=None) -> int:
                 mps_io.export_mps(mir, out_dir / "comp_mir.mps",
                                   comments=[f"config_hash={config.config_hash}"])
             else:
-                instance_lp, _ = build_lp(_build_instance(config, catalog, solution.selected))
-                mps_io.export_mps(instance_lp, out_dir / "cep.mps",
-                                  comments=[f"config_hash={config.config_hash}"])
+                _export_cep(config, out_dir, catalog, solution.selected)
             return EXIT_OK
         raise UsageError(f"unknown command {args.command!r}")
     except UsageError as exc:

@@ -3,8 +3,10 @@
 :class:`CanonicalLp` is a sparse triplet form (minimisation) with row
 senses, variable bounds and optional integrality flags (the flags exist
 only so mixed-integer relaxations can be exported; the bundled solver
-rejects them).  :func:`solve` is a bounded-variable revised simplex over a
-sparse working matrix with an LU-factorised basis, intended for desk-scale
+rejects them).  :class:`LpBuilder` assembles one from single variables,
+rows and coefficients or from whole families of them given as index
+arrays.  :func:`solve` is a bounded-variable revised simplex over a sparse
+working matrix with an LU-factorised basis, intended for desk-scale
 instances; anything larger should go through the MPS exporter in
 :mod:`windplan.mps` and an external solver.
 """
@@ -23,6 +25,13 @@ SENSES = ("<", "=", ">")
 
 _REFACTOR_EVERY = 100  # eta vectors kept before the basis is refactorised
 _BLAND_AFTER = 1000    # non-improving pivots before switching to Bland's rule
+
+# Array fields of a CanonicalLp with their dtypes; LpBuilder collects them in blocks.
+_ARRAY_FIELDS = {
+    "objective": np.float64, "entry_rows": np.intp, "entry_cols": np.intp,
+    "entry_vals": np.float64, "rhs": np.float64, "lower": np.float64,
+    "upper": np.float64, "integer": bool,
+}
 
 
 @dataclass(frozen=True)
@@ -43,12 +52,7 @@ class CanonicalLp:
     name: str = "lp"
 
     def __post_init__(self) -> None:
-        conv = {
-            "objective": np.float64, "entry_rows": np.intp, "entry_cols": np.intp,
-            "entry_vals": np.float64, "rhs": np.float64, "lower": np.float64,
-            "upper": np.float64, "integer": bool,
-        }
-        for attr, dtype in conv.items():
+        for attr, dtype in _ARRAY_FIELDS.items():
             arr = np.array(getattr(self, attr), dtype=dtype)
             arr.setflags(write=False)
             object.__setattr__(self, attr, arr)
@@ -59,7 +63,7 @@ class CanonicalLp:
         if len(self.var_names) != n or self.lower.size != n or self.upper.size != n \
                 or self.integer.size != n:
             raise ValueError("variable-sized fields disagree on the variable count")
-        if len(self.row_names) != m or self.rhs.size != m:
+        if len(self.row_names) != m or len(self.senses) != m or self.rhs.size != m:
             raise ValueError("row-sized fields disagree on the row count")
         if any(s not in SENSES for s in self.senses):
             raise ValueError("row senses must be one of <, =, >")
@@ -74,8 +78,8 @@ class CanonicalLp:
                 raise ValueError("entry row index out of range")
             if self.entry_cols.min() < 0 or self.entry_cols.max() >= n:
                 raise ValueError("entry column index out of range")
-            keys = self.entry_rows * n + self.entry_cols
-            if np.unique(keys).size != keys.size:
+            keys = np.sort(self.entry_rows * n + self.entry_cols)
+            if np.any(keys[1:] == keys[:-1]):
                 raise ValueError("duplicate (row, col) triplets")
 
     @property
@@ -93,57 +97,77 @@ class CanonicalLp:
 
 
 class LpBuilder:
-    """Incremental construction of a :class:`CanonicalLp`."""
+    """Incremental construction of a :class:`CanonicalLp`, by the item or by the block.
+
+    :meth:`add_vars`, :meth:`add_rows` and :meth:`add_entries` add whole
+    families as index arrays and broadcast scalar arguments along them;
+    :meth:`add_var`, :meth:`add_row` and :meth:`add_entry` are their
+    one-item forms.  :meth:`build` sorts the entries by (row, col).  A
+    repeated scalar entry is rejected at once, a (row, col) pair repeated
+    across blocks by the :class:`CanonicalLp` triplet check.
+    """
 
     def __init__(self, name: str = "lp"):
         self.name = name
-        self._obj: list[float] = []
-        self._lower: list[float] = []
-        self._upper: list[float] = []
-        self._integer: list[bool] = []
         self._var_names: list[str] = []
-        self._senses: list[str] = []
-        self._rhs: list[float] = []
         self._row_names: list[str] = []
-        self._entries: dict[tuple[int, int], float] = {}
+        self._senses: list[str] = []
+        self._blocks = {key: [np.zeros(0, dtype)] for key, dtype in _ARRAY_FIELDS.items()}
+        self._scalar_keys: set[tuple[int, int]] = set()
+
+    def _append(self, key: str, values, n: int) -> None:
+        self._blocks[key].append(np.broadcast_to(np.array(values, _ARRAY_FIELDS[key]), (n,)))
+
+    def add_vars(self, names, lower=0.0, upper=math.inf, objective=0.0,
+                 integer=False) -> np.ndarray:
+        """Append one column per name; returns their indices."""
+        start, n = len(self._var_names), len(names)
+        self._var_names.extend(names)
+        for key, values in (("lower", lower), ("upper", upper), ("objective", objective),
+                            ("integer", integer)):
+            self._append(key, values, n)
+        return np.arange(start, start + n, dtype=np.intp)
+
+    def add_rows(self, names, sense, rhs, *terms) -> np.ndarray:
+        """Append one row per name and return their indices.  ``sense`` is
+        one sense or one per row; each ``(cols, vals)`` term is broadcast
+        along the rows and puts one entry in every row."""
+        start, n = len(self._row_names), len(names)
+        self._row_names.extend(names)
+        self._senses.extend([sense] * n if isinstance(sense, str) else sense)
+        self._append("rhs", rhs, n)
+        rows = np.arange(start, start + n, dtype=np.intp)
+        for cols, vals in terms:
+            self.add_entries(rows, cols, vals)
+        return rows
+
+    def add_entries(self, rows, cols, vals) -> None:
+        """Add a block of coefficients, broadcasting the three arguments."""
+        keys = ("entry_rows", "entry_cols", "entry_vals")
+        arrays = (np.array(v, _ARRAY_FIELDS[k]) for k, v in zip(keys, (rows, cols, vals)))
+        for key, values in zip(keys, np.broadcast_arrays(*arrays)):
+            self._blocks[key].append(values.ravel())
 
     def add_var(self, name: str, lower: float = 0.0, upper: float = math.inf,
                 objective: float = 0.0, integer: bool = False) -> int:
-        self._var_names.append(name)
-        self._lower.append(lower)
-        self._upper.append(upper)
-        self._obj.append(objective)
-        self._integer.append(integer)
-        return len(self._var_names) - 1
+        return int(self.add_vars([name], lower, upper, objective, integer)[0])
 
     def add_row(self, name: str, sense: str, rhs: float) -> int:
-        self._row_names.append(name)
-        self._senses.append(sense)
-        self._rhs.append(rhs)
-        return len(self._row_names) - 1
+        return int(self.add_rows([name], sense, rhs)[0])
 
     def add_entry(self, row: int, col: int, value: float) -> None:
-        key = (row, col)
-        if key in self._entries:
+        if (row, col) in self._scalar_keys:
             raise ValueError(f"duplicate entry for row {row}, col {col}")
-        self._entries[key] = float(value)
+        self._scalar_keys.add((row, col))
+        self.add_entries(row, col, value)
 
     def build(self) -> CanonicalLp:
-        keys = sorted(self._entries)
-        return CanonicalLp(
-            objective=self._obj,
-            entry_rows=[k[0] for k in keys],
-            entry_cols=[k[1] for k in keys],
-            entry_vals=[self._entries[k] for k in keys],
-            senses=tuple(self._senses),
-            rhs=self._rhs,
-            lower=self._lower,
-            upper=self._upper,
-            integer=self._integer,
-            var_names=tuple(self._var_names),
-            row_names=tuple(self._row_names),
-            name=self.name,
-        )
+        arrays = {key: np.concatenate(blocks) for key, blocks in self._blocks.items()}
+        order = np.lexsort((arrays["entry_cols"], arrays["entry_rows"]))
+        for key in ("entry_rows", "entry_cols", "entry_vals"):
+            arrays[key] = arrays[key][order]
+        return CanonicalLp(senses=tuple(self._senses), var_names=tuple(self._var_names),
+                           row_names=tuple(self._row_names), name=self.name, **arrays)
 
 
 @dataclass(frozen=True)

@@ -278,19 +278,18 @@ def import_mps(path: str | Path) -> CanonicalLp:
             raise ValueError(f"{path}:{lineno}: data outside any section")
 
     builder = LpBuilder(name=name)
-    for var in var_order:
-        builder.add_var(
-            var,
-            lower=bounds_lo.get(var, 0.0),
-            upper=bounds_up.get(var, math.inf),
-            objective=obj_coeff.get(var, 0.0),
-            integer=var_integer[var],
-        )
-    row_index = {}
-    for row in row_order:
-        row_index[row] = builder.add_row(row, row_sense[row], rhs.get(row, 0.0))
-    for (row, var), value in entries.items():
-        builder.add_entry(row_index[row], var_set[var], value)
+    builder.add_vars(
+        var_order,
+        lower=[bounds_lo.get(var, 0.0) for var in var_order],
+        upper=[bounds_up.get(var, math.inf) for var in var_order],
+        objective=[obj_coeff.get(var, 0.0) for var in var_order],
+        integer=[var_integer[var] for var in var_order],
+    )
+    rows = builder.add_rows(row_order, [row_sense[row] for row in row_order],
+                            [rhs.get(row, 0.0) for row in row_order])
+    row_index = dict(zip(row_order, rows.tolist()))
+    builder.add_entries([row_index[row] for row, _ in entries],
+                        [var_set[var] for _, var in entries], list(entries.values()))
     return builder.build()
 
 

@@ -707,26 +707,19 @@ def build_comp_mir(matrix: CriticalityMatrix, catalog: SiteCatalog, plan: Cardin
 
     members = _partition_members(catalog, plan)
     builder = LpBuilder(name="comp_mir")
-    x_vars = {}
-    for sid in matrix.site_ids:
-        legacy = catalog.site(sid).is_legacy
-        x_vars[sid] = builder.add_var(
-            f"x|{sid}", lower=1.0 if legacy else 0.0, upper=1.0, objective=0.0, integer=True
-        )
-    y_vars = []
-    for w in range(matrix.n_windows):
-        y_vars.append(builder.add_var(f"y|{w}", lower=0.0, upper=1.0, objective=-1.0))
-    dense = matrix.dense
-    for w in range(matrix.n_windows):
-        row = builder.add_row(f"cov|{w}", sense=">", rhs=0.0)
-        for sid in matrix.site_ids:
-            if dense[matrix.index_of[sid], w]:
-                builder.add_entry(row, x_vars[sid], 1.0)
-        builder.add_entry(row, y_vars[w], -float(matrix.threshold_c))
+    legacy = [catalog.site(sid).is_legacy for sid in matrix.site_ids]
+    x_vars = builder.add_vars([f"x|{sid}" for sid in matrix.site_ids],
+                              lower=np.where(legacy, 1.0, 0.0), upper=1.0, integer=True)
+    windows = range(matrix.n_windows)
+    y_vars = builder.add_vars([f"y|{w}" for w in windows], upper=1.0, objective=-1.0)
+    cov = builder.add_rows([f"cov|{w}" for w in windows], ">", 0.0,
+                           (y_vars, -float(matrix.threshold_c)))
+    sites, covered = np.nonzero(matrix.dense)
+    builder.add_entries(cov[covered], x_vars[sites], 1.0)
     for quota in plan.quotas:
         row = builder.add_row(f"card|{quota.partition_id}", sense="=", rhs=float(quota.final_k))
-        for sid in members[quota.partition_id]:
-            builder.add_entry(row, x_vars[sid], 1.0)
+        members_idx = [matrix.index_of[sid] for sid in members[quota.partition_id]]
+        builder.add_entries(row, x_vars[members_idx], 1.0)
     return builder.build()
 
 

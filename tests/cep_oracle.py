@@ -1,0 +1,392 @@
+"""Coefficient-at-a-time reference builders for the LP producers.
+
+``DictLpBuilder`` is a per-coefficient dictionary store (sorted by
+(row, col) at build time) whose block methods replay scalar calls, and
+``build_lp`` and ``build_comp_mir`` walk every (row, period) and add one
+coefficient per call, the way the models were first written.  The
+block-assembled library versions in ``windplan.cep``, ``windplan.siting``
+and ``windplan.mps`` must produce the same ``CanonicalLp`` (every field
+and dtype) and, for the CEP, the same ``CepIndex``.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from windplan.cep import (
+    DISPATCHABLE, RES, STORAGE, CepIndex, CepInstance, _resolve_credit,
+)
+from windplan.lp import CanonicalLp
+from windplan.siting import _partition_members
+
+
+class DictLpBuilder:
+    """Per-coefficient builder: one dict entry per (row, col)."""
+
+    def __init__(self, name: str = "lp"):
+        self.name = name
+        self._obj: list[float] = []
+        self._lower: list[float] = []
+        self._upper: list[float] = []
+        self._integer: list[bool] = []
+        self._var_names: list[str] = []
+        self._senses: list[str] = []
+        self._rhs: list[float] = []
+        self._row_names: list[str] = []
+        self._entries: dict[tuple[int, int], float] = {}
+
+    def add_var(self, name: str, lower: float = 0.0, upper: float = math.inf,
+                objective: float = 0.0, integer: bool = False) -> int:
+        self._var_names.append(name)
+        self._lower.append(lower)
+        self._upper.append(upper)
+        self._obj.append(objective)
+        self._integer.append(integer)
+        return len(self._var_names) - 1
+
+    def add_row(self, name: str, sense: str, rhs: float) -> int:
+        self._row_names.append(name)
+        self._senses.append(sense)
+        self._rhs.append(rhs)
+        return len(self._row_names) - 1
+
+    def add_entry(self, row: int, col: int, value: float) -> None:
+        key = (row, col)
+        if key in self._entries:
+            raise ValueError(f"duplicate entry for row {row}, col {col}")
+        self._entries[key] = float(value)
+
+    # Block calls replayed as scalar calls, so a block-assembling producer can
+    # run on this store too.
+
+    def add_vars(self, names, lower=0.0, upper=math.inf, objective=0.0, integer=False):
+        n = len(names)
+        fields = (np.broadcast_to(v, (n,)).tolist() for v in (lower, upper, objective, integer))
+        return np.array([self.add_var(*col) for col in zip(names, *fields)], dtype=np.intp)
+
+    def add_rows(self, names, sense, rhs, *terms):
+        n = len(names)
+        senses = [sense] * n if isinstance(sense, str) else sense
+        rows = np.array([self.add_row(*row) for row in
+                         zip(names, senses, np.broadcast_to(rhs, (n,)).tolist())], dtype=np.intp)
+        for cols, vals in terms:
+            self.add_entries(rows, cols, vals)
+        return rows
+
+    def add_entries(self, rows, cols, vals) -> None:
+        block = np.broadcast_arrays(rows, cols, vals)
+        for row, col, val in zip(*(a.ravel().tolist() for a in block)):
+            self.add_entry(row, col, val)
+
+    def build(self) -> CanonicalLp:
+        keys = sorted(self._entries)
+        return CanonicalLp(
+            objective=self._obj,
+            entry_rows=[k[0] for k in keys],
+            entry_cols=[k[1] for k in keys],
+            entry_vals=[self._entries[k] for k in keys],
+            senses=tuple(self._senses),
+            rhs=self._rhs,
+            lower=self._lower,
+            upper=self._upper,
+            integer=self._integer,
+            var_names=tuple(self._var_names),
+            row_names=tuple(self._row_names),
+            name=self.name,
+        )
+
+
+def build_lp(instance: CepInstance) -> tuple[CanonicalLp, CepIndex]:
+    """Row-by-row, coefficient-by-coefficient reference for :func:`windplan.cep.build_lp`."""
+    t_len = instance.n_periods
+    omega = instance.weight_hours
+    builder = DictLpBuilder(name="cep")
+    ix = CepIndex()
+
+    def addition_bound(legacy: float, potential: float | None, expandable: bool) -> float:
+        if not expandable:
+            return 0.0
+        if potential is None:
+            return math.inf
+        return potential - legacy
+
+    sited_tech = (
+        instance.technology(instance.sited_technology) if instance.sited_technology else None
+    )
+
+    # -- capacity variables -------------------------------------------------
+    for asset in instance.sited:
+        annuity = sited_tech.power_annuity(instance.discount_rate)
+        cost = (annuity or 0.0) + sited_tech.fixed_om
+        ix.site_K[asset.id] = builder.add_var(
+            f"K|site|{asset.id}", 0.0,
+            addition_bound(asset.legacy_MW, asset.potential_MW, annuity is not None),
+            objective=cost,
+        )
+        ix.site_credit[asset.id] = _resolve_credit(
+            sited_tech, asset.cf, instance.bus(asset.bus), t_len
+        )
+    for pl in instance.placements:
+        tech = instance.technology(pl.tech)
+        annuity = tech.power_annuity(instance.discount_rate)
+        ix.tech_K[(pl.bus, pl.tech)] = builder.add_var(
+            f"K|{pl.bus}|{pl.tech}", 0.0,
+            addition_bound(pl.legacy_MW, pl.potential_MW, annuity is not None),
+            objective=(annuity or 0.0) + tech.fixed_om,
+        )
+        if tech.kind == STORAGE:
+            energy_annuity = tech.storage_energy_annuity(instance.discount_rate)
+            ix.storage_S[(pl.bus, pl.tech)] = builder.add_var(
+                f"S|{pl.bus}|{pl.tech}", 0.0,
+                addition_bound(pl.legacy_energy_MWh, pl.potential_energy_MWh,
+                               energy_annuity is not None),
+                objective=energy_annuity or 0.0,
+            )
+        if tech.kind == RES:
+            ix.res_credit[(pl.bus, pl.tech)] = _resolve_credit(
+                tech, pl.availability, instance.bus(pl.bus), t_len
+            )
+    for line in instance.lines:
+        annuity = line.power_annuity(instance.discount_rate)
+        ix.line_K[line.id] = builder.add_var(
+            f"K|line|{line.id}", 0.0,
+            addition_bound(line.legacy_MW, line.potential_MW, annuity is not None),
+            objective=(annuity or 0.0) + line.fixed_om,
+        )
+
+    # -- dispatch variables --------------------------------------------------
+    for asset in instance.sited:
+        ix.site_p[asset.id] = np.array([
+            builder.add_var(f"p|site|{asset.id}|{t}", 0.0, math.inf,
+                            objective=omega * sited_tech.marginal_cost)
+            for t in range(t_len)
+        ])
+    for pl in instance.placements:
+        tech = instance.technology(pl.tech)
+        key = (pl.bus, pl.tech)
+        if tech.kind in (RES, DISPATCHABLE):
+            ix.gen_p[key] = np.array([
+                builder.add_var(f"p|{pl.bus}|{pl.tech}|{t}", 0.0, math.inf,
+                                objective=omega * tech.marginal_cost)
+                for t in range(t_len)
+            ])
+        else:
+            ix.charge[key] = np.array([
+                builder.add_var(f"pc|{pl.bus}|{pl.tech}|{t}", 0.0, math.inf,
+                                objective=omega * tech.marginal_cost)
+                for t in range(t_len)
+            ])
+            ix.discharge[key] = np.array([
+                builder.add_var(f"pd|{pl.bus}|{pl.tech}|{t}", 0.0, math.inf,
+                                objective=omega * tech.marginal_cost)
+                for t in range(t_len)
+            ])
+            ix.soc[key] = np.array([
+                builder.add_var(f"e|{pl.bus}|{pl.tech}|{t}", 0.0, math.inf)
+                for t in range(t_len)
+            ])
+            if pl.inflow is not None:
+                ix.spill[key] = np.array([
+                    builder.add_var(f"spill|{pl.bus}|{pl.tech}|{t}", 0.0, math.inf)
+                    for t in range(t_len)
+                ])
+    for line in instance.lines:
+        ix.flow_fw[line.id] = np.array([
+            builder.add_var(f"f+|{line.id}|{t}", 0.0, math.inf,
+                            objective=omega * line.variable_om)
+            for t in range(t_len)
+        ])
+        ix.flow_bw[line.id] = np.array([
+            builder.add_var(f"f-|{line.id}|{t}", 0.0, math.inf,
+                            objective=omega * line.variable_om)
+            for t in range(t_len)
+        ])
+    for bus in instance.buses:
+        ix.ens[bus.id] = np.array([
+            builder.add_var(f"ens|{bus.id}|{t}", 0.0, math.inf,
+                            objective=omega * instance.shed_penalty)
+            for t in range(t_len)
+        ])
+
+    # -- energy balance -------------------------------------------------------
+    for bus in instance.buses:
+        for t in range(t_len):
+            row = builder.add_row(f"bal|{bus.id}|{t}", "=", float(bus.demand.values[t]))
+            for asset in instance.sited:
+                if asset.bus == bus.id:
+                    builder.add_entry(row, ix.site_p[asset.id][t], 1.0)
+            for key, p_vars in ix.gen_p.items():
+                if key[0] == bus.id:
+                    builder.add_entry(row, p_vars[t], 1.0)
+            for key in ix.discharge:
+                if key[0] == bus.id:
+                    builder.add_entry(row, ix.discharge[key][t], 1.0)
+                    builder.add_entry(row, ix.charge[key][t], -1.0)
+            for line in instance.lines:
+                eff = line.delivery_efficiency(instance.apply_line_losses)
+                if line.from_bus == bus.id:
+                    builder.add_entry(row, ix.flow_fw[line.id][t], -1.0)
+                    builder.add_entry(row, ix.flow_bw[line.id][t], eff)
+                elif line.to_bus == bus.id:
+                    builder.add_entry(row, ix.flow_fw[line.id][t], eff)
+                    builder.add_entry(row, ix.flow_bw[line.id][t], -1.0)
+            builder.add_entry(row, ix.ens[bus.id][t], 1.0)
+
+    # -- sited RES operation ---------------------------------------------------
+    for asset in instance.sited:
+        cf = asset.cf.values
+        for t in range(t_len):
+            row = builder.add_row(f"avail|site|{asset.id}|{t}", "<", cf[t] * asset.legacy_MW)
+            builder.add_entry(row, ix.site_p[asset.id][t], 1.0)
+            if cf[t] != 0.0:
+                builder.add_entry(row, ix.site_K[asset.id], -cf[t])
+
+    # -- bus technology operation ----------------------------------------------
+    for pl in instance.placements:
+        tech = instance.technology(pl.tech)
+        key = (pl.bus, pl.tech)
+        if tech.kind in (RES, DISPATCHABLE):
+            pi = pl.availability.values if pl.availability is not None else np.ones(t_len)
+            k_var = ix.tech_K[key]
+            p_vars = ix.gen_p[key]
+            for t in range(t_len):
+                row = builder.add_row(f"avail|{pl.bus}|{pl.tech}|{t}", "<", pi[t] * pl.legacy_MW)
+                builder.add_entry(row, p_vars[t], 1.0)
+                if pi[t] != 0.0:
+                    builder.add_entry(row, k_var, -pi[t])
+            if tech.kind == DISPATCHABLE:
+                if tech.ramp_up < 1.0:
+                    for t in range(1, t_len):
+                        row = builder.add_row(f"rampu|{pl.bus}|{pl.tech}|{t}", "<",
+                                              tech.ramp_up * pl.legacy_MW)
+                        builder.add_entry(row, p_vars[t], 1.0)
+                        builder.add_entry(row, p_vars[t - 1], -1.0)
+                        builder.add_entry(row, k_var, -tech.ramp_up)
+                if tech.ramp_down < 1.0:
+                    for t in range(1, t_len):
+                        row = builder.add_row(f"rampd|{pl.bus}|{pl.tech}|{t}", "<",
+                                              tech.ramp_down * pl.legacy_MW)
+                        builder.add_entry(row, p_vars[t], -1.0)
+                        builder.add_entry(row, p_vars[t - 1], 1.0)
+                        builder.add_entry(row, k_var, -tech.ramp_down)
+                if tech.must_run > 0.0:
+                    for t in range(t_len):
+                        row = builder.add_row(f"mustrun|{pl.bus}|{pl.tech}|{t}", "<",
+                                              -tech.must_run * pl.legacy_MW)
+                        builder.add_entry(row, k_var, tech.must_run)
+                        builder.add_entry(row, p_vars[t], -1.0)
+        else:
+            k_var = ix.tech_K[key]
+            s_var = ix.storage_S[key]
+            for t in range(t_len):
+                row = builder.add_row(f"dis|{pl.bus}|{pl.tech}|{t}", "<", pl.legacy_MW)
+                builder.add_entry(row, ix.discharge[key][t], 1.0)
+                builder.add_entry(row, k_var, -1.0)
+                row = builder.add_row(f"chg|{pl.bus}|{pl.tech}|{t}", "<",
+                                      tech.charge_ratio * pl.legacy_MW)
+                builder.add_entry(row, ix.charge[key][t], 1.0)
+                if tech.charge_ratio != 0.0:
+                    builder.add_entry(row, k_var, -tech.charge_ratio)
+            inflow = pl.inflow.values if pl.inflow is not None else None
+            for t in range(t_len):
+                prev = (t - 1) % t_len
+                if t == 0 and not instance.storage_cyclic:
+                    continue  # initial state free inside its bounds
+                rhs = float(inflow[t]) if inflow is not None else 0.0
+                row = builder.add_row(f"soc|{pl.bus}|{pl.tech}|{t}", "=", rhs)
+                builder.add_entry(row, ix.soc[key][t], 1.0)
+                builder.add_entry(row, ix.soc[key][prev], -tech.eta_self)
+                builder.add_entry(row, ix.charge[key][t], -omega * tech.eta_charge)
+                builder.add_entry(row, ix.discharge[key][t], omega / tech.eta_discharge)
+                if inflow is not None:
+                    builder.add_entry(row, ix.spill[key][t], 1.0)
+            for t in range(t_len):
+                row = builder.add_row(f"socmax|{pl.bus}|{pl.tech}|{t}", "<", pl.legacy_energy_MWh)
+                builder.add_entry(row, ix.soc[key][t], 1.0)
+                builder.add_entry(row, s_var, -1.0)
+                if tech.min_soc > 0.0:
+                    row = builder.add_row(f"socmin|{pl.bus}|{pl.tech}|{t}", "<",
+                                          -tech.min_soc * pl.legacy_energy_MWh)
+                    builder.add_entry(row, s_var, tech.min_soc)
+                    builder.add_entry(row, ix.soc[key][t], -1.0)
+
+    # -- transmission capacity ---------------------------------------------------
+    for line in instance.lines:
+        for t in range(t_len):
+            row = builder.add_row(f"cap|{line.id}|{t}", "<", line.legacy_MW)
+            builder.add_entry(row, ix.flow_fw[line.id][t], 1.0)
+            builder.add_entry(row, ix.flow_bw[line.id][t], 1.0)
+            builder.add_entry(row, ix.line_K[line.id], -1.0)
+
+    # -- CO2 budget ---------------------------------------------------------------
+    if instance.co2_budget is not None:
+        row = builder.add_row("co2", "<", instance.co2_budget)
+        for pl in instance.placements:
+            tech = instance.technology(pl.tech)
+            if tech.kind in (RES, DISPATCHABLE) and tech.co2_per_mwh_elec > 0.0:
+                rate = omega * tech.co2_per_mwh_elec
+                for t in range(t_len):
+                    builder.add_entry(row, ix.gen_p[(pl.bus, pl.tech)][t], rate)
+
+    # -- adequacy -------------------------------------------------------------------
+    for bus in instance.buses:
+        if bus.reserve_margin is None:
+            continue
+        firm_legacy = 0.0
+        terms: list[tuple[int, float]] = []
+        for pl in instance.placements:
+            if pl.bus != bus.id:
+                continue
+            tech = instance.technology(pl.tech)
+            if tech.kind == RES:
+                credit = ix.res_credit[(pl.bus, pl.tech)]
+                if credit > 0.0:
+                    firm_legacy += credit * pl.legacy_MW
+                    terms.append((ix.tech_K[(pl.bus, pl.tech)], credit))
+            elif tech.id in instance.firm_technologies:
+                firm_legacy += pl.legacy_MW
+                terms.append((ix.tech_K[(pl.bus, pl.tech)], 1.0))
+        for asset in instance.sited:
+            if asset.bus != bus.id:
+                continue
+            credit = ix.site_credit[asset.id]
+            if credit > 0.0:
+                firm_legacy += credit * asset.legacy_MW
+                terms.append((ix.site_K[asset.id], credit))
+        required = (1.0 + bus.reserve_margin) * bus.peak_demand - firm_legacy
+        if required <= 0.0:
+            continue  # legacy firm capacity already meets the requirement
+        row = builder.add_row(f"adequacy|{bus.id}", ">", required)
+        for var, coeff in terms:
+            builder.add_entry(row, var, coeff)
+
+    return builder.build(), ix
+
+
+def build_comp_mir(matrix, catalog, plan) -> CanonicalLp:
+    """Window-by-window reference for :func:`windplan.siting.build_comp_mir`."""
+    members = _partition_members(catalog, plan)
+    builder = DictLpBuilder(name="comp_mir")
+    x_vars = {}
+    for sid in matrix.site_ids:
+        legacy = catalog.site(sid).is_legacy
+        x_vars[sid] = builder.add_var(
+            f"x|{sid}", lower=1.0 if legacy else 0.0, upper=1.0, objective=0.0, integer=True
+        )
+    y_vars = []
+    for w in range(matrix.n_windows):
+        y_vars.append(builder.add_var(f"y|{w}", lower=0.0, upper=1.0, objective=-1.0))
+    dense = matrix.dense
+    for w in range(matrix.n_windows):
+        row = builder.add_row(f"cov|{w}", sense=">", rhs=0.0)
+        for sid in matrix.site_ids:
+            if dense[matrix.index_of[sid], w]:
+                builder.add_entry(row, x_vars[sid], 1.0)
+        builder.add_entry(row, y_vars[w], -float(matrix.threshold_c))
+    for quota in plan.quotas:
+        row = builder.add_row(f"card|{quota.partition_id}", sense="=", rhs=float(quota.final_k))
+        for sid in members[quota.partition_id]:
+            builder.add_entry(row, x_vars[sid], 1.0)
+    return builder.build()

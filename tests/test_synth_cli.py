@@ -276,6 +276,36 @@ def test_exit_data_on_bad_comp_settings(dataset, capsys, siting, message):
     assert message in err["message"]
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"resample_factor": 5}, "not divisible by factor 5"),
+    ({"resample_factor": 0}, "resample_factor must be a positive integer"),
+    ({"resample_factor": "x"}, "resample_factor must be a positive integer"),
+    ({"resolution_hours": 0}, "resolution_hours must be a positive number"),
+], ids=["resample-not-dividing", "resample-zero", "resample-string", "resolution-zero"])
+def test_exit_data_on_bad_stage_inputs(dataset, capsys, overrides, message):
+    tmp_path, data_dir = dataset
+    config = write_config(tmp_path, data_dir, **overrides)
+    assert main(["site", str(config)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "data" and err["exit_code"] == 2
+    assert message in err["message"]
+
+
+def test_exit_data_on_runoff_not_dividing(dataset, capsys):
+    tmp_path, data_dir = dataset
+    series = data_dir / "runoff_series.csv"
+    lines = series.read_text().splitlines()
+    series.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")  # 95 periods
+    config = write_config(tmp_path, data_dir)
+    raw = json.loads(config.read_text())
+    raw["paths"]["runoff"] = f"{data_dir}/runoff.csv"
+    raw["paths"]["hydro_params"] = f"{data_dir}/hydro_params.csv"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["pipeline", str(config)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "data" and "not divisible by factor 3" in err["message"]
+
+
 def test_exit_data_when_siting_output_missing(dataset, capsys):
     tmp_path, data_dir = dataset
     config = write_config(tmp_path, data_dir)
@@ -292,6 +322,35 @@ def test_exit_solver_on_iteration_limit(dataset, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "solver"
     assert err["status"] == "iteration_limit"
+
+
+def test_exit_solver_on_cost_check_mismatch(dataset, capsys, monkeypatch):
+    import dataclasses
+
+    import windplan.cli as cli
+
+    real_solve = cli.solve
+
+    def off_by_one_percent(lp, **kwargs):
+        solution = real_solve(lp, **kwargs)
+        return dataclasses.replace(solution, objective=solution.objective * 1.01 + 1.0)
+
+    monkeypatch.setattr(cli, "solve", off_by_one_percent)
+    tmp_path, data_dir = dataset
+    config = write_config(tmp_path, data_dir)
+    assert main(["pipeline", str(config)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "solver" and err["exit_code"] == 3
+    assert err["status"] == "cost_mismatch"
+    assert "disagrees with solver objective" in err["message"]
+
+
+def test_cep_export_same_from_pipeline_and_export_mps(dataset):
+    tmp_path, data_dir = dataset
+    config = write_config(tmp_path, data_dir, cep={"solver": "mps-export"})
+    assert main(["pipeline", str(config), "--out", str(tmp_path / "a")]) == 0
+    assert main(["export-mps", str(config), "--out", str(tmp_path / "b")]) == 0
+    assert (tmp_path / "a" / "cep.mps").read_bytes() == (tmp_path / "b" / "cep.mps").read_bytes()
 
 
 def test_seed_override_changes_outputs(dataset):
