@@ -69,7 +69,10 @@ def annualize(overnight_cost: float, lifetime_years: float, discount_rate: float
     return overnight_cost * discount_rate / (1.0 - (1.0 + discount_rate) ** (-lifetime_years))
 
 
-def with_connection_cost(capex: float, share: float = 0.2) -> float:
+DEFAULT_CONNECTION_SHARE = 0.2
+
+
+def with_connection_cost(capex: float, share: float = DEFAULT_CONNECTION_SHARE) -> float:
     """Offshore grid-connection adder: a fixed share of the capital cost,
     applied before annualisation."""
     return capex * (1.0 + share)

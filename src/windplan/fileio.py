@@ -36,7 +36,9 @@ CEP instance
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
+import math
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -45,7 +47,9 @@ import numpy as np
 from windplan.cep import Bus, CepInstance, CepSolution, Line, Placement, SitedAsset, Technology
 from windplan.hydro import HydroCountryParams, RunoffCell, RunoffGrid
 from windplan.powercurve import PowerCurve
-from windplan.resource import CriticalityMatrix, Site, SiteCatalog, make_site
+from windplan.resource import (
+    DEFAULT_LEGACY_THRESHOLD_MW, CriticalityMatrix, Site, SiteCatalog, make_site,
+)
 from windplan.siting import SitingSolution
 from windplan.timeseries import TimeSeries
 
@@ -124,30 +128,25 @@ def write_catalog_csv(path: str | Path, rows: Iterable[Mapping], comments: Seque
     return path
 
 
-def read_catalog_csv(path: str | Path) -> list[dict]:
+def _read_table(path: str | Path, columns, what: str) -> list[dict]:
     path = Path(path)
-    lines = _data_lines(path)
-    reader = csv.DictReader(lines)
-    missing = set(CATALOG_HEADER) - set(reader.fieldnames or ())
+    reader = csv.DictReader(_data_lines(path))
+    missing = set(columns) - set(reader.fieldnames or ())
     if missing:
-        raise ValueError(f"{path}: catalog columns missing: {sorted(missing)}")
-    rows = []
-    for record in reader:
-        rows.append({
-            "id": record["id"],
-            "lon": float(record["lon"]),
-            "lat": float(record["lat"]),
-            "partition": record["partition"],
-            "legacy_MW": float(record["legacy_MW"]),
-            "potential_MW": float(record["potential_MW"]),
-        })
-    return rows
+        raise ValueError(f"{path}: {what} columns missing: {sorted(missing)}")
+    return list(reader)
+
+
+def read_catalog_csv(path: str | Path) -> list[dict]:
+    return [{key: row[key] if key in ("id", "partition") else float(row[key])
+             for key in CATALOG_HEADER}
+            for row in _read_table(path, CATALOG_HEADER, "catalog")]
 
 
 def load_catalog(
     catalog_csv: str | Path,
     capacity_factors: Mapping[str, TimeSeries],
-    legacy_threshold_MW: float = 100.0,
+    legacy_threshold_MW: float = DEFAULT_LEGACY_THRESHOLD_MW,
 ) -> SiteCatalog:
     """Assemble a catalog from its CSV and per-site capacity factors."""
     sites: list[Site] = []
@@ -155,14 +154,8 @@ def load_catalog(
         if row["id"] not in capacity_factors:
             raise ValueError(f"no capacity-factor series for site {row['id']!r}")
         sites.append(make_site(
-            id=row["id"],
-            longitude=row["lon"],
-            latitude=row["lat"],
-            partition_id=row["partition"],
-            legacy_capacity_MW=row["legacy_MW"],
-            technical_potential_MW=row["potential_MW"],
-            capacity_factors=capacity_factors[row["id"]],
-            legacy_threshold_MW=legacy_threshold_MW,
+            row["id"], row["lon"], row["lat"], row["partition"], row["legacy_MW"],
+            row["potential_MW"], capacity_factors[row["id"]], legacy_threshold_MW,
         ))
     return SiteCatalog(tuple(sites), legacy_threshold_MW)
 
@@ -253,68 +246,39 @@ def write_hydro_params_csv(
     out = ["# " + c for c in comments]
     out.append(",".join(HYDRO_HEADER))
     for country in sorted(params):
-        p = params[country]
-        def opt(v):
-            return "" if v is None else _fmt(v)
-        out.append(",".join([
-            p.country, _fmt(p.flood_threshold), _fmt(p.ror_capacity_MW),
-            _fmt(p.sto_capacity_MW), _fmt(p.sto_energy_MWh), _fmt(p.yearly_hydro_MWh),
-            opt(p.flow_multiplier), _fmt(p.avg_head_m), _fmt(p.phs_power_MW),
-            opt(p.phs_energy_MWh), opt(p.phs_duration_h),
-        ]))
+        name, *values = (getattr(params[country], key) for key in HYDRO_HEADER)
+        out.append(",".join([name] + ["" if v is None else _fmt(v) for v in values]))
     path.write_text("\n".join(out) + "\n", encoding="utf-8")
     return path
 
 
+_HYDRO_OPTIONAL = ("flow_multiplier", "phs_energy_MWh", "phs_duration_h")   # blank = unknown
+
+
 def read_hydro_params_csv(path: str | Path) -> dict[str, HydroCountryParams]:
-    path = Path(path)
-    reader = csv.DictReader(_data_lines(path))
-    missing = set(HYDRO_HEADER) - set(reader.fieldnames or ())
-    if missing:
-        raise ValueError(f"{path}: hydro columns missing: {sorted(missing)}")
-    out: dict[str, HydroCountryParams] = {}
-    for record in reader:
-        def opt(key):
-            raw = record[key].strip()
-            return None if raw == "" else float(raw)
-        out[record["country"]] = HydroCountryParams(
-            country=record["country"],
-            flood_threshold=float(record["flood_threshold"]),
-            ror_capacity_MW=float(record["ror_capacity_MW"]),
-            sto_capacity_MW=float(record["sto_capacity_MW"]),
-            sto_energy_MWh=float(record["sto_energy_MWh"]),
-            yearly_hydro_MWh=float(record["yearly_hydro_MWh"]),
-            flow_multiplier=opt("flow_multiplier"),
-            avg_head_m=float(record["avg_head_m"]),
-            phs_power_MW=float(record["phs_power_MW"]),
-            phs_energy_MWh=opt("phs_energy_MWh"),
-            phs_duration_h=opt("phs_duration_h"),
-        )
-    return out
+    return {
+        record["country"]: HydroCountryParams(country=record["country"], **{
+            key: None if key in _HYDRO_OPTIONAL and not record[key].strip()
+            else float(record[key]) for key in HYDRO_HEADER[1:]})
+        for record in _read_table(path, HYDRO_HEADER, "hydro")
+    }
 
 
 def read_runoff_manifest(path: str | Path, resolution_hours: float = 1.0) -> RunoffGrid:
     path = Path(path)
-    reader = csv.DictReader(_data_lines(path))
-    needed = {"cell_id", "country", "area_km2", "series_path"}
-    missing = needed - set(reader.fieldnames or ())
-    if missing:
-        raise ValueError(f"{path}: runoff manifest columns missing: {sorted(missing)}")
+    records = _read_table(path, ("cell_id", "country", "area_km2", "series_path"),
+                          "runoff manifest")
     series_cache: dict[Path, dict[str, TimeSeries]] = {}
     cells = []
-    for record in reader:
+    for record in records:
         series_path = (path.parent / record["series_path"]).resolve()
         if series_path not in series_cache:
             series_cache[series_path] = read_series_csv(series_path, resolution_hours)
         table = series_cache[series_path]
         if record["cell_id"] not in table:
             raise ValueError(f"{series_path}: no column for cell {record['cell_id']!r}")
-        cells.append(RunoffCell(
-            cell_id=record["cell_id"],
-            country=record["country"],
-            area_km2=float(record["area_km2"]),
-            runoff_m=table[record["cell_id"]],
-        ))
+        cells.append(RunoffCell(record["cell_id"], record["country"],
+                                float(record["area_km2"]), table[record["cell_id"]]))
     return RunoffGrid(tuple(cells))
 
 
@@ -395,19 +359,124 @@ def _series_ref(doc: Mapping | None, base: Path, resolution_hours: float) -> Tim
     return table[column]
 
 
-_TECH_FIELDS = (
-    "id", "kind", "capex", "lifetime_years", "annuity", "fixed_om", "variable_om",
-    "fuel_cost", "efficiency", "co2_per_mwh_th", "ramp_up", "ramp_down", "must_run",
-    "capacity_credit", "charge_ratio", "eta_charge", "eta_discharge", "eta_self",
-    "min_soc", "energy_capex", "energy_annuity",
-)
+# ---------------------------------------------------------------------------
+# Typed JSON records (shared by the instance document and config.json)
+# ---------------------------------------------------------------------------
+
+def checker(test, what: str, convert=lambda value: value):
+    """Field checker ``(value, where) -> value`` that raises ValueError
+    naming the key path ``where`` when ``test(value)`` fails."""
+    def check(value, where: str):
+        if not test(value):
+            raise ValueError(f"{where} must be {what}, got {value!r}")
+        return convert(value)
+    return check
 
 
-def technology_from_dict(doc: Mapping) -> Technology:
-    unknown = set(doc) - set(_TECH_FIELDS)
+def _is_number(value) -> bool:
+    """Finite and representable as a float; a bool is not a number."""
+    return type(value) is float and math.isfinite(value) \
+        or type(value) is int and abs(value) < 2 ** 1023
+
+
+def number(what: str = "a number", ok=lambda value: True):
+    """A finite JSON number (a bool is not one), returned as a float."""
+    return checker(lambda v: _is_number(v) and ok(v), what, float)
+
+
+def integer(what: str = "an integer", ok=lambda value: True):
+    return checker(lambda v: type(v) is int and ok(v), what)
+
+
+def optional(check):
+    return lambda value, where: None if value is None else check(value, where)
+
+
+def list_of(parse):
+    """A JSON list whose items ``parse`` checks, as a tuple."""
+    def check(value, where):
+        if not isinstance(value, list):
+            raise ValueError(f"{where} must be a list, got {value!r}")
+        return tuple(parse(item, f"{where}[{i}]") for i, item in enumerate(value))
+    return check
+
+
+boolean = checker(lambda v: isinstance(v, bool), "true or false")
+string = checker(lambda v: isinstance(v, str), "a string")
+
+
+def typed_fields(doc, types: Mapping, where: str) -> dict:
+    """The checked values of the keys a JSON object gives; each key must
+    appear in ``types``, which maps it to its checker.  ``where`` is the
+    object's key path, empty at a document's top level."""
+    if not isinstance(doc, Mapping):
+        raise ValueError(f"{where or 'the document'} must be an object, got {doc!r}")
+    unknown = set(doc) - set(types)
     if unknown:
-        raise ValueError(f"unknown technology fields: {sorted(unknown)}")
-    return Technology(**doc)
+        raise ValueError(f"unknown {where or 'top-level'} fields: {sorted(unknown)}")
+    return {key: types[key](value, f"{where}.{key}" if where else key)
+            for key, value in doc.items()}
+
+
+def record_from_dict(cls, doc, types: Mapping, where: str):
+    """A ``cls`` dataclass from a JSON object; absent keys take the class
+    defaults, and a rejected value names its key path."""
+    kwargs = typed_fields(doc, types, where)
+    missing = [f.name for f in dataclasses.fields(cls) if f.name not in kwargs
+               and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise ValueError(f"{where}: missing fields {missing}")
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+
+
+_NUMBER, _OPTIONAL = number(), optional(number())
+
+_TECH_TYPES = {
+    "id": string, "kind": string, "capex": _OPTIONAL, "lifetime_years": _OPTIONAL,
+    "annuity": _OPTIONAL, "fixed_om": _NUMBER, "variable_om": _NUMBER, "fuel_cost": _NUMBER,
+    "efficiency": _NUMBER, "co2_per_mwh_th": _NUMBER, "ramp_up": _NUMBER, "ramp_down": _NUMBER,
+    "must_run": _NUMBER,
+    "capacity_credit": checker(lambda v: v == "computed" or _is_number(v),
+                               "a number or 'computed'",
+                               lambda v: v if v == "computed" else float(v)),
+    "charge_ratio": _NUMBER, "eta_charge": _NUMBER, "eta_discharge": _NUMBER,
+    "eta_self": _NUMBER, "min_soc": _NUMBER, "energy_capex": _OPTIONAL,
+    "energy_annuity": _OPTIONAL,
+}
+_PLACEMENT_TYPES = {
+    "bus": string, "tech": string, "legacy_MW": _NUMBER, "potential_MW": _OPTIONAL,
+    "legacy_energy_MWh": _NUMBER, "potential_energy_MWh": _OPTIONAL,
+}
+_LINE_TYPES = {
+    "id": string, "from_bus": string, "to_bus": string, "legacy_MW": _NUMBER,
+    "potential_MW": _OPTIONAL, "capex": _OPTIONAL, "lifetime_years": _OPTIONAL,
+    "annuity": _OPTIONAL, "fixed_om": _NUMBER, "variable_om": _NUMBER, "kind": string,
+    "length_km": _OPTIONAL, "efficiency_per_1000km": _NUMBER,
+}
+_INSTANCE_SCALARS = {
+    "weight_hours": _NUMBER, "co2_budget": _OPTIONAL, "shed_penalty": _NUMBER,
+    "discount_rate": _NUMBER, "storage_cyclic": boolean, "apply_line_losses": boolean,
+    "sited_technology": optional(string),
+}
+
+
+def technology_from_dict(doc, where: str = "technology") -> Technology:
+    return record_from_dict(Technology, doc, _TECH_TYPES, where)
+
+
+def placement_from_dict(doc, where: str = "placement", series=None) -> Placement:
+    """``series`` checks the ``availability`` and ``inflow`` references of
+    an instance document; without it those keys are unknown."""
+    types = _PLACEMENT_TYPES if series is None else \
+        {**_PLACEMENT_TYPES, "availability": series, "inflow": series}
+    return record_from_dict(Placement, doc, types, where)
+
+
+def line_from_dict(doc, where: str = "line") -> Line:
+    return record_from_dict(Line, doc, _LINE_TYPES, where)
 
 
 def read_instance_json(path: str | Path) -> CepInstance:
@@ -415,74 +484,28 @@ def read_instance_json(path: str | Path) -> CepInstance:
     the document's directory."""
     path = Path(path)
     doc = json.loads(path.read_text(encoding="utf-8"))
-    base = path.parent
-    resolution = float(doc.get("resolution_hours", 1.0))
-    buses = tuple(
-        Bus(
-            id=b["id"],
-            demand=_series_ref(b["demand"], base, resolution),
-            reserve_margin=None if b.get("reserve_margin") is None
-            else float(b["reserve_margin"]),
-        )
-        for b in doc["buses"]
-    )
-    technologies = tuple(technology_from_dict(t) for t in doc["technologies"])
-    placements = tuple(
-        Placement(
-            bus=p["bus"],
-            tech=p["tech"],
-            legacy_MW=float(p.get("legacy_MW", 0.0)),
-            potential_MW=p.get("potential_MW"),
-            availability=_series_ref(p.get("availability"), base, resolution),
-            inflow=_series_ref(p.get("inflow"), base, resolution),
-            legacy_energy_MWh=float(p.get("legacy_energy_MWh", 0.0)),
-            potential_energy_MWh=p.get("potential_energy_MWh"),
-        )
-        for p in doc.get("placements", ())
-    )
-    lines = tuple(
-        Line(
-            id=l["id"],
-            from_bus=l["from_bus"],
-            to_bus=l["to_bus"],
-            legacy_MW=float(l.get("legacy_MW", 0.0)),
-            potential_MW=l.get("potential_MW"),
-            capex=l.get("capex"),
-            lifetime_years=l.get("lifetime_years"),
-            annuity=l.get("annuity"),
-            fixed_om=float(l.get("fixed_om", 0.0)),
-            variable_om=float(l.get("variable_om", 0.0)),
-            kind=l.get("kind", "AC"),
-            length_km=l.get("length_km"),
-            efficiency_per_1000km=float(l.get("efficiency_per_1000km", 1.0)),
-        )
-        for l in doc.get("lines", ())
-    )
-    sited = tuple(
-        SitedAsset(
-            id=s["id"],
-            bus=s["bus"],
-            legacy_MW=float(s.get("legacy_MW", 0.0)),
-            potential_MW=float(s["potential_MW"]),
-            cf=_series_ref(s["cf"], base, resolution),
-        )
-        for s in doc.get("sited", ())
-    )
-    return CepInstance(
-        buses=buses,
-        technologies=technologies,
-        placements=placements,
-        lines=lines,
-        sited=sited,
-        sited_technology=doc.get("sited_technology"),
-        co2_budget=doc.get("co2_budget"),
-        shed_penalty=float(doc.get("shed_penalty", 1000.0)),
-        weight_hours=float(doc.get("weight_hours", resolution)),
-        firm_technologies=frozenset(doc.get("firm_technologies", ())),
-        discount_rate=float(doc.get("discount_rate", 0.07)),
-        storage_cyclic=bool(doc.get("storage_cyclic", True)),
-        apply_line_losses=bool(doc.get("apply_line_losses", False)),
-    )
+    resolution = number()(doc.pop("resolution_hours", 1.0), "resolution_hours")
+
+    def series(ref, where):
+        return _series_ref(ref, path.parent, resolution)
+
+    def record(cls, **types):
+        return lambda doc, where: record_from_dict(cls, doc, types, where)
+
+    values = typed_fields(doc, {
+        "buses": list_of(record(Bus, id=string, demand=series, reserve_margin=_OPTIONAL)),
+        "technologies": list_of(technology_from_dict),
+        "placements": list_of(lambda doc, where: placement_from_dict(doc, where, series)),
+        "lines": list_of(line_from_dict),
+        "sited": list_of(record(SitedAsset, id=string, bus=string, legacy_MW=_NUMBER,
+                                potential_MW=_NUMBER, cf=series)),
+        "firm_technologies": list_of(string), **_INSTANCE_SCALARS,
+    }, "")
+    return CepInstance(**{"placements": (), "weight_hours": resolution, **values})
+
+
+def _fields(record, types: Mapping) -> dict:
+    return {key: getattr(record, key) for key in types}
 
 
 def write_instance_json(path: str | Path, instance: CepInstance,
@@ -503,60 +526,37 @@ def write_instance_json(path: str | Path, instance: CepInstance,
 
     demand_csv = base / "demand.csv"
     write_series_csv(demand_csv, {bus.id: bus.demand for bus in instance.buses})
+    extra_series = {
+        f"{role}|{pl.bus}|{pl.tech}": series for pl in instance.placements
+        for role, series in (("availability", pl.availability), ("inflow", pl.inflow))
+        if series is not None
+    }
     refs: dict[str, dict] = {}
-    extra_series: dict[str, TimeSeries] = {}
-    for pl in instance.placements:
-        for role, series in (("availability", pl.availability), ("inflow", pl.inflow)):
-            if series is not None:
-                extra_series[f"{role}|{pl.bus}|{pl.tech}"] = series
-                refs[f"{role}|{pl.bus}|{pl.tech}"] = None  # filled below
     if extra_series:
         series_csv = base / "placement_series.csv"
         write_series_csv(series_csv, extra_series)
-        for key in extra_series:
-            refs[key] = {"csv": rel(series_csv), "column": key}
+        refs = {key: {"csv": rel(series_csv), "column": key} for key in extra_series}
     if instance.sited:
         cf_csv = base / "site_cf.csv"
         write_series_csv(cf_csv, {asset.id: asset.cf for asset in instance.sited})
 
-    def tech_doc(tech: Technology) -> dict:
-        return {field: getattr(tech, field) for field in _TECH_FIELDS}
-
     doc = {
         "resolution_hours": instance.buses[0].demand.resolution_hours,
-        "weight_hours": instance.weight_hours,
-        "co2_budget": instance.co2_budget,
-        "shed_penalty": instance.shed_penalty,
-        "discount_rate": instance.discount_rate,
-        "storage_cyclic": instance.storage_cyclic,
-        "apply_line_losses": instance.apply_line_losses,
+        **_fields(instance, _INSTANCE_SCALARS),
         "firm_technologies": sorted(instance.firm_technologies),
-        "sited_technology": instance.sited_technology,
         "buses": [
             {"id": bus.id, "reserve_margin": bus.reserve_margin,
              "demand": {"csv": rel(demand_csv), "column": bus.id}}
             for bus in instance.buses
         ],
-        "technologies": [tech_doc(tech) for tech in instance.technologies],
+        "technologies": [_fields(tech, _TECH_TYPES) for tech in instance.technologies],
         "placements": [
-            {"bus": pl.bus, "tech": pl.tech, "legacy_MW": pl.legacy_MW,
-             "potential_MW": pl.potential_MW,
-             "legacy_energy_MWh": pl.legacy_energy_MWh,
-             "potential_energy_MWh": pl.potential_energy_MWh,
+            {**_fields(pl, _PLACEMENT_TYPES),
              "availability": refs.get(f"availability|{pl.bus}|{pl.tech}"),
              "inflow": refs.get(f"inflow|{pl.bus}|{pl.tech}")}
             for pl in instance.placements
         ],
-        "lines": [
-            {"id": ln.id, "from_bus": ln.from_bus, "to_bus": ln.to_bus,
-             "legacy_MW": ln.legacy_MW, "potential_MW": ln.potential_MW,
-             "capex": ln.capex, "lifetime_years": ln.lifetime_years,
-             "annuity": ln.annuity, "fixed_om": ln.fixed_om,
-             "variable_om": ln.variable_om, "kind": ln.kind,
-             "length_km": ln.length_km,
-             "efficiency_per_1000km": ln.efficiency_per_1000km}
-            for ln in instance.lines
-        ],
+        "lines": [_fields(ln, _LINE_TYPES) for ln in instance.lines],
         "sited": [
             {"id": asset.id, "bus": asset.bus, "legacy_MW": asset.legacy_MW,
              "potential_MW": asset.potential_MW,

@@ -291,6 +291,102 @@ def test_exit_data_on_bad_stage_inputs(dataset, capsys, overrides, message):
     assert message in err["message"]
 
 
+def _with_hydro(config, data_dir):
+    raw = json.loads(config.read_text())
+    raw["paths"]["runoff"] = f"{data_dir}/runoff.csv"
+    raw["paths"]["hydro_params"] = f"{data_dir}/hydro_params.csv"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+
+
+def _cut_runoff(config, data_dir):
+    series = data_dir / "runoff_series.csv"
+    lines = series.read_text().splitlines()
+    series.write_text("\n".join(lines[:-3]) + "\n", encoding="utf-8")  # 93 periods
+    _with_hydro(config, data_dir)
+
+
+def _manifest_without_series_path(config, data_dir):
+    manifest = data_dir / "runoff.csv"
+    rows = [line.rsplit(",", 1)[0] for line in manifest.read_text().splitlines()]
+    manifest.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    _with_hydro(config, data_dir)
+
+
+GAS = {"id": "gas_turbine", "kind": "dispatchable", "capex": 838.87, "lifetime_years": 30.0}
+
+
+@pytest.mark.parametrize("overrides, setup, message", [
+    ({"cep": {"technologies": [{"id": "gas"}]}}, None, "missing fields ['kind']"),
+    ({"cep": {"placements": [{"tech": "gas_turbine"}]}}, None, "missing fields ['bus']"),
+    ({"cep": {"lines": [{"id": "L", "from_bus": "P1", "to_bus": "NOPE"}]}}, None,
+     "line L references an unknown bus"),
+    ({"cep": {"weight_hours": -1}}, None, "cep.weight_hours must be a positive number"),
+    ({"paths": ["data/sites.csv"]}, None, "paths must be an object"),
+    ({"cep": {"co2_budget_fraction": "x"}}, None, "cep.co2_budget_fraction must be"),
+    ({"cep": {"technologies": [{**GAS, "efficiency": 2}]}}, None,
+     "efficiency must lie in (0, 1]"),
+    ({"cep": {"sited_technology": {"bogus": 1}}}, None,
+     "unknown cep.sited_technology fields: ['bogus']"),
+    ({}, _cut_runoff, "series length differs"),
+    ({}, _manifest_without_series_path, "runoff manifest columns missing"),
+], ids=["technology-without-kind", "placement-without-bus", "line-to-unknown-bus",
+        "negative-weight-hours", "paths-as-list", "string-co2-fraction", "efficiency-two",
+        "unknown-sited-technology-field", "runoff-cut-to-93", "manifest-without-series-path"])
+def test_exit_data_on_bad_cep_inputs(dataset, capsys, overrides, setup, message):
+    tmp_path, data_dir = dataset
+    config = write_config(tmp_path, data_dir, **overrides)
+    if setup is not None:
+        setup(config, data_dir)
+    assert main(["pipeline", str(config)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "data" and err["exit_code"] == 2
+    assert message in err["message"]
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"siting": {"partitioned": "false"}}, "siting.partitioned must be true or false"),
+    ({"siting": {"n_runs": "3"}}, "siting.n_runs must be a positive integer"),
+    ({"cep": {"storage_cyclic": 0}}, "cep.storage_cyclic must be true or false"),
+    ({"cep": {"placements": [{"bus": "P1", "tech": "gas_turbine", "legacy_mw": 50.0}]}},
+     "unknown cep.placements[0] fields: ['legacy_mw']"),
+    ({"cep": {"reserve_margn": 0.2}}, "unknown cep fields: ['reserve_margn']"),
+    ({"siting": {"anneal": {"iterations": 15, "neighbors": 10, "radius": True}}},
+     "siting.anneal.radius must be an integer"),
+    ({"resample": 3}, "unknown top-level fields: ['resample']"),
+    ({"paths": {"catalog": "data/sites.csv", "weather": "w.csv"}},
+     "unknown paths fields: ['weather']"),
+], ids=["string-bool", "string-int", "number-bool", "placement-typo", "cep-typo",
+        "bool-int", "top-level-typo", "paths-typo"])
+def test_exit_data_on_config_typos(dataset, capsys, overrides, message):
+    tmp_path, data_dir = dataset
+    config = write_config(tmp_path, data_dir, **overrides)
+    assert main(["pipeline", str(config)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "data" and message in err["message"]
+    assert not (tmp_path / "out" / "siting_solution.json").exists()
+
+
+def test_demand_read_once(dataset, monkeypatch):
+    tmp_path, data_dir = dataset
+    config = write_config(tmp_path, data_dir)
+    _with_hydro(config, data_dir)
+    reads = []
+    real_read = fileio.read_series_csv
+
+    def counting_read(path, *args, **kwargs):
+        reads.append(Path(path).name)
+        return real_read(path, *args, **kwargs)
+
+    monkeypatch.setattr(fileio, "read_series_csv", counting_read)
+    assert main(["pipeline", str(config)]) == 0
+    assert sorted(reads) == ["demand.csv", "runoff_series.csv", "wind_speeds.csv"]
+    reads.clear()
+    assert main(["cep", str(config)]) == 0
+    assert sorted(reads) == ["demand.csv", "runoff_series.csv", "wind_speeds.csv"]
+
+
 def test_exit_data_on_runoff_not_dividing(dataset, capsys):
     tmp_path, data_dir = dataset
     series = data_dir / "runoff_series.csv"
