@@ -314,7 +314,9 @@ def _read_selected(path: Path) -> frozenset[str]:
     if not path.exists():
         raise DataError(f"siting output {path} not found; run the site stage first")
     doc = json.loads(path.read_text(encoding="utf-8"))
-    return frozenset(doc["site_ids"])
+    if not isinstance(doc, dict) or "site_ids" not in doc:
+        raise DataError(f"siting output {path} has no site_ids")
+    return frozenset(fileio.list_of(fileio.string)(doc["site_ids"], f"{path.name} site_ids"))
 
 
 def build_arg_parser() -> _Parser:

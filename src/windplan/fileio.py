@@ -349,14 +349,20 @@ def write_solution_geojson(
 # CEP instance JSON and report CSV
 # ---------------------------------------------------------------------------
 
-def _series_ref(doc: Mapping | None, base: Path, resolution_hours: float) -> TimeSeries | None:
+def _series_ref(doc: Mapping | None, where: str, base: Path,
+                resolution_hours: float) -> TimeSeries | None:
+    """The series a ``{"csv": ..., "column": ...}`` reference at key path
+    ``where`` names, read relative to ``base``; ``None`` stays ``None``."""
     if doc is None:
         return None
-    table = read_series_csv(base / doc["csv"], resolution_hours)
-    column = doc["column"]
-    if column not in table:
-        raise ValueError(f"{doc['csv']}: no column {column!r}")
-    return table[column]
+    ref = typed_fields(doc, {"csv": string, "column": string}, where)
+    missing = [key for key in ("csv", "column") if key not in ref]
+    if missing:
+        raise ValueError(f"{where}: missing fields {missing}")
+    table = read_series_csv(base / ref["csv"], resolution_hours)
+    if ref["column"] not in table:
+        raise ValueError(f"{where}: {ref['csv']}: no column {ref['column']!r}")
+    return table[ref["column"]]
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +493,7 @@ def read_instance_json(path: str | Path) -> CepInstance:
     resolution = number()(doc.pop("resolution_hours", 1.0), "resolution_hours")
 
     def series(ref, where):
-        return _series_ref(ref, path.parent, resolution)
+        return _series_ref(ref, where, path.parent, resolution)
 
     def record(cls, **types):
         return lambda doc, where: record_from_dict(cls, doc, types, where)

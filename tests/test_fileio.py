@@ -217,6 +217,27 @@ def test_instance_json_writer_round_trip(tmp_path):
     assert solve(lp1).objective == solve(lp2).objective
 
 
+@pytest.mark.parametrize("ref, message", [
+    ("demand.csv", "buses[0].demand must be an object"),
+    (["demand.csv", "A"], "buses[0].demand must be an object"),
+    ({"column": "A"}, "buses[0].demand: missing fields ['csv']"),
+    ({"csv": "demand.csv"}, "buses[0].demand: missing fields ['column']"),
+    ({"csv": 3, "column": "A"}, "buses[0].demand.csv must be a string"),
+    ({"csv": "demand.csv", "column": ["A"]}, "buses[0].demand.column must be a string"),
+    ({"csv": "demand.csv", "column": "B"}, "buses[0].demand: demand.csv: no column 'B'"),
+], ids=["string", "list", "no-csv", "no-column", "csv-not-string", "column-not-string",
+        "unknown-column"])
+def test_instance_json_bad_series_reference(tmp_path, ref, message):
+    fileio.write_series_csv(tmp_path / "demand.csv", {"A": TimeSeries([1.0, 1.0], 1.0)})
+    doc = {"buses": [{"id": "A", "demand": ref}],
+           "technologies": [{"id": "gas", "kind": "dispatchable"}]}
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        fileio.read_instance_json(path)
+    assert message in str(info.value)
+
+
 def test_instance_json_unknown_tech_field(tmp_path):
     with pytest.raises(ValueError, match="unknown technology fields"):
         fileio.technology_from_dict({"id": "x", "kind": "res", "bogus": 1})

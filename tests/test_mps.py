@@ -1,15 +1,23 @@
+import hashlib
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import mps_oracle
 from helpers import build_catalog, plan_for, random_matrix
-from windplan.lp import LpBuilder, solve
+from windplan.cli import main as cli_main
+from windplan.lp import SENSES, CanonicalLp, LpBuilder, solve
 from windplan.mps import (
     export_mps, import_mps, import_solution, mangle_names, write_solution,
 )
 from windplan.resource import CriticalityMatrix
 from windplan.siting import build_comp_mir, coverage_count, mir_solution_to_init
+from windplan.synth import gen_synthetic
 
 
 def random_lp(rng, short_names=True):
@@ -190,3 +198,140 @@ def test_solve_after_round_trip_agrees(tmp_path):
     a, b = solve(lp), solve(back)
     assert a.status == b.status == "optimal"
     assert a.objective == pytest.approx(b.objective, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# The array-based writer against the line-at-a-time oracle
+# ---------------------------------------------------------------------------
+
+# Two long names whose salt-0 short forms collide (both "bal~RZCJ"), the
+# form they share and the second name's salt-1 form: a pool holding them
+# forces the writer to probe salts, once or twice.
+COLLIDING = ("balance_row_5658", "balance_row_9302")
+PROBE_NAMES = COLLIDING + (f"bal~{mps_oracle._hash36(COLLIDING[1], 0)}",
+                           f"bal~{mps_oracle._hash36(COLLIDING[1], 1)}")
+NAME_CHARS = st.sampled_from(list("ab_|Z09") + [" ", "\t", "\u3000", "\x1c", "é", "Ω", "中", "😀"])
+NAMES = st.one_of(st.text(NAME_CHARS, max_size=7), st.text(NAME_CHARS, min_size=8, max_size=8),
+                  st.text(NAME_CHARS, min_size=9, max_size=30), st.text(max_size=12))
+# signed zeros, and values whose .12g text overruns the 12-character slot
+VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5, 0.1, -1.23456789012e-05,
+                                    123456789012345.0, 1e300, -5e-324]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def bounds(draw):
+    low, high = sorted([draw(VALUES), draw(VALUES)])
+    return draw(st.sampled_from([
+        (-math.inf, math.inf), (-math.inf, high), (low, math.inf), (low, low), (low, high),
+        (-0.0, 0.0), (0.0, -0.0), (-math.inf, -math.inf), (math.inf, math.inf)]))
+
+
+@st.composite
+def canonical_lps(draw):
+    n, m = draw(st.integers(0, 10)), draw(st.integers(0, 8))
+    pool = draw(st.lists(NAMES, min_size=1, max_size=6)) + list(PROBE_NAMES)
+    cells = draw(st.lists(st.tuples(st.integers(0, max(m - 1, 0)), st.integers(0, max(n - 1, 0))),
+                          unique=True, max_size=m * n))
+    box = draw(st.lists(bounds(), min_size=n, max_size=n))
+    rhs = st.just(0.0) if draw(st.booleans()) else VALUES
+
+    def sized(strategy, size):
+        return draw(st.lists(strategy, min_size=size, max_size=size))
+
+    return CanonicalLp(
+        objective=sized(VALUES, n), entry_rows=[r for r, _ in cells],
+        entry_cols=[c for _, c in cells], entry_vals=sized(VALUES, len(cells)),
+        senses=sized(st.sampled_from(SENSES), m), rhs=sized(rhs, m),
+        lower=[low for low, _ in box], upper=[high for _, high in box],
+        integer=sized(st.booleans(), n), var_names=sized(st.sampled_from(pool), n),
+        row_names=sized(st.sampled_from(pool), m), name=draw(st.text(max_size=70)))
+
+
+def assert_same_files(lp, tmp):
+    got = export_mps(lp, Path(tmp) / "got.mps", comments=["c", "ç"])
+    want = mps_oracle.export_mps(lp, Path(tmp) / "want.mps", comments=["c", "ç"])
+    assert got.read_bytes() == want.read_bytes()
+    got_side, want_side = (Path(tmp) / f"{stem}.mps.names.json" for stem in ("got", "want"))
+    assert got_side.exists() == want_side.exists()
+    if want_side.exists():
+        assert got_side.read_bytes() == want_side.read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(canonical_lps())
+# a value overrunning its slot, then a row name ending in a space
+@example(CanonicalLp(objective=[-5e-324], entry_rows=[0], entry_cols=[0], entry_vals=[1.0],
+                     senses=["<"], rhs=[0.0], lower=[0.0], upper=[1.0], integer=[False],
+                     var_names=["x"], row_names=["abcdefg "]))
+def test_export_matches_oracle_bytes(lp):
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_same_files(lp, tmp)
+
+
+@pytest.mark.parametrize("integer", [
+    [1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 1, 0, 1], [1, 1, 1], [0, 0, 0],
+], ids=["start", "middle", "end", "back-to-back", "all", "none"])
+def test_integer_runs_match_oracle(tmp_path, integer):
+    n = len(integer)
+    lp = CanonicalLp(objective=np.arange(n) - 1.0, entry_rows=[0] * n, entry_cols=range(n),
+                     entry_vals=np.ones(n), senses=["<"], rhs=[4.0], lower=np.zeros(n),
+                     upper=np.full(n, 3.0), integer=integer, var_names=[f"x{j}" for j in range(n)],
+                     row_names=["r"])
+    assert_same_files(lp, tmp_path)
+
+
+@pytest.mark.parametrize("names", [
+    list(COLLIDING), [PROBE_NAMES[2], COLLIDING[1]], [PROBE_NAMES[2], PROBE_NAMES[3], COLLIDING[1]],
+    [COLLIDING[1], PROBE_NAMES[2]], ["x", "x", "x"], [" a b", " a b", "\u3000a"],
+    ["Ωmega_long_name", "Ωmega_long_name", "中中中中中中中中中"], ["", "", "12345678", "123456789"],
+], ids=["hash-collision", "taken-by-short", "double-probe", "short-after-long", "repeats",
+        "whitespace", "non-ascii", "lengths"])
+def test_mangle_matches_oracle(names):
+    assert mangle_names(names) == mps_oracle.mangle_names(names)
+
+
+def test_collisions_probe_the_salt():
+    out, _ = mangle_names(list(COLLIDING))
+    assert out[0] == PROBE_NAMES[2] and out[1] != out[0]
+    out, _ = mangle_names([PROBE_NAMES[2], PROBE_NAMES[3], COLLIDING[1]])
+    assert out[2] not in PROBE_NAMES
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(NAMES, st.sampled_from(PROBE_NAMES)), max_size=40))
+def test_mangle_matches_oracle_on_random_names(names):
+    names += names[: len(names) // 3]  # repeats
+    assert mangle_names(names) == mps_oracle.mangle_names(names)
+
+
+# sha256 of the files of the 3-bus pipeline below, written by the
+# line-at-a-time writer
+PINNED_SHA256 = {
+    "out/cep.mps": "d2e7e0d41eebe76032a0fb3200a8476bddf276516a8b5415ae1741dda39bb630",
+    "out/cep.mps.names.json": "ca3441b8aa40f58276772b010f4ccc39e81688b996a0e0a3f84d6dc112431761",
+    "mir/comp_mir.mps": "221969448bda9aae077dfd3b86f224a6fd413da45b007929072ad915b7170ea4",
+}
+
+
+def test_pipeline_export_bytes_pinned(tmp_path):
+    """An ``export-19bus``-shaped run at 3 buses, hydro on."""
+    gen_synthetic(tmp_path / "data", seed=11, n_sites=6, n_partitions=3, n_periods=48)
+    config = {
+        "paths": {name: f"data/{name}.csv"
+                  for name in ("wind_speeds", "demand", "runoff", "hydro_params")}
+        | {"catalog": "data/sites.csv", "output_dir": "out"},
+        "resolution_hours": 1.0, "resample_factor": 3,
+        "siting": {"scheme": "comp", "partitioned": True, "varsigma": 0.15, "delta": 1,
+                   "targets_MW": {f"P{i}": 2000.0 for i in (1, 2, 3)},
+                   "anneal": {"iterations": 10, "neighbors": 10, "radius": 1},
+                   "n_runs": 2, "base_seed": 11},
+        "cep": {"solver": "mps-export", "reserve_margin": 0.2, "shed_penalty": 500.0},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert cli_main(["pipeline", str(path), "--threads", "1"]) == 0
+    assert cli_main(["export-mps", str(path), "--target", "comp-mir",
+                     "--out", str(tmp_path / "mir")]) == 0
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in PINNED_SHA256} == PINNED_SHA256

@@ -411,6 +411,24 @@ def test_exit_data_when_siting_output_missing(dataset, capsys):
     assert "siting output" in err["message"]
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"seed": 7}, "has no site_ids"),
+    (["s00"], "has no site_ids"),
+    ({"site_ids": "s00"}, "siting_solution.json site_ids must be a list"),
+    ({"site_ids": ["s00", 3]}, "siting_solution.json site_ids[1] must be a string"),
+], ids=["missing", "not-an-object", "string", "non-string-id"])
+def test_exit_data_on_bad_site_ids(dataset, capsys, doc, message):
+    tmp_path, data_dir = dataset
+    config = write_config(tmp_path, data_dir)
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "siting_solution.json").write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["cep", str(config)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "data" and message in err["message"]
+
+
 def test_exit_solver_on_iteration_limit(dataset, capsys):
     tmp_path, data_dir = dataset
     config = write_config(tmp_path, data_dir, cep={"iteration_limit": 2})
