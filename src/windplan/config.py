@@ -145,12 +145,17 @@ class PipelineConfig:
     cep: CepConfig
 
     def resolve(self, key: str, required: bool = True) -> Path | None:
-        """An input path, checked to exist; ``None`` for an absent optional one."""
+        """An input path, checked to exist and to be a directory for
+        ``curves_dir`` and a file otherwise; ``None`` for an absent optional one."""
         resolved = self.paths.get(key)
         if resolved is None and required:
             raise ValueError(f"config paths.{key} is required")
-        if resolved is not None and not resolved.exists():
-            raise ValueError(f"config paths.{key}: {resolved} does not exist")
+        if resolved is not None:
+            if not resolved.exists():
+                raise ValueError(f"config paths.{key}: {resolved} does not exist")
+            if resolved.is_dir() != (key == "curves_dir"):
+                kind = "a directory" if resolved.is_dir() else "not a directory"
+                raise ValueError(f"config paths.{key}: {resolved} is {kind}")
         return resolved
 
 

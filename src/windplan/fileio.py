@@ -1,9 +1,9 @@
 """Documented on-disk formats (schema version 1).
 
 Time-series CSV
-    Optional ``#`` comment lines, then a header of series ids (one column
-    per site/bus/cell) and one row per period.  Resolution is supplied by
-    the caller, not stored in the file.
+    Optional ``#`` comment lines, then a header of distinct series ids (one
+    column per site/bus/cell) and one row per period.  Resolution is
+    supplied by the caller, not stored in the file.
 
 Site catalog CSV
     Columns ``id, lon, lat, partition, legacy_MW, potential_MW``.  The
@@ -16,7 +16,8 @@ Power curve CSV
 Hydro country CSV
     Columns ``country, flood_threshold, ror_capacity_MW, sto_capacity_MW,
     sto_energy_MWh, yearly_hydro_MWh, flow_multiplier, avg_head_m,
-    phs_power_MW, phs_energy_MWh, phs_duration_h`` (blank = unknown).
+    phs_power_MW, phs_energy_MWh, phs_duration_h`` (blank = unknown), one
+    row per country.
 
 Runoff manifest CSV
     Columns ``cell_id, country, area_km2, series_path`` where the series
@@ -31,6 +32,10 @@ Siting solution
 
 CEP instance
     JSON document referencing time-series CSVs by relative path.
+
+Every reader raises ``ValueError`` naming the file, and the line where
+there is one, for an unreadable or non-UTF-8 file, a value that does not
+parse, a row with the wrong number of fields or a repeated id.
 """
 
 from __future__ import annotations
@@ -58,9 +63,49 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _data_lines(path: Path) -> list[str]:
-    lines = path.read_text(encoding="utf-8").splitlines()
-    return [line for line in lines if line.strip() and not line.lstrip().startswith("#")]
+def _read(path: Path, binary: bool = False):
+    """A file's text (or bytes); a missing, unreadable or undecodable file
+    raises ValueError naming it."""
+    try:
+        return path.read_bytes() if binary else path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from exc
+
+
+def _lines(path: Path) -> list[tuple[int, str]]:
+    """A file's lines with their 1-based numbers."""
+    return list(enumerate(_read(path).splitlines(), start=1))
+
+
+def _data_lines(lines: list[tuple[int, str]]) -> list[tuple[int, str]]:
+    """The lines that are neither blank nor ``#`` comments."""
+    return [(n, line) for n, line in lines if line.strip() and not line.lstrip().startswith("#")]
+
+
+def _parse_rows(path: Path, numbered, parse) -> list:
+    """``parse`` applied to each item of ``(line number, item)`` pairs; a
+    ValueError names the file and the line."""
+    parsed, lineno = [], None
+    try:
+        for lineno, item in numbered:
+            parsed.append(parse(item))
+    except ValueError as exc:
+        raise ValueError(f"{path}: line {lineno}: {exc}") from exc
+    return parsed
+
+
+def _floats(fields: list[str], count: int) -> list[float]:
+    if len(fields) != count:
+        raise ValueError(f"expected {count} fields, got {len(fields)}")
+    return [float(v) for v in fields]
+
+
+def _check_unique(path: Path, ids, what: str) -> None:
+    seen = set()
+    for key in ids:
+        if key in seen:
+            raise ValueError(f"{path}: {what} {key!r} appears more than once")
+        seen.add(key)
 
 
 # ---------------------------------------------------------------------------
@@ -95,13 +140,14 @@ def read_series_csv(
     start_label: str = "",
 ) -> dict[str, TimeSeries]:
     path = Path(path)
-    lines = _data_lines(path)
+    lines = _data_lines(_lines(path))
     if not lines:
         raise ValueError(f"{path}: empty series file")
-    header = [h.strip() for h in lines[0].split(",")]
-    data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-    if data.ndim != 2 or data.shape[1] != len(header):
-        raise ValueError(f"{path}: ragged series table")
+    header = [h.strip() for h in lines[0][1].split(",")]
+    _check_unique(path, header, "series id")
+    data = np.array(_parse_rows(path, lines[1:], lambda line: _floats(line.split(","), len(header))))
+    if data.ndim != 2:
+        raise ValueError(f"{path}: no data rows")
     return {
         name: TimeSeries(data[:, j], resolution_hours, start_label)
         for j, name in enumerate(header)
@@ -128,19 +174,27 @@ def write_catalog_csv(path: str | Path, rows: Iterable[Mapping], comments: Seque
     return path
 
 
-def _read_table(path: str | Path, columns, what: str) -> list[dict]:
-    path = Path(path)
-    reader = csv.DictReader(_data_lines(path))
-    missing = set(columns) - set(reader.fieldnames or ())
+def _read_table(path: Path, columns, what: str, parse) -> list:
+    """``parse`` of each record, a dict by column name, of a CSV table."""
+    lines = _data_lines(_lines(path))
+    reader = csv.reader(line for _, line in lines)
+    header = next(reader, [])
+    missing = set(columns) - set(header)
     if missing:
         raise ValueError(f"{path}: {what} columns missing: {sorted(missing)}")
-    return list(reader)
+    _check_unique(path, header, "column")
+
+    def record(fields):
+        if len(fields) != len(header):
+            raise ValueError(f"expected {len(header)} fields, got {len(fields)}")
+        return parse(dict(zip(header, fields)))
+    return _parse_rows(path, zip((n for n, _ in lines[1:]), reader), record)
 
 
 def read_catalog_csv(path: str | Path) -> list[dict]:
-    return [{key: row[key] if key in ("id", "partition") else float(row[key])
-             for key in CATALOG_HEADER}
-            for row in _read_table(path, CATALOG_HEADER, "catalog")]
+    return _read_table(Path(path), CATALOG_HEADER, "catalog", lambda row: {
+        key: row[key] if key in ("id", "partition") else float(row[key])
+        for key in CATALOG_HEADER})
 
 
 def load_catalog(
@@ -181,23 +235,20 @@ def write_power_curve_csv(path: str | Path, curve: PowerCurve) -> Path:
 
 def read_power_curve_csv(path: str | Path) -> PowerCurve:
     path = Path(path)
-    meta: dict[str, float] = {}
-    for line in path.read_text(encoding="utf-8").splitlines():
-        stripped = line.strip()
-        if stripped.startswith("#") and "=" in stripped:
-            key, _, value = stripped.lstrip("# ").partition("=")
-            meta[key.strip()] = float(value)
+    lines = _lines(path)
+
+    def meta_item(stripped):
+        key, _, value = stripped.lstrip("# ").partition("=")
+        return key.strip(), float(value)
+    meta = dict(_parse_rows(path, [(n, line.strip()) for n, line in lines
+                                   if line.strip().startswith("#") and "=" in line], meta_item))
     required = {"cut_in", "rated_speed", "cut_out"}
     if not required <= set(meta):
         raise ValueError(f"{path}: missing curve metadata {sorted(required - set(meta))}")
-    lines = _data_lines(path)
-    speeds, powers = [], []
-    for line in lines[1:]:
-        s, p = line.split(",")
-        speeds.append(float(s))
-        powers.append(float(p))
+    points = _parse_rows(path, _data_lines(lines)[1:], lambda line: _floats(line.split(","), 2))
+    speeds, powers = np.array(points).reshape(-1, 2).T.copy()
     return PowerCurve(
-        np.array(speeds), np.array(powers),
+        speeds, powers,
         cut_in=meta["cut_in"], rated_speed=meta["rated_speed"], cut_out=meta["cut_out"],
         smoothed=bool(meta.get("smoothed", 0)),
     )
@@ -256,29 +307,30 @@ _HYDRO_OPTIONAL = ("flow_multiplier", "phs_energy_MWh", "phs_duration_h")   # bl
 
 
 def read_hydro_params_csv(path: str | Path) -> dict[str, HydroCountryParams]:
-    return {
-        record["country"]: HydroCountryParams(country=record["country"], **{
+    path = Path(path)
+    params = _read_table(path, HYDRO_HEADER, "hydro", lambda record: HydroCountryParams(
+        country=record["country"], **{
             key: None if key in _HYDRO_OPTIONAL and not record[key].strip()
-            else float(record[key]) for key in HYDRO_HEADER[1:]})
-        for record in _read_table(path, HYDRO_HEADER, "hydro")
-    }
+            else float(record[key]) for key in HYDRO_HEADER[1:]}))
+    _check_unique(path, [p.country for p in params], "country")
+    return {p.country: p for p in params}
 
 
 def read_runoff_manifest(path: str | Path, resolution_hours: float = 1.0) -> RunoffGrid:
     path = Path(path)
-    records = _read_table(path, ("cell_id", "country", "area_km2", "series_path"),
-                          "runoff manifest")
     series_cache: dict[Path, dict[str, TimeSeries]] = {}
-    cells = []
-    for record in records:
+
+    def cell(record) -> RunoffCell:
         series_path = (path.parent / record["series_path"]).resolve()
         if series_path not in series_cache:
             series_cache[series_path] = read_series_csv(series_path, resolution_hours)
         table = series_cache[series_path]
         if record["cell_id"] not in table:
             raise ValueError(f"{series_path}: no column for cell {record['cell_id']!r}")
-        cells.append(RunoffCell(record["cell_id"], record["country"],
-                                float(record["area_km2"]), table[record["cell_id"]]))
+        return RunoffCell(record["cell_id"], record["country"],
+                          float(record["area_km2"]), table[record["cell_id"]])
+    cells = _read_table(path, ("cell_id", "country", "area_km2", "series_path"),
+                        "runoff manifest", cell)
     return RunoffGrid(tuple(cells))
 
 
@@ -293,7 +345,7 @@ def save_criticality(path: str | Path, matrix: CriticalityMatrix) -> Path:
 
 
 def load_criticality(path: str | Path, site_ids: tuple[str, ...] = ()) -> CriticalityMatrix:
-    return CriticalityMatrix.from_bytes(Path(path).read_bytes(), site_ids)
+    return CriticalityMatrix.from_bytes(_read(Path(path), binary=True), site_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +541,10 @@ def read_instance_json(path: str | Path) -> CepInstance:
     """Load a CEP instance document; series CSVs are resolved relative to
     the document's directory."""
     path = Path(path)
-    doc = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        doc = json.loads(_read(path))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     resolution = number()(doc.pop("resolution_hours", 1.0), "resolution_hours")
 
     def series(ref, where):

@@ -8,7 +8,10 @@ rows and coefficients or from whole families of them given as index
 arrays.  :func:`solve` is a bounded-variable revised simplex over a sparse
 working matrix with an LU-factorised basis, intended for desk-scale
 instances; anything larger should go through the MPS exporter in
-:mod:`windplan.mps` and an external solver.
+:mod:`windplan.mps` and an external solver.  The simplex sets up its
+working matrix, bounds and starting basis with array expressions, and every
+LP with rows, including one whose rows have no columns, goes through the
+same two phases; only an LP without rows takes a closed form.
 """
 
 from __future__ import annotations
@@ -236,8 +239,11 @@ class _Simplex:
     """Bounded-variable two-phase revised simplex.
 
     Columns beyond the structural block are row slacks (one per inequality)
-    and, during phase one, artificials.  Dantzig pricing with a permanent
-    switch to Bland's rule after a stall.
+    and, during phase one, artificials: a row starts with its slack basic
+    when the slack can absorb the residual at the starting point, otherwise
+    with a fresh artificial.  The set-up is whole-array work; rows without
+    columns need no special case.  Dantzig pricing with a permanent switch
+    to Bland's rule after a stall.
     """
 
     def __init__(self, lp: CanonicalLp, feas_tol: float, opt_tol: float,
@@ -251,76 +257,48 @@ class _Simplex:
         self.bland = False
 
         m, n = lp.n_rows, lp.n_vars
-        slack_rows = [i for i, s in enumerate(lp.senses) if s != "="]
-        rows = list(lp.entry_rows)
-        cols = list(lp.entry_cols)
-        vals = list(lp.entry_vals)
-        lower = [np.array(lp.lower)]
-        upper = [np.array(lp.upper)]
-        for k, i in enumerate(slack_rows):
-            rows.append(i)
-            cols.append(n + k)
-            vals.append(1.0)
-            if lp.senses[i] == "<":
-                lower.append([0.0]); upper.append([math.inf])
-            else:
-                lower.append([-math.inf]); upper.append([0.0])
+        senses = np.array(lp.senses, dtype="U1")
+        slack_rows = np.flatnonzero(senses != "=")   # slack n + k belongs to slack_rows[k]
+        leq = senses[slack_rows] == "<"
         self.n_struct = n
-        self.n_real = n + len(slack_rows)
-        self.slack_of_row = {row: n + k for k, row in enumerate(slack_rows)}
+        self.n_real = n + slack_rows.size
         self.b = np.array(lp.rhs)
-
-        lower = np.concatenate(lower)
-        upper = np.concatenate(upper)
-        x = np.where(np.isfinite(lower), lower,
-                     np.where(np.isfinite(upper), upper, 0.0))
+        lower = np.concatenate([lp.lower, np.where(leq, 0.0, -math.inf)])
+        upper = np.concatenate([lp.upper, np.where(leq, math.inf, 0.0)])
+        x = np.where(np.isfinite(lower), lower, np.where(np.isfinite(upper), upper, 0.0))
         status = np.where(np.isfinite(lower), _AT_LOWER,
                           np.where(np.isfinite(upper), _AT_UPPER, _FREE))
-        partial = sp.csc_matrix(
-            (vals, (rows, cols)), shape=(m, self.n_real), dtype=np.float64
-        )
+        rows = np.concatenate([lp.entry_rows, slack_rows])
+        cols = np.concatenate([lp.entry_cols, np.arange(n, self.n_real)])
+        vals = np.concatenate([lp.entry_vals, np.ones(slack_rows.size)])
+        partial = sp.csc_matrix((vals, (rows, cols)), shape=(m, self.n_real), dtype=np.float64)
         residual = self.b - partial @ x
 
         # Basis: the row's own slack when it can absorb the residual,
         # otherwise a fresh artificial column.
+        r = residual[slack_rows]
+        absorbs = np.where(leq, r >= -feas_tol, r <= feas_tol)
+        basic_slacks = n + np.flatnonzero(absorbs)
+        x[basic_slacks] = r[absorbs]
+        status[basic_slacks] = _BASIC
+        art_rows = np.setdiff1d(np.arange(m), slack_rows[absorbs])
+        self.n_art = art_rows.size
+        arts = np.arange(self.n_real, self.n_real + self.n_art)
         basis = np.empty(m, dtype=np.intp)
-        art_signs: list[float] = []
-        art_rows: list[int] = []
-        for i in range(m):
-            slack = self.slack_of_row.get(i)
-            if slack is not None and (
-                (lp.senses[i] == "<" and residual[i] >= -feas_tol)
-                or (lp.senses[i] == ">" and residual[i] <= feas_tol)
-            ):
-                x[slack] = residual[i]
-                basis[i] = slack
-            else:
-                art_rows.append(i)
-                art_signs.append(1.0 if residual[i] >= 0 else -1.0)
-                basis[i] = self.n_real + len(art_rows) - 1
-        self.n_art = len(art_rows)
-        if self.n_art:
-            rows.extend(art_rows)
-            cols.extend(self.n_real + np.arange(self.n_art))
-            vals.extend(art_signs)
-            lower = np.concatenate([lower, np.zeros(self.n_art)])
-            upper = np.concatenate([upper, np.full(self.n_art, math.inf)])
-            x = np.concatenate([x, np.abs(residual[art_rows])])
-            status = np.concatenate([status, np.full(self.n_art, _AT_LOWER, dtype=status.dtype)])
-            for i, row in enumerate(art_rows):
-                status[self.n_real + i] = _BASIC
-        for i in range(m):
-            if basis[i] < self.n_real:
-                status[basis[i]] = _BASIC
-        self.A = sp.csc_matrix(
-            (vals, (rows, cols)), shape=(m, self.n_real + self.n_art), dtype=np.float64
-        )
-        self.AT = self.A.T.tocsr()
-        self.lower = lower
-        self.upper = upper
-        self.x = x
-        self.vstatus = status
+        basis[slack_rows[absorbs]] = basic_slacks
+        basis[art_rows] = arts
+        self.lower = np.concatenate([lower, np.zeros(self.n_art)])
+        self.upper = np.concatenate([upper, np.full(self.n_art, math.inf)])
+        self.x = np.concatenate([x, np.abs(residual[art_rows])])
+        self.vstatus = np.concatenate([status, np.full(self.n_art, _BASIC, dtype=status.dtype)])
         self.basis = basis
+        self.A = sp.csc_matrix(
+            (np.concatenate([vals, np.where(residual[art_rows] >= 0, 1.0, -1.0)]),
+             (np.concatenate([rows, art_rows]), np.concatenate([cols, arts]))),
+            shape=(m, self.n_real + self.n_art), dtype=np.float64)
+        self.AT = self.A.T.tocsr()
+        self.cost = np.zeros(self.A.shape[1])   # phase two
+        self.cost[:n] = lp.objective
         self.factor = _Basis(self.A, self.basis)
 
     # -- linear algebra helpers -------------------------------------------
@@ -443,22 +421,17 @@ class _Simplex:
         Valid for any multipliers, hence a true lower bound on the optimum
         at every iteration; equals the primal objective at optimality.
         """
-        total = float(y @ self.b) if y.size else 0.0
-        active = np.flatnonzero(np.abs(d) > self.opt_tol)
-        for j in active:
-            bound = self.lower[j] if d[j] > 0 else self.upper[j]
-            if math.isinf(bound):
-                return -math.inf
-            total += d[j] * bound
-        return total
+        active = np.abs(d) > self.opt_tol
+        bound = np.where(d[active] > 0, self.lower[active], self.upper[active])
+        if np.isinf(bound).any():
+            return -math.inf
+        return float(y @ self.b) + float(d[active] @ bound)
 
     # -- phase driver ------------------------------------------------------
 
     def solve(self) -> LpSolution:
-        lp = self.lp
-        n_cols = self.A.shape[1]
         if self.n_art:
-            cost1 = np.zeros(n_cols)
+            cost1 = np.zeros(self.A.shape[1])
             cost1[self.n_real:] = 1.0
             status = self.run_phase(cost1, phase=1)
             if status == "iteration_limit":
@@ -472,24 +445,20 @@ class _Simplex:
             self.upper[self.n_real:] = 0.0
             self.x[self.n_real:] = 0.0
             self.x[self.basis[self.basis >= self.n_real]] = 0.0
-        cost2 = np.zeros(n_cols)
-        cost2[: self.n_struct] = lp.objective
-        status = self.run_phase(cost2, phase=2)
-        return self._finish(status)
+        return self._finish(self.run_phase(self.cost, phase=2))
 
     def _expel_artificials(self) -> None:
-        for row in range(self.lp.n_rows):
+        # A pivot changes only its own row's basic, so the rows are known up front.
+        for row in np.flatnonzero(self.basis >= self.n_real):
             j = self.basis[row]
-            if j < self.n_real:
-                continue
             unit = np.zeros(self.lp.n_rows)
             unit[row] = 1.0
             pivot_row = self.AT[: self.n_real] @ self.factor.btran(unit)
-            candidates = np.flatnonzero(np.abs(pivot_row) > 1e-9)
-            candidates = [int(c) for c in candidates if self.vstatus[c] != _BASIC]
-            if not candidates:
+            candidates = np.flatnonzero((np.abs(pivot_row) > 1e-9)
+                                        & (self.vstatus[: self.n_real] != _BASIC))
+            if not candidates.size:
                 continue  # redundant row; artificial stays basic at zero
-            enter = candidates[0]
+            enter = int(candidates[0])
             w = self.factor.ftran(self._column(enter))
             self.basis[row] = enter
             self.vstatus[enter] = _BASIC
@@ -500,24 +469,19 @@ class _Simplex:
             self._recompute_basics()
 
     def _finish(self, status: str) -> LpSolution:
-        lp = self.lp
         x = np.array(self.x[: self.n_struct])
         if status in ("optimal", "iteration_limit"):
-            objective = float(lp.objective @ x) if x.size else 0.0
+            objective = float(self.lp.objective @ x)
+            y = self.factor.btran(self.cost[self.basis])
+            d = self.cost - self.AT @ y
         else:
             objective = math.nan
-        cost2 = np.zeros(self.A.shape[1])
-        cost2[: self.n_struct] = lp.objective
-        if lp.n_rows and status in ("optimal", "iteration_limit"):
-            y = self.factor.btran(cost2[self.basis])
-            d = cost2 - self.AT @ y
-        else:
-            y = np.zeros(lp.n_rows)
-            d = np.array(cost2)
+            y = np.zeros(self.lp.n_rows)
+            d = self.cost
         return LpSolution(
             status=status,
             x=x,
-            duals=np.array(y),
+            duals=y,
             reduced_costs=np.array(d[: self.n_struct]),
             objective=objective,
             iterations=self.iterations,
@@ -525,24 +489,15 @@ class _Simplex:
 
 
 def _solve_unconstrained(lp: CanonicalLp) -> LpSolution:
-    x = np.zeros(lp.n_vars)
-    for j in range(lp.n_vars):
-        c = lp.objective[j]
-        if c > 0:
-            if not math.isfinite(lp.lower[j]):
-                return LpSolution("unbounded", x, np.zeros(0), np.array(lp.objective), math.nan)
-            x[j] = lp.lower[j]
-        elif c < 0:
-            if not math.isfinite(lp.upper[j]):
-                return LpSolution("unbounded", x, np.zeros(0), np.array(lp.objective), math.nan)
-            x[j] = lp.upper[j]
-        else:
-            if math.isfinite(lp.lower[j]) and lp.lower[j] > 0:
-                x[j] = lp.lower[j]
-            elif math.isfinite(lp.upper[j]) and lp.upper[j] < 0:
-                x[j] = lp.upper[j]
-    objective = float(lp.objective @ x) if x.size else 0.0
-    return LpSolution("optimal", x, np.zeros(0), np.array(lp.objective), objective)
+    """Closed form without rows: each variable at the bound its cost points to,
+    a zero-cost one at the finite bound nearest zero."""
+    c, lower, upper = lp.objective, lp.lower, lp.upper
+    if np.any((c > 0) & ~np.isfinite(lower) | (c < 0) & ~np.isfinite(upper)):
+        return LpSolution("unbounded", np.zeros(lp.n_vars), np.zeros(0), np.array(c), math.nan)
+    at_lower = (c > 0) | (c == 0) & np.isfinite(lower) & (lower > 0)
+    at_upper = (c < 0) | (c == 0) & np.isfinite(upper) & (upper < 0)
+    x = np.where(at_lower, lower, np.where(at_upper, upper, 0.0))
+    return LpSolution("optimal", x, np.zeros(0), np.array(c), float(c @ x))
 
 
 def solve(
@@ -563,9 +518,7 @@ def solve(
     if np.any(lp.integer):
         raise ValueError("the reference solver handles continuous LPs only; "
                          "export integer models via MPS instead")
-    if lp.n_vars == 0:
-        return LpSolution("optimal", np.zeros(0), np.zeros(lp.n_rows), np.zeros(0), 0.0)
-    if lp.n_rows == 0:
+    if lp.n_rows == 0:   # splu cannot factor an empty basis
         return _solve_unconstrained(lp)
     simplex = _Simplex(lp, feas_tol, opt_tol, iteration_limit, on_iteration)
     return simplex.solve()

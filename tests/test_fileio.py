@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -258,3 +259,75 @@ def test_cep_report_csv(tmp_path):
     assert float(rows["gas"][1]) == pytest.approx(1.2, rel=1e-6)
     assert float(rows["gas"][2]) == pytest.approx(2.0, rel=1e-6)
     assert "total_cost" in rows and "W_off" in rows
+
+
+# ---------------------------------------------------------------------------
+# Unreadable files and malformed tables name the file (and the line)
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("reader", [
+    fileio.read_series_csv, fileio.read_catalog_csv, fileio.read_power_curve_csv,
+    fileio.read_hydro_params_csv, fileio.read_runoff_manifest, fileio.load_criticality,
+    fileio.read_instance_json,
+], ids=lambda reader: reader.__name__)
+def test_readers_reject_missing_and_directory_paths(tmp_path, reader):
+    for path, error in ((tmp_path / "missing.csv", "No such file"),
+                        (tmp_path, "Is a directory")):
+        with pytest.raises(ValueError, match=f"cannot read {re.escape(str(path))}: .*{error}"):
+            reader(path)
+
+
+def test_undecodable_file_names_its_path(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_bytes(b"a,b\n\xff,1.0\n")
+    with pytest.raises(ValueError, match=f"cannot read {re.escape(str(path))}: 'utf-8' codec"):
+        fileio.read_series_csv(path)
+
+
+def test_series_csv_rejects_repeated_column(tmp_path):
+    path = tmp_path / "wind_speeds.csv"
+    path.write_text("s00,s01,s01\n1.0,2.0,3.0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: series id 's01' appears more than once"):
+        fileio.read_series_csv(path)
+
+
+def test_series_csv_parse_error_names_line(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text("# note\na,b\n1.0,2.0\n\n3.0,oops\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: line 5: could not convert string to float"):
+        fileio.read_series_csv(path)
+    path.write_text("a,b\n1.0,2.0\n3.0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: line 3: expected 2 fields, got 1"):
+        fileio.read_series_csv(path)
+
+
+def test_hydro_params_reject_repeated_country(tmp_path):
+    params = {"NO": HydroCountryParams(country="NO", flood_threshold=0.9)}
+    path = fileio.write_hydro_params_csv(tmp_path / "h.csv", params)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines + [lines[-1]]) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: country 'NO' appears more than once"):
+        fileio.read_hydro_params_csv(path)
+
+
+def test_catalog_parse_error_names_line(tmp_path):
+    path = tmp_path / "sites.csv"
+    path.write_text("id,lon,lat,partition,legacy_MW,potential_MW\n"
+                    "s01,1.0,50.0,P1,0.0,400.0\ns02,x-1.9629,50.0,P1,0.0,400.0\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: line 3: could not convert .*'x-1.9629'"):
+        fileio.read_catalog_csv(path)
+    path.write_text("id,lon,lat,partition,legacy_MW,potential_MW,lon\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="column 'lon' appears more than once"):
+        fileio.read_catalog_csv(path)
+
+
+def test_power_curve_row_field_count_names_line(tmp_path):
+    curve = PowerCurve(np.array([0.0, 4.0, 15.0, 25.0]), np.array([0.0, 0.0, 1.0, 1.0]),
+                       cut_in=4.0, rated_speed=15.0, cut_out=25.0)
+    path = fileio.write_power_curve_csv(tmp_path / "curve.csv", curve)
+    lines = path.read_text().splitlines()
+    lines[6] += ",1.0"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: line 7: expected 2 fields, got 3"):
+        fileio.read_power_curve_csv(path)

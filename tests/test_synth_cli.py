@@ -476,3 +476,70 @@ def test_seed_override_changes_outputs(dataset):
     b = json.loads((tmp_path / "s7b" / "siting_solution.json").read_text())
     assert a["site_ids"] == b["site_ids"]  # config base_seed is 7 as well
     assert a["seed"] == b["seed"]
+
+
+# ---------------------------------------------------------------------------
+# Unreadable and malformed input files
+# ---------------------------------------------------------------------------
+
+def _edit(name, edit):
+    """A setup that rewrites one dataset file, then adds the hydro inputs."""
+    def setup(config, data_dir):
+        path = data_dir / name
+        path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+        _with_hydro(config, data_dir)
+    return setup
+
+
+def _curves_with_three_field_row(config, data_dir):
+    curves = data_dir / "curves"
+    curves.mkdir()
+    for name, curve in fileio.load_default_curves().items():
+        fileio.write_power_curve_csv(curves / f"{name}.csv", curve)
+    path = curves / "low_wind.csv"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[6] += ",1.0"   # the second breakpoint, line 7
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    raw = json.loads(config.read_text())
+    raw["paths"]["curves_dir"] = str(curves)
+    config.write_text(json.dumps(raw), encoding="utf-8")
+
+
+def _not_utf8(config, data_dir):
+    (data_dir / "wind_speeds.csv").write_bytes(b"s01,s02\n\xff\xfe,1.0\n")
+
+
+def _second_hydro_row(text):
+    lines = text.splitlines()
+    return "\n".join(lines + [lines[1].replace("0.9", "0.5", 1)]) + "\n"
+
+
+@pytest.mark.parametrize("overrides, setup, message", [
+    ({}, _edit("runoff.csv", lambda t: t.replace("runoff_series.csv", "missing.csv")),
+     "missing.csv: [Errno 2]"),
+    ({"paths": {"catalog": "data"}}, None, "data is a directory"),
+    ({"paths": {"curves_dir": "data/sites.csv"}}, None, "sites.csv is not a directory"),
+    ({}, _not_utf8, "wind_speeds.csv: 'utf-8' codec can't decode"),
+    ({}, _edit("wind_speeds.csv", lambda t: t.replace("s02", "s01", 1)),
+     "wind_speeds.csv: series id 's01' appears more than once"),
+    ({}, _edit("demand.csv", lambda t: t.replace("P2", "P1", 1)),
+     "demand.csv: series id 'P1' appears more than once"),
+    ({}, _edit("hydro_params.csv", _second_hydro_row),
+     "hydro_params.csv: country 'P1' appears more than once"),
+    ({}, _edit("sites.csv", lambda t: t.replace(",-", ",x-", 1)),
+     "sites.csv: line 2: could not convert string to float: 'x-"),
+    ({}, _curves_with_three_field_row, "low_wind.csv: line 7: expected 2 fields, got 3"),
+], ids=["runoff-series-missing", "catalog-is-directory", "curves-dir-is-file",
+        "wind-speeds-not-utf8", "duplicate-wind-speed-column", "duplicate-demand-column",
+        "duplicate-hydro-country", "catalog-bad-float", "curve-row-three-fields"])
+def test_exit_data_on_unreadable_inputs(dataset, capsys, overrides, setup, message):
+    tmp_path, data_dir = dataset
+    config = write_config(tmp_path, data_dir, **overrides)
+    if setup is not None:
+        setup(config, data_dir)
+    assert main(["pipeline", str(config)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "data" and err["exit_code"] == 2
+    assert message in err["message"]
