@@ -69,6 +69,20 @@ def annualize(overnight_cost: float, lifetime_years: float, discount_rate: float
     return overnight_cost * discount_rate / (1.0 - (1.0 + discount_rate) ** (-lifetime_years))
 
 
+def _annuity(annuity: float | None, capex: float | None, lifetime_years: float | None,
+             discount_rate: float, what: str) -> float | None:
+    """A given annuity wins; else no capex means no investment option
+    (``None``); else the capex is annualised over the lifetime, which must
+    then be given (``what`` names the capex in the error)."""
+    if annuity is not None:
+        return annuity
+    if capex is None:
+        return None
+    if lifetime_years is None:
+        raise ValueError(f"{what} given without lifetime")
+    return annualize(capex, lifetime_years, discount_rate)
+
+
 DEFAULT_CONNECTION_SHARE = 0.2
 
 
@@ -156,22 +170,12 @@ class Technology:
         return self.co2_per_mwh_th / self.efficiency
 
     def power_annuity(self, discount_rate: float) -> float | None:
-        if self.annuity is not None:
-            return self.annuity
-        if self.capex is None:
-            return None
-        if self.lifetime_years is None:
-            raise ValueError(f"technology {self.id}: capex given without lifetime")
-        return annualize(self.capex, self.lifetime_years, discount_rate)
+        return _annuity(self.annuity, self.capex, self.lifetime_years, discount_rate,
+                        f"technology {self.id}: capex")
 
     def storage_energy_annuity(self, discount_rate: float) -> float | None:
-        if self.energy_annuity is not None:
-            return self.energy_annuity
-        if self.energy_capex is None:
-            return None
-        if self.lifetime_years is None:
-            raise ValueError(f"technology {self.id}: energy capex given without lifetime")
-        return annualize(self.energy_capex, self.lifetime_years, discount_rate)
+        return _annuity(self.energy_annuity, self.energy_capex, self.lifetime_years,
+                        discount_rate, f"technology {self.id}: energy capex")
 
 
 @dataclass(frozen=True)
@@ -238,13 +242,8 @@ class Line:
             raise ValueError(f"line {self.id}: potential below legacy capacity")
 
     def power_annuity(self, discount_rate: float) -> float | None:
-        if self.annuity is not None:
-            return self.annuity
-        if self.capex is None:
-            return None
-        if self.lifetime_years is None:
-            raise ValueError(f"line {self.id}: capex given without lifetime")
-        return annualize(self.capex, self.lifetime_years, discount_rate)
+        return _annuity(self.annuity, self.capex, self.lifetime_years, discount_rate,
+                        f"line {self.id}: capex")
 
     def delivery_efficiency(self, apply_losses: bool) -> float:
         """Fraction of sent power arriving at the receiving end.

@@ -306,14 +306,17 @@ def _out_dir(config: PipelineConfig, override: str | None) -> Path:
     out = Path(override) if override else config.output_dir
     if out is None:
         raise DataError("config paths.output_dir is required (or pass --out)")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot create output directory {out}: {exc}") from exc
     return out
 
 
 def _read_selected(path: Path) -> frozenset[str]:
     if not path.exists():
         raise DataError(f"siting output {path} not found; run the site stage first")
-    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc = json.loads(fileio._read(path))
     if not isinstance(doc, dict) or "site_ids" not in doc:
         raise DataError(f"siting output {path} has no site_ids")
     return frozenset(fileio.list_of(fileio.string)(doc["site_ids"], f"{path.name} site_ids"))

@@ -24,6 +24,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from windplan.fileio import _read
 from windplan.lp import CanonicalLp, LpBuilder, LpSolution
 
 _FIELD_COLUMNS = (1, 4, 14, 24, 39, 49)  # 0-based starts of the six fields
@@ -169,6 +170,24 @@ def export_mps(lp: CanonicalLp, path: str | Path, comments: Sequence[str] = ()) 
     return path
 
 
+#: Fields of a BOUNDS line per bound type: type, set name, column, value.
+_BOUND_FIELDS = {"UP": 4, "LO": 4, "FX": 4, "FR": 3, "MI": 3, "PL": 3, "BV": 3}
+
+
+def _number(token: str) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        raise ValueError(f"bad value {token!r}") from None
+
+
+def _pairs(tokens: list[str]) -> Iterator[tuple[str, float]]:
+    """``(row, value)`` pairs of the name/value fields of a data line."""
+    if len(tokens) % 2:
+        raise ValueError("odd number of row/value tokens")
+    return zip(tokens[::2], map(_number, tokens[1::2]))
+
+
 def import_mps(path: str | Path) -> CanonicalLp:
     """Read an MPS file written by :func:`export_mps` (or any file using
     the same section vocabulary).  RANGES entries are rejected; split the
@@ -178,6 +197,7 @@ def import_mps(path: str | Path) -> CanonicalLp:
     section = None
     row_sense: dict[str, str] = {}
     row_order: list[str] = []
+    declared_rows: set[str] = set()
     objective_row: str | None = None
     var_order: list[str] = []
     var_set: dict[str, int] = {}
@@ -195,87 +215,91 @@ def import_mps(path: str | Path) -> CanonicalLp:
             var_order.append(token)
             var_integer[token] = in_integer
 
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(_read(path).splitlines(), start=1):
         if not raw.strip() or raw.startswith("*"):
             continue
-        if not raw[0].isspace():
-            tokens = raw.split()
-            keyword = tokens[0].upper()
-            if keyword == "NAME":
-                name = tokens[1] if len(tokens) > 1 else "lp"
-            elif keyword in ("ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS"):
-                section = keyword
-            elif keyword == "ENDATA":
-                section = None
-                break
-            else:
-                raise ValueError(f"{path}:{lineno}: unknown section {keyword!r}")
-            continue
         tokens = raw.split()
-        if section == "ROWS":
-            sense, row = tokens[0].upper(), tokens[1]
-            if sense == "N":
-                if objective_row is None:
-                    objective_row = row
-                continue
-            letter = {"L": "<", "E": "=", "G": ">"}.get(sense)
-            if letter is None:
-                raise ValueError(f"{path}:{lineno}: unknown row sense {sense!r}")
-            row_sense[row] = letter
-            row_order.append(row)
-        elif section == "COLUMNS":
-            if len(tokens) >= 3 and tokens[1] == "'MARKER'":
-                in_integer = tokens[2] == "'INTORG'"
-                continue
-            var = tokens[0]
-            ensure_var(var)
-            pairs = tokens[1:]
-            if len(pairs) % 2:
-                raise ValueError(f"{path}:{lineno}: odd number of row/value tokens")
-            for row, value in zip(pairs[::2], pairs[1::2]):
-                val = float(value)
-                if row == objective_row:
-                    obj_coeff[var] = val
-                elif row in row_sense:
-                    key = (row, var)
-                    if key in entries:
-                        raise ValueError(f"{path}:{lineno}: duplicate entry {key}")
-                    entries[key] = val
+        try:
+            if not raw[0].isspace():
+                keyword = tokens[0].upper()
+                if keyword == "NAME":
+                    name = tokens[1] if len(tokens) > 1 else "lp"
+                elif keyword in ("ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS"):
+                    section = keyword
+                elif keyword == "ENDATA":
+                    break
                 else:
-                    raise ValueError(f"{path}:{lineno}: unknown row {row!r}")
-        elif section == "RHS":
-            pairs = tokens[1:]
-            for row, value in zip(pairs[::2], pairs[1::2]):
-                if row == objective_row:
-                    continue  # objective offsets are not represented
-                rhs[row] = float(value)
-        elif section == "RANGES":
-            raise ValueError(f"{path}:{lineno}: RANGES entries are not supported")
-        elif section == "BOUNDS":
-            kind = tokens[0].upper()
-            var = tokens[2]
-            ensure_var(var)
-            if kind == "UP":
-                bounds_up[var] = float(tokens[3])
-            elif kind == "LO":
-                bounds_lo[var] = float(tokens[3])
-            elif kind == "FX":
-                bounds_lo[var] = bounds_up[var] = float(tokens[3])
-            elif kind == "FR":
-                bounds_lo[var] = -math.inf
-                bounds_up[var] = math.inf
-            elif kind == "MI":
-                bounds_lo[var] = -math.inf
-            elif kind == "PL":
-                bounds_up[var] = math.inf
-            elif kind == "BV":
-                bounds_lo[var] = 0.0
-                bounds_up[var] = 1.0
-                var_integer[var] = True
+                    raise ValueError(f"unknown section {keyword!r}")
+            elif section == "ROWS":
+                if len(tokens) != 2:
+                    raise ValueError(f"expected a row sense and name, got {raw.strip()!r}")
+                sense, row = tokens[0].upper(), tokens[1]
+                if row in declared_rows:
+                    raise ValueError(f"duplicate row {row!r}")
+                declared_rows.add(row)
+                if sense == "N":
+                    if objective_row is None:
+                        objective_row = row
+                    continue
+                letter = {"L": "<", "E": "=", "G": ">"}.get(sense)
+                if letter is None:
+                    raise ValueError(f"unknown row sense {sense!r}")
+                row_sense[row] = letter
+                row_order.append(row)
+            elif section == "COLUMNS":
+                if len(tokens) >= 3 and tokens[1] == "'MARKER'":
+                    in_integer = tokens[2] == "'INTORG'"
+                    continue
+                var = tokens[0]
+                ensure_var(var)
+                for row, val in _pairs(tokens[1:]):
+                    if row == objective_row:
+                        obj_coeff[var] = val
+                    elif row in row_sense:
+                        key = (row, var)
+                        if key in entries:
+                            raise ValueError(f"duplicate entry {key}")
+                        entries[key] = val
+                    else:
+                        raise ValueError(f"unknown row {row!r}")
+            elif section == "RHS":
+                for row, val in _pairs(tokens[1:]):
+                    if row in row_sense:
+                        rhs[row] = val
+                    elif row != objective_row:  # objective offsets are not represented
+                        raise ValueError(f"unknown row {row!r}")
+            elif section == "RANGES":
+                raise ValueError("RANGES entries are not supported")
+            elif section == "BOUNDS":
+                kind = tokens[0].upper()
+                if kind not in _BOUND_FIELDS:
+                    raise ValueError(f"unknown bound type {kind!r}")
+                if len(tokens) < _BOUND_FIELDS[kind]:
+                    raise ValueError(f"{kind} bound needs {_BOUND_FIELDS[kind]} fields, "
+                                     f"got {len(tokens)}")
+                var = tokens[2]
+                ensure_var(var)
+                if kind == "UP":
+                    bounds_up[var] = _number(tokens[3])
+                elif kind == "LO":
+                    bounds_lo[var] = _number(tokens[3])
+                elif kind == "FX":
+                    bounds_lo[var] = bounds_up[var] = _number(tokens[3])
+                elif kind == "FR":
+                    bounds_lo[var] = -math.inf
+                    bounds_up[var] = math.inf
+                elif kind == "MI":
+                    bounds_lo[var] = -math.inf
+                elif kind == "PL":
+                    bounds_up[var] = math.inf
+                else:  # BV
+                    bounds_lo[var] = 0.0
+                    bounds_up[var] = 1.0
+                    var_integer[var] = True
             else:
-                raise ValueError(f"{path}:{lineno}: unknown bound type {kind!r}")
-        else:
-            raise ValueError(f"{path}:{lineno}: data outside any section")
+                raise ValueError("data outside any section")
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
 
     builder = LpBuilder(name=name)
     builder.add_vars(
@@ -329,7 +353,7 @@ def import_solution(
     x = np.zeros(len(index))
     seen: set[str] = set()
     report = SolutionImportReport()
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(_read(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

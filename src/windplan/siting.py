@@ -13,7 +13,9 @@ Two schemes are implemented over a common :class:`~windplan.resource.SiteCatalog
 
 Cardinality preprocessing converts per-partition capacity targets into
 site counts, and residual-demand diagnostics summarise what a selection
-does to the system load.
+does to the system load.  A criticality matrix must list the catalog's
+sites in catalog order, as :func:`~windplan.resource.build_criticality_matrix`
+builds it; the ``comp`` functions raise ``ValueError`` otherwise.
 """
 
 from __future__ import annotations
@@ -179,6 +181,20 @@ def _partition_members(catalog: SiteCatalog, plan: CardinalityPlan) -> dict[str,
     return members
 
 
+def _layout(catalog: SiteCatalog, plan: CardinalityPlan,
+            matrix: CriticalityMatrix | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Per catalog site, in catalog order: the position of its quota in
+    ``plan`` (-1 outside every quota) and its legacy flag.  A matrix must
+    list the catalog's sites in catalog order, so site indices agree."""
+    if matrix is not None and matrix.site_ids != tuple(catalog.index_of):
+        raise ValueError("criticality matrix sites are not the catalog's sites in catalog order")
+    part = np.full(len(catalog.sites), -1, dtype=np.intp)
+    for p, ids in enumerate(_partition_members(catalog, plan).values()):
+        part[[catalog.index_of[sid] for sid in ids]] = p
+    legacy = np.array([site.is_legacy for site in catalog.sites], dtype=bool)
+    return part, legacy
+
+
 # ---------------------------------------------------------------------------
 # Solutions
 # ---------------------------------------------------------------------------
@@ -203,16 +219,14 @@ def _finish_solution(
     rng_seed: int | None = None,
 ) -> SitingSolution:
     selected = frozenset(selected)
-    members = _partition_members(catalog, plan)
-    counts: dict[str, int] = {}
-    for quota in plan.quotas:
-        chosen = [sid for sid in members[quota.partition_id] if sid in selected]
-        if len(chosen) != quota.final_k:
-            raise ValueError(
-                f"partition {quota.partition_id}: selected {len(chosen)} sites, "
-                f"quota is {quota.final_k}"
-            )
-        counts[quota.partition_id] = len(chosen)
+    part, _ = _layout(catalog, plan)
+    in_quota = part[[site.id in selected for site in catalog.sites]]
+    chosen = np.bincount(in_quota[in_quota >= 0], minlength=len(plan.quotas)).tolist()
+    counts = {quota.partition_id: count for quota, count in zip(plan.quotas, chosen)}
+    for quota, count in zip(plan.quotas, chosen):
+        if count != quota.final_k:
+            raise ValueError(f"partition {quota.partition_id}: selected {count} sites, "
+                             f"quota is {quota.final_k}")
     missing_legacy = catalog.legacy_ids - selected
     if missing_legacy:
         raise ValueError(f"legacy sites missing from selection: {sorted(missing_legacy)}")
@@ -231,20 +245,21 @@ def solve_prod(catalog: SiteCatalog, plan: CardinalityPlan) -> SitingSolution:
     lower catalog index).  The objective is the mean of the selected sites'
     mean capacity factors.
     """
-    members = _partition_members(catalog, plan)
-    selected: list[str] = []
-    for quota in plan.quotas:
-        ids = members[quota.partition_id]
-        legacy = [sid for sid in ids if catalog.site(sid).is_legacy]
-        others = [sid for sid in ids if not catalog.site(sid).is_legacy]
-        free_slots = quota.final_k - len(legacy)
-        if free_slots < 0 or quota.final_k > len(ids):
+    part, legacy = _layout(catalog, plan)
+    mean_cf = np.array([site.mean_cf for site in catalog.sites])
+    chosen = np.zeros(len(catalog.sites), dtype=bool)
+    for p, quota in enumerate(plan.quotas):
+        held = np.flatnonzero((part == p) & legacy)
+        free = np.flatnonzero((part == p) & ~legacy)
+        free_slots = quota.final_k - held.size
+        if free_slots < 0 or quota.final_k > held.size + free.size:
             raise ValueError(f"partition {quota.partition_id}: infeasible quota {quota.final_k}")
-        ranked = sorted(others, key=lambda sid: (-catalog.site(sid).mean_cf, catalog.index_of[sid]))
-        selected.extend(legacy)
-        selected.extend(ranked[:free_slots])
+        ranked = free[np.lexsort((free, -mean_cf[free]))]
+        chosen[held] = True
+        chosen[ranked[:free_slots]] = True
     # fsum: exactly rounded, so the objective is independent of summation order
-    objective = math.fsum(catalog.site(sid).mean_cf for sid in selected) / plan.k
+    objective = math.fsum(mean_cf[chosen]) / plan.k
+    selected = [site.id for site, pick in zip(catalog.sites, chosen) if pick]
     return _finish_solution(catalog, plan, selected, objective, "prod")
 
 
@@ -340,22 +355,16 @@ def greedy_init(
     are updated on those columns alone, O(L·W) for the whole start instead
     of O(L·W) per pick.
     """
-    members = _partition_members(catalog, plan)
+    part, legacy = _layout(catalog, plan, matrix)
     dense = matrix.dense
     c = matrix.threshold_c
-    selected: list[str] = []
-    remaining = np.zeros(len(plan.quotas), dtype=np.int64)
-    partition_of: dict[str, int] = {}
-    for p, quota in enumerate(plan.quotas):
-        legacy = [sid for sid in members[quota.partition_id] if catalog.site(sid).is_legacy]
-        selected.extend(legacy)
-        remaining[p] = quota.final_k - len(legacy)
-        partition_of.update(dict.fromkeys(members[quota.partition_id], p))
-    counts = dense[[matrix.index_of[sid] for sid in selected]].sum(axis=0, dtype=np.int32)
-    chosen = set(selected)
-    candidates = [site.id for site in catalog.sites if site.id not in chosen and site.id in partition_of]
-    cand_idx = np.array([matrix.index_of[sid] for sid in candidates], dtype=np.intp)
-    cand_part = np.array([partition_of[sid] for sid in candidates], dtype=np.intp)
+    start = legacy & (part >= 0)
+    selected = np.flatnonzero(start).tolist()
+    remaining = (np.array([quota.final_k for quota in plan.quotas], dtype=np.int64)
+                 - np.bincount(part[start], minlength=len(plan.quotas)))
+    counts = dense[start].sum(axis=0, dtype=np.int32)
+    cand_idx = np.flatnonzero((part >= 0) & ~legacy)
+    cand_part = part[cand_idx]
     is_open = remaining[cand_part] > 0
 
     def covering(windows: np.ndarray) -> np.ndarray:  # per site, flagged windows covered
@@ -366,7 +375,7 @@ def greedy_init(
         if not is_open.any():
             raise ValueError("quota left open but no candidates remain")
         best = int(np.argmax(np.where(is_open, gains[cand_idx], -1)))  # first = lowest catalog index
-        selected.append(candidates[best])
+        selected.append(int(cand_idx[best]))
         remaining[cand_part[best]] -= 1
         is_open[best] = False
         is_open &= remaining[cand_part] > 0
@@ -375,7 +384,8 @@ def greedy_init(
         hit = row.astype(bool)
         gains -= covering(hit & (counts == c))
         gains += covering(hit & (counts == c - 1))
-    return _finish_solution(catalog, plan, selected, int(np.count_nonzero(counts >= c)), "comp")
+    return _finish_solution(catalog, plan, [matrix.site_ids[i] for i in selected],
+                            int(np.count_nonzero(counts >= c)), "comp")
 
 
 # ---------------------------------------------------------------------------
@@ -392,29 +402,26 @@ class _SearchSpace:
 
     def __init__(self, matrix: CriticalityMatrix, catalog: SiteCatalog,
                  plan: CardinalityPlan, selected: Iterable[str]):
-        members = _partition_members(catalog, plan)
+        self.matrix, self.catalog, self.plan = matrix, catalog, plan
+        part, legacy = _layout(catalog, plan, matrix)
+        self.legacy_idx = np.flatnonzero(legacy)
+        self._pool_of = np.where(legacy, -1, part)  # quota position of a swappable site
         selected = set(selected)
-        self.matrix = matrix
-        self.catalog = catalog
-        self.plan = plan
-        self.legacy_idx = np.array(
-            sorted(matrix.index_of[sid] for sid in catalog.legacy_ids), dtype=np.intp
-        )
-        sel_segments: list[np.ndarray] = []
-        uns_segments: list[np.ndarray] = []
-        for quota in plan.quotas:
-            ids = members[quota.partition_id]
-            sel = [matrix.index_of[s] for s in ids if s in selected and not catalog.site(s).is_legacy]
-            uns = [matrix.index_of[s] for s in ids if s not in selected and not catalog.site(s).is_legacy]
-            sel_segments.append(np.array(sel, dtype=np.intp))
-            uns_segments.append(np.array(uns, dtype=np.intp))
-        self.sel_sizes = np.array([seg.size for seg in sel_segments], dtype=np.intp)
-        self.uns_sizes = np.array([seg.size for seg in uns_segments], dtype=np.intp)
+        self.sel_flat, self.sel_sizes, self.uns_flat, self.uns_sizes = self._pools(
+            np.array([sid in selected for sid in matrix.site_ids], dtype=bool))
         self.sel_off = np.concatenate([[0], np.cumsum(self.sel_sizes)[:-1]])
         self.uns_off = np.concatenate([[0], np.cumsum(self.uns_sizes)[:-1]])
-        self.sel_flat = np.concatenate([np.empty(0, dtype=np.intp), *sel_segments])
-        self.uns_flat = np.concatenate([np.empty(0, dtype=np.intp), *uns_segments])
         self.caps = np.minimum(self.sel_sizes, self.uns_sizes)
+
+    def _pools(self, selection: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Selected flat pool, its segment sizes, unselected flat pool and its
+        segment sizes for a selection mask over the matrix sites."""
+        out = []
+        for mask in (selection, ~selection):
+            idx = np.flatnonzero(mask & (self._pool_of >= 0))
+            idx = idx[np.argsort(self._pool_of[idx], kind="stable")]
+            out += [idx, np.bincount(self._pool_of[idx], minlength=len(self.plan.quotas))]
+        return tuple(out)
 
     def allocations(self, r: int) -> tuple[list[tuple[int, ...]], int]:
         """Feasible per-partition swap allocations for radius ``r``.
@@ -632,24 +639,15 @@ def _accept(delta: float, temperature: float, rng) -> bool:
 
 def _replace_selection(space: _SearchSpace, new_sel: np.ndarray) -> None:
     """Overwrite the pools with an externally supplied non-legacy selection."""
-    catalog, plan = space.catalog, space.plan
-    members = _partition_members(catalog, plan)
-    new_ids = {space.matrix.site_ids[i] for i in new_sel}
-    sel_segments, uns_segments = [], []
-    for p, quota in enumerate(plan.quotas):
-        sel, uns = [], []
-        for sid in members[quota.partition_id]:
-            if catalog.site(sid).is_legacy:
-                continue
-            (sel if sid in new_ids else uns).append(space.matrix.index_of[sid])
-        if len(sel) != space.sel_sizes[p]:
-            raise ValueError(
-                f"scripted neighbour changes the quota of partition {quota.partition_id}"
-            )
-        sel_segments.append(np.array(sel, dtype=np.intp))
-        uns_segments.append(np.array(uns, dtype=np.intp))
-    space.sel_flat[:] = np.concatenate(sel_segments) if sel_segments else ()
-    space.uns_flat[:] = np.concatenate(uns_segments) if uns_segments else ()
+    selection = np.zeros(space.matrix.n_sites, dtype=bool)
+    selection[new_sel] = True
+    sel_flat, sel_sizes, uns_flat, _ = space._pools(selection)
+    changed = np.flatnonzero(sel_sizes != space.sel_sizes)
+    if changed.size:
+        partition = space.plan.quotas[changed[0]].partition_id
+        raise ValueError(f"scripted neighbour changes the quota of partition {partition}")
+    space.sel_flat[:] = sel_flat
+    space.uns_flat[:] = uns_flat
 
 
 def run_multistart(
@@ -705,9 +703,8 @@ def build_comp_mir(matrix: CriticalityMatrix, catalog: SiteCatalog, plan: Cardin
     """
     from windplan.lp import LpBuilder
 
-    members = _partition_members(catalog, plan)
+    part, legacy = _layout(catalog, plan, matrix)
     builder = LpBuilder(name="comp_mir")
-    legacy = [catalog.site(sid).is_legacy for sid in matrix.site_ids]
     x_vars = builder.add_vars([f"x|{sid}" for sid in matrix.site_ids],
                               lower=np.where(legacy, 1.0, 0.0), upper=1.0, integer=True)
     windows = range(matrix.n_windows)
@@ -716,10 +713,9 @@ def build_comp_mir(matrix: CriticalityMatrix, catalog: SiteCatalog, plan: Cardin
                            (y_vars, -float(matrix.threshold_c)))
     sites, covered = np.nonzero(matrix.dense)
     builder.add_entries(cov[covered], x_vars[sites], 1.0)
-    for quota in plan.quotas:
-        row = builder.add_row(f"card|{quota.partition_id}", sense="=", rhs=float(quota.final_k))
-        members_idx = [matrix.index_of[sid] for sid in members[quota.partition_id]]
-        builder.add_entries(row, x_vars[members_idx], 1.0)
+    card = builder.add_rows([f"card|{quota.partition_id}" for quota in plan.quotas], "=",
+                            [float(quota.final_k) for quota in plan.quotas])
+    builder.add_entries(card[part[part >= 0]], x_vars[part >= 0], 1.0)
     return builder.build()
 
 

@@ -407,3 +407,24 @@ def test_technology_validation():
     assert tech.marginal_cost == pytest.approx(5.0)
     assert Technology(id="y", kind="dispatchable", co2_per_mwh_th=0.3,
                       efficiency=0.6).co2_per_mwh_elec == pytest.approx(0.5)
+
+
+def test_annuity_precedence_and_missing_lifetime():
+    rate = 0.05
+    tech = Technology(id="x", kind="storage", capex=100.0, energy_capex=10.0,
+                      lifetime_years=20.0, annuity=7.0)
+    assert tech.power_annuity(rate) == 7.0  # a given annuity wins over the capex
+    assert tech.storage_energy_annuity(rate) == annualize(10.0, 20.0, rate)
+    assert Technology(id="x", kind="storage").power_annuity(rate) is None
+    assert Line(id="l", from_bus="a", to_bus="b").power_annuity(rate) is None
+    for annuity, message in [
+        (lambda: Technology(id="x", kind="dispatchable", capex=100.0).power_annuity(rate),
+         "technology x: capex given without lifetime"),
+        (lambda: Technology(id="x", kind="storage", energy_capex=10.0).storage_energy_annuity(rate),
+         "technology x: energy capex given without lifetime"),
+        (lambda: Line(id="l", from_bus="a", to_bus="b", capex=100.0).power_annuity(rate),
+         "line l: capex given without lifetime"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            annuity()
+        assert str(info.value) == message

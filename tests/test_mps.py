@@ -335,3 +335,37 @@ def test_pipeline_export_bytes_pinned(tmp_path):
                      "--out", str(tmp_path / "mir")]) == 0
     assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in PINNED_SHA256} == PINNED_SHA256
+
+
+_SMALL_MPS = [
+    "NAME          t", "ROWS", " N  COST", " L  r0", "COLUMNS", "    x0  COST  1.0  r0  1.0",
+    "RHS", "    RHS  r0  1.0", "BOUNDS", " UP BND  x0  4.0", "ENDATA",
+]
+
+
+@pytest.mark.parametrize("line, new, message", [
+    (3, [" N"], "expected a row sense and name, got 'N'"),
+    (10, [" UP BND  x0"], "UP bound needs 4 fields, got 3"),
+    (6, ["    x0  COST  abc  r0  1.0"], "bad value 'abc'"),
+    (8, ["    RHS  r9  1.0"], "unknown row 'r9'"),
+    (8, ["    RHS  r0  1.0  r0"], "odd number of row/value tokens"),
+    (4, [" L  r0", " L  r0"], "duplicate row 'r0'"),
+], ids=["row-without-name", "bound-without-value", "bad-number", "rhs-unknown-row",
+        "rhs-odd-tokens", "duplicate-row"])
+def test_import_rejects_malformed_line(tmp_path, line, new, message):
+    """Line ``line`` of the small model is replaced by ``new``, whose last
+    line is the faulty one."""
+    lines = list(_SMALL_MPS)
+    lines[line - 1:line] = new
+    path = tmp_path / "bad.mps"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        import_mps(path)
+    assert str(info.value) == f"{path}:{line + len(new) - 1}: {message}"
+
+
+def test_import_rejects_directory(tmp_path):
+    for read in (import_mps, lambda path: import_solution(path, ["x0"])):
+        with pytest.raises(ValueError) as info:
+            read(tmp_path)
+        assert str(info.value).startswith(f"cannot read {tmp_path}: ")

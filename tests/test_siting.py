@@ -10,7 +10,7 @@ from windplan.siting import (
     AnnealParams, adjust_cardinality, block_spread, build_comp_mir, build_plan,
     compute_cardinalities, coverage_count, greedy_init, local_search,
     mir_solution_to_init, residual_demand, residual_summary, run_multistart,
-    sample_neighbor, solve_prod,
+    SitingSolution, sample_neighbor, solve_prod,
 )
 from windplan.timeseries import TimeSeries
 
@@ -493,3 +493,57 @@ def test_residual_summary_keys():
     for block in summary.values():
         assert set(block) == {"min", "q1", "median", "q3", "max"}
         assert block["min"] <= block["q1"] <= block["median"] <= block["q3"] <= block["max"]
+
+
+# ---------------------------------------------------------------------------
+# Input errors
+# ---------------------------------------------------------------------------
+
+def test_local_search_rejects_init_breaking_a_quota(swap_setup):
+    catalog, m, plan, _ = swap_setup
+    init = SitingSolution("comp", frozenset({"s00", "s01", "s02", "s04", "s05"}), {}, 0.0)
+    with pytest.raises(ValueError, match="^partition A: selected 3 sites, quota is 2$"):
+        local_search(init, m, catalog, plan, AnnealParams(iterations=1, neighbors=1), 0)
+
+
+def test_local_search_rejects_init_without_legacy(swap_setup):
+    catalog, m, plan, _ = swap_setup
+    init = SitingSolution("comp", frozenset({"s01", "s02", "s04", "s05"}), {}, 0.0)
+    with pytest.raises(ValueError, match=r"^legacy sites missing from selection: \['s00'\]$"):
+        local_search(init, m, catalog, plan, AnnealParams(iterations=1, neighbors=1), 0)
+
+
+@pytest.mark.parametrize("plan_legacy_MW, legacy_MW, message", [
+    ([150.0, 150.0, 150.0], [0.0, 0.0], "partition A: infeasible quota 3"),
+    ([0.0, 0.0, 0.0], [150.0, 150.0], "partition A: infeasible quota 1"),
+], ids=["plan-needs-more-sites", "catalog-has-more-legacy"])
+def test_prod_rejects_plan_of_another_catalog(plan_legacy_MW, legacy_MW, message):
+    planned = build_catalog(np.full((3, 4), 0.5), "A", legacy_MW=plan_legacy_MW)
+    plan = plan_for(planned, {"A": 1})
+    catalog = build_catalog(np.full((len(legacy_MW), 4), 0.5), "A", legacy_MW=legacy_MW)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        solve_prod(catalog, plan)
+
+
+def test_scripted_neighbour_must_keep_partition_quotas(swap_setup):
+    catalog, m, plan, init = swap_setup
+    held_a = sorted(s for s in init.selected if catalog.site(s).partition_id == "A" and s != "s00")
+    held_b = sorted(s for s in init.selected if catalog.site(s).partition_id == "B")
+    free_a = next(s for s in ("s01", "s02", "s03") if s not in init.selected)
+    moved = (*held_a, free_a, held_b[0])  # one B slot moves to A
+    with pytest.raises(ValueError, match="^scripted neighbour changes the quota of partition A$"):
+        local_search(init, m, catalog, plan, AnnealParams(iterations=1, neighbors=1),
+                     ScriptedRng([0.0]), neighbor_sampler=lambda cur, i, j, rng: moved)
+
+
+def test_matrix_must_follow_catalog_order(swap_setup):
+    catalog, m, plan, init = swap_setup
+    order = np.arange(m.n_sites)[::-1]
+    permuted = CriticalityMatrix.from_bool(m.dense[order].astype(bool), m.threshold_c, 1,
+                                           tuple(m.site_ids[i] for i in order))
+    params = AnnealParams(iterations=1, neighbors=1)
+    for call in (lambda: greedy_init(permuted, catalog, plan),
+                 lambda: local_search(init, permuted, catalog, plan, params, 0),
+                 lambda: build_comp_mir(permuted, catalog, plan)):
+        with pytest.raises(ValueError, match="catalog order"):
+            call()

@@ -543,3 +543,33 @@ def test_exit_data_on_unreadable_inputs(dataset, capsys, overrides, setup, messa
     err = json.loads(lines[0])
     assert err["error"] == "data" and err["exit_code"] == 2
     assert message in err["message"]
+
+
+# ---------------------------------------------------------------------------
+# Unusable output paths
+# ---------------------------------------------------------------------------
+
+def _solution_is_directory(tmp_path):
+    (tmp_path / "out" / "siting_solution.json").mkdir(parents=True)
+    return ["cep"]
+
+
+def _out_is_a_file(tmp_path):
+    (tmp_path / "taken").write_text("", encoding="utf-8")
+    return ["site", "--out", str(tmp_path / "taken")]
+
+
+@pytest.mark.parametrize("setup, message", [
+    (_solution_is_directory, "cannot read "),
+    (_out_is_a_file, "cannot create output directory "),
+], ids=["siting-solution-is-directory", "out-is-a-file"])
+def test_exit_data_on_unusable_output_paths(dataset, capsys, setup, message):
+    tmp_path, data_dir = dataset
+    config = write_config(tmp_path, data_dir)
+    command, *rest = setup(tmp_path)
+    assert main([command, str(config), *rest]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "data" and err["exit_code"] == 2
+    assert message in err["message"]
