@@ -264,6 +264,8 @@ def import_mps(path: str | Path) -> CanonicalLp:
                         raise ValueError(f"unknown row {row!r}")
             elif section == "RHS":
                 for row, val in _pairs(tokens[1:]):
+                    if row in rhs:
+                        raise ValueError(f"duplicate RHS entry for row {row!r}")
                     if row in row_sense:
                         rhs[row] = val
                     elif row != objective_row:  # objective offsets are not represented
@@ -274,7 +276,7 @@ def import_mps(path: str | Path) -> CanonicalLp:
                 kind = tokens[0].upper()
                 if kind not in _BOUND_FIELDS:
                     raise ValueError(f"unknown bound type {kind!r}")
-                if len(tokens) < _BOUND_FIELDS[kind]:
+                if len(tokens) != _BOUND_FIELDS[kind]:
                     raise ValueError(f"{kind} bound needs {_BOUND_FIELDS[kind]} fields, "
                                      f"got {len(tokens)}")
                 var = tokens[2]

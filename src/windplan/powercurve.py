@@ -7,10 +7,19 @@ speed to cut-out and zero above cut-out.  Farm-level curves derived via
 :func:`smooth_power_curve` deliberately violate the nominal shape (output
 is smeared across the cut-in and cut-out cliffs) and are flagged as
 ``smoothed`` so construction-time shape checks are skipped for them.
+
+The smoothing integrates on a fixed 0.01 m/s quadrature grid.  The
+351 x 3,501 grid-to-quadrature distance matrix holds only 14,804 distinct
+values, so the first smoothing call caches them with each pair's index
+among them (~0.1 s once, 9.8 MB resident); every call after that takes
+``exp`` of the distinct distances only and gathers the dense weight
+matrix from the cache.  The result is bit-identical to evaluating the
+kernel on the whole matrix.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +29,7 @@ from windplan.timeseries import TimeSeries
 # Fixed evaluation grid for smoothed curves: 0 to 35 m/s, 0.1 m/s step.
 SPEED_GRID = np.round(np.arange(0.0, 35.0 + 1e-9, 0.1), 1)
 _QUAD_STEP = 0.01  # internal quadrature step for kernel integration
+_LAYOUT_ROWS = 32  # grid rows per block while the distance layout is built
 _SHAPE_TOL = 1e-9
 
 #: Default mean-speed class table: closed lower bounds, covers [0, inf).
@@ -36,7 +46,8 @@ class PowerCurve:
     Parameters
     ----------
     speeds, powers : array-like
-        Breakpoint coordinates; speeds non-decreasing, powers in [0, 1].
+        Finite breakpoint coordinates; speeds non-decreasing, powers in
+        [0, 1].
     cut_in, rated_speed, cut_out : float
         Operational range markers in m/s.
     smoothed : bool
@@ -56,6 +67,8 @@ class PowerCurve:
         powers = np.array(self.powers, dtype=np.float64)
         if speeds.ndim != 1 or speeds.shape != powers.shape or speeds.size < 2:
             raise ValueError("breakpoints must be two equal-length 1-D arrays with >= 2 points")
+        if not (np.isfinite(speeds).all() and np.isfinite(powers).all()):
+            raise ValueError("breakpoint speeds and powers must be finite")
         if np.any(np.diff(speeds) < 0):
             raise ValueError("breakpoint speeds must be non-decreasing")
         if np.any(powers < -_SHAPE_TOL) or np.any(powers > 1 + _SHAPE_TOL):
@@ -113,6 +126,30 @@ def select_turbine(mean_wind_speed: float, class_table=DEFAULT_CLASS_TABLE) -> s
     return chosen
 
 
+@functools.cache
+def _kernel_layout() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The quadrature grid, the sorted distinct distances between it and
+    ``SPEED_GRID``, and each (grid, quadrature) pair's index among them.
+
+    Built once per process on first use, a block of grid rows at a time so
+    that the whole distance matrix and its sort are never held at once.
+    The arrays are read-only.
+    """
+    quad = np.arange(0.0, 35.0 + _QUAD_STEP / 2, _QUAD_STEP)
+    starts = range(0, SPEED_GRID.size, _LAYOUT_ROWS)
+
+    def block(lo: int) -> np.ndarray:
+        return np.abs(SPEED_GRID[lo:lo + _LAYOUT_ROWS, None] - quad[None, :])
+
+    distinct = np.unique(np.concatenate([np.unique(block(lo)) for lo in starts]))
+    inverse = np.empty((SPEED_GRID.size, quad.size), dtype=np.intp)
+    for lo in starts:
+        inverse[lo:lo + _LAYOUT_ROWS] = np.searchsorted(distinct, block(lo))
+    for array in (quad, distinct, inverse):
+        array.setflags(write=False)
+    return quad, distinct, inverse
+
+
 def smooth_power_curve(curve: PowerCurve, sigma: float) -> PowerCurve:
     """Gaussian-kernel smoothing of a power curve onto the fixed speed grid.
 
@@ -120,18 +157,23 @@ def smooth_power_curve(curve: PowerCurve, sigma: float) -> PowerCurve:
     function (including its hard zero above cut-out), with the kernel
     truncated at three standard deviations and renormalised over the part
     of its support that falls inside [0, 35] m/s.  ``sigma = 0`` returns
-    the input curve sampled on the grid unchanged.
+    the input curve sampled on the grid unchanged; a negative or NaN
+    ``sigma`` raises ``ValueError``.
+
+    The first call with ``sigma > 0`` builds the cached distance layout
+    (~0.1 s once per process, 9.8 MB resident); later calls reuse it.
     """
-    if sigma < 0:
+    if not sigma >= 0:  # also rejects NaN
         raise ValueError("sigma must be non-negative")
     if sigma == 0:
         values = curve.evaluate(SPEED_GRID)
     else:
-        quad = np.arange(0.0, 35.0 + _QUAD_STEP / 2, _QUAD_STEP)
+        quad, distinct, inverse = _kernel_layout()
         samples = curve.evaluate(quad)
-        dist = np.abs(SPEED_GRID[:, None] - quad[None, :])
-        weights = np.exp(-0.5 * (dist / sigma) ** 2)
-        weights[dist > 3.0 * sigma + 1e-12] = 0.0
+        kernel = np.exp(-0.5 * (distinct / sigma) ** 2)
+        kernel[distinct > 3.0 * sigma + 1e-12] = 0.0
+        # the dense gather keeps the summation order of the BLAS product
+        weights = kernel[inverse]
         values = (weights @ samples) / weights.sum(axis=1)
     return PowerCurve(
         SPEED_GRID,

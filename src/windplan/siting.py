@@ -201,7 +201,8 @@ def _layout(catalog: SiteCatalog, plan: CardinalityPlan,
 
 @dataclass(frozen=True)
 class SitingSolution:
-    """A feasible selection: every legacy site included, exact quotas met."""
+    """A feasible selection of catalog sites: every legacy site included,
+    exact quotas met, every other site inside a quota."""
 
     scheme: str
     selected: frozenset[str]
@@ -219,8 +220,9 @@ def _finish_solution(
     rng_seed: int | None = None,
 ) -> SitingSolution:
     selected = frozenset(selected)
-    part, _ = _layout(catalog, plan)
-    in_quota = part[[site.id in selected for site in catalog.sites]]
+    part, legacy = _layout(catalog, plan)
+    picked = np.array([site.id in selected for site in catalog.sites], dtype=bool)
+    in_quota = part[picked]
     chosen = np.bincount(in_quota[in_quota >= 0], minlength=len(plan.quotas)).tolist()
     counts = {quota.partition_id: count for quota, count in zip(plan.quotas, chosen)}
     for quota, count in zip(plan.quotas, chosen):
@@ -230,6 +232,13 @@ def _finish_solution(
     missing_legacy = catalog.legacy_ids - selected
     if missing_legacy:
         raise ValueError(f"legacy sites missing from selection: {sorted(missing_legacy)}")
+    unknown = selected - catalog.index_of.keys()
+    if unknown:
+        raise ValueError(f"selected ids not in the catalog: {sorted(unknown)}")
+    outside = picked & (part < 0) & ~legacy
+    if outside.any():
+        raise ValueError("selected sites outside every quota: "
+                         f"{sorted(catalog.sites[i].id for i in np.flatnonzero(outside))}")
     return SitingSolution(scheme, selected, counts, float(objective), rng_seed)
 
 

@@ -364,6 +364,25 @@ def test_import_rejects_malformed_line(tmp_path, line, new, message):
     assert str(info.value) == f"{path}:{line + len(new) - 1}: {message}"
 
 
+@pytest.mark.parametrize("line, new, message", [
+    (8, ["    RHS  r0  1.0  r0  7.0"], "duplicate RHS entry for row 'r0'"),
+    (8, ["    RHS  r0  1.0", "    RHS  r0  7.0"], "duplicate RHS entry for row 'r0'"),
+    (10, [" UP BND  x0  4.0  9.0"], "UP bound needs 4 fields, got 5"),
+    (10, [" UP BND  x0  4.0", " MI BND  x0  0.0"], "MI bound needs 3 fields, got 4"),
+], ids=["rhs-repeated-on-line", "rhs-repeated-on-next-line", "bound-extra-field",
+        "valueless-bound-with-value"])
+def test_import_rejects_data_it_would_drop(tmp_path, line, new, message):
+    """Like ``test_import_rejects_malformed_line``: line ``line`` of the
+    small model is replaced by ``new``, whose last line is the faulty one."""
+    lines = list(_SMALL_MPS)
+    lines[line - 1:line] = new
+    path = tmp_path / "bad.mps"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        import_mps(path)
+    assert str(info.value) == f"{path}:{line + len(new) - 1}: {message}"
+
+
 def test_import_rejects_directory(tmp_path):
     for read in (import_mps, lambda path: import_solution(path, ["x0"])):
         with pytest.raises(ValueError) as info:

@@ -1,10 +1,15 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import powercurve_oracle
 from windplan.fileio import load_default_curves
 from windplan.powercurve import (
-    DEFAULT_CLASS_TABLE, SPEED_GRID, PowerCurve, apply_transfer, select_turbine,
-    smooth_power_curve,
+    _QUAD_STEP, DEFAULT_CLASS_TABLE, SPEED_GRID, PowerCurve, _kernel_layout, apply_transfer,
+    select_turbine, smooth_power_curve,
 )
 from windplan.timeseries import TimeSeries
 
@@ -119,3 +124,79 @@ def test_default_class_table_covers_examples():
     curves = load_default_curves()
     for _, curve_id in DEFAULT_CLASS_TABLE:
         assert curve_id in curves
+
+
+# ---------------------------------------------------------------------------
+# Smoothing on the cached distance layout
+# ---------------------------------------------------------------------------
+
+_PACKAGED = load_default_curves()
+
+
+def _nominal_ramp(cut_in, ramp, flat, exponent) -> PowerCurve:
+    """Zero to cut-in, ``u ** exponent`` up to rated speed, one to cut-out."""
+    rated = cut_in + ramp
+    u = np.linspace(0.0, 1.0, 8)
+    return PowerCurve(np.concatenate(([0.0], cut_in + ramp * u, [rated + flat])),
+                      np.concatenate(([0.0], u ** exponent, [1.0])),
+                      cut_in=cut_in, rated_speed=rated, cut_out=rated + flat)
+
+
+_curves = st.one_of(
+    st.sampled_from(sorted(_PACKAGED)),
+    st.tuples(st.floats(0.0, 12.0), st.floats(0.5, 15.0), st.floats(0.0, 15.0),
+              st.floats(0.5, 3.0)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_curves, st.floats(1e-4, 50.0))
+@example("high_wind", 1e-4)
+@example("low_wind", 35.0 / 3.0)  # the 3-sigma cut at exactly 35 m/s
+@example("high_wind", 50.0)
+@example((3.0, 9.0, 10.0, 1.0), 35.0 / 3.0)
+def test_smoothing_matches_dense_oracle(spec, sigma):
+    curve = _PACKAGED[spec] if isinstance(spec, str) else _nominal_ramp(*spec)
+    out = smooth_power_curve(curve, sigma)
+    ref = powercurve_oracle.smooth_power_curve(curve, sigma)
+    assert out.powers.tobytes() == ref.powers.tobytes()
+    assert out.speeds.tobytes() == ref.speeds.tobytes()
+    assert (out.cut_in, out.rated_speed, out.cut_out, out.smoothed) == (
+        ref.cut_in, ref.rated_speed, ref.cut_out, ref.smoothed)
+
+
+def test_kernel_layout_rebuilds_distances_and_is_read_only():
+    quad, distinct, inverse = _kernel_layout()
+    dense_quad = np.arange(0.0, 35.0 + _QUAD_STEP / 2, _QUAD_STEP)
+    assert quad.tobytes() == dense_quad.tobytes()
+    dist = np.abs(SPEED_GRID[:, None] - dense_quad[None, :])
+    assert inverse.shape == dist.shape and inverse.dtype == np.intp
+    assert distinct[inverse].tobytes() == dist.tobytes()
+    assert np.all(np.diff(distinct) > 0)
+    assert _kernel_layout() is _kernel_layout()
+    for array in (quad, distinct, inverse):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
+def test_kernel_layout_not_built_at_import():
+    code = ("import windplan, windplan.powercurve as p; "
+            "assert p._kernel_layout.cache_info().currsize == 0")
+    subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def test_smooth_rejects_nan_sigma(ramp_curve):
+    with pytest.raises(ValueError, match="^sigma must be non-negative$"):
+        smooth_power_curve(ramp_curve, float("nan"))
+
+
+@pytest.mark.parametrize("speeds, powers", [
+    ([0.0, 1.0, 2.0], [0.0, float("nan"), 1.0]),
+    ([0.0, float("nan"), 2.0], [0.0, 0.5, 1.0]),
+    ([0.0, 1.0, float("inf")], [0.0, 0.5, 1.0]),
+    ([float("-inf"), 1.0, 2.0], [0.0, 0.5, 1.0]),
+], ids=["nan-power", "nan-speed", "inf-speed", "minus-inf-speed"])
+def test_curve_rejects_non_finite_breakpoints(speeds, powers):
+    with pytest.raises(ValueError, match="^breakpoint speeds and powers must be finite$"):
+        PowerCurve(speeds, powers, cut_in=0.0, rated_speed=1.0, cut_out=2.0, smoothed=True)

@@ -7,8 +7,8 @@ from helpers import (
 )
 from windplan.resource import CriticalityMatrix, build_criticality_matrix
 from windplan.siting import (
-    AnnealParams, adjust_cardinality, block_spread, build_comp_mir, build_plan,
-    compute_cardinalities, coverage_count, greedy_init, local_search,
+    AnnealParams, CardinalityPlan, _finish_solution, adjust_cardinality, block_spread,
+    build_comp_mir, build_plan, compute_cardinalities, coverage_count, greedy_init, local_search,
     mir_solution_to_init, residual_demand, residual_summary, run_multistart,
     SitingSolution, sample_neighbor, solve_prod,
 )
@@ -547,3 +547,33 @@ def test_matrix_must_follow_catalog_order(swap_setup):
                  lambda: build_comp_mir(permuted, catalog, plan)):
         with pytest.raises(ValueError, match="catalog order"):
             call()
+
+
+@pytest.fixture
+def plan_for_a_only():
+    """Six sites, A = s00-s02 and B = s03-s05 with s04 legacy; the plan
+    holds a quota for A only."""
+    catalog = build_catalog(np.full((6, 4), 0.5), ["A"] * 3 + ["B"] * 3,
+                            legacy_MW=[0.0, 0.0, 0.0, 0.0, 150.0, 0.0])
+    plan = CardinalityPlan(plan_for(catalog, {"A": 2, "B": 2}).quotas[:1])
+    return catalog, plan
+
+
+def test_finish_solution_rejects_ids_not_in_catalog(plan_for_a_only):
+    catalog, plan = plan_for_a_only
+    with pytest.raises(ValueError, match=r"^selected ids not in the catalog: \['nope', 'zz'\]$"):
+        _finish_solution(catalog, plan, {"nope", "s00", "s01", "s04", "zz"}, 0.0, "comp")
+
+
+def test_finish_solution_rejects_sites_outside_every_quota(plan_for_a_only):
+    catalog, plan = plan_for_a_only
+    with pytest.raises(ValueError, match=r"^selected sites outside every quota: \['s03', 's05'\]$"):
+        _finish_solution(catalog, plan, {"s00", "s01", "s03", "s04", "s05"}, 0.0, "comp")
+    m = random_matrix(np.random.default_rng(3), 6, 8)
+    with pytest.raises(ValueError, match=r"^selected sites outside every quota: \['s05'\]$"):
+        sample_neighbor({"s00", "s01", "s04", "s05"}, m, catalog, plan, 1,
+                        np.random.default_rng(1))
+    # a legacy site outside every quota is required, not rejected
+    solution = _finish_solution(catalog, plan, {"s00", "s01", "s04"}, 0.0, "comp")
+    assert solution.selected == {"s00", "s01", "s04"}
+    assert solution.per_partition_counts == {"A": 2}
