@@ -34,14 +34,15 @@ _B36 = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 _B36_PAIRS = np.array([low + high for high in _B36 for low in _B36], dtype=object)
 
 
-def _short_forms(names: Sequence[str], salt: int) -> list[str]:
+def _short_forms(names: Sequence[str], salt: int | np.ndarray) -> list[str]:
     """``<first 3 non-space chars>~<4 base-36 digits>`` of every name, the
-    digits (low first) from the 32-bit FNV-1a hash of its UTF-8 bytes."""
+    digits (low first) from the 32-bit FNV-1a hash of its UTF-8 bytes; one
+    salt for all names or one per name."""
     data = [name.encode() for name in names]
     lengths = np.fromiter(map(len, data), dtype=np.int64, count=len(data))
     padded = np.zeros((lengths.max(initial=0), len(data)), dtype=np.uint8)  # row k: byte k
     padded.T[lengths[:, None] > np.arange(len(padded))] = np.frombuffer(b"".join(data), np.uint8)
-    h = np.full(len(data), 2166136261 ^ salt, dtype=np.uint64)
+    h = np.full(len(data), 2166136261, dtype=np.uint64) ^ np.asarray(salt, dtype=np.uint64)
     for k, byte in enumerate(padded):
         h = np.where(lengths > k, (h ^ byte) * np.uint64(16777619) & np.uint64(0xFFFFFFFF), h)
     digits = _B36_PAIRS[h % 1296] + _B36_PAIRS[h // 1296 % 1296]
@@ -55,18 +56,36 @@ def mangle_names(names: Sequence[str]) -> tuple[list[str], dict[str, str]]:
     ``<first 3 chars>~<4-char hash>``, probing the hash salt until unique.
     Returns the final names and a map from mangled name to original for
     every name that changed.
+
+    First come, first served: each name gets the first of its candidates
+    (the name itself or its salt-0 form, then its forms at the next salts)
+    that no earlier name got.  The names still probing are hashed together,
+    one salt round at a time; a name whose form a later name holds takes it
+    and sends the later name on to its next salt, which ends in the same
+    assignment as placing the names one by one.
     """
     shorts = iter(_short_forms([name for name in names if len(name) > 8], 0))
     out = [next(shorts) if len(name) > 8 else name for name in names]
-    used: set[str] = set()
+    salt = [0 if len(name) > 8 else -1 for name in names]  # of out[i]; -1: the name itself
+    holder: dict[str, int] = {}
+    probing = []
     for i, candidate in enumerate(out):
-        if candidate in used:  # a repeated name or a hash collision: probe the salt
-            salt = 0 if candidate == names[i] else 1
-            while candidate in used:
-                candidate = _short_forms([names[i]], salt)[0]
-                salt += 1
-            out[i] = candidate
-        used.add(candidate)
+        if holder.setdefault(candidate, i) != i:  # a repeated name or a hash collision
+            probing.append(i)
+    while probing:
+        for i in probing:
+            salt[i] += 1
+        forms = _short_forms([names[i] for i in probing], np.array([salt[i] for i in probing]))
+        turned_away = []
+        for i, form in zip(probing, forms):
+            j = holder.setdefault(form, i)
+            if j < i:
+                turned_away.append(i)
+                continue
+            out[i], holder[form] = form, i
+            if j > i:  # a later name held the form
+                turned_away.append(j)
+        probing = turned_away
     return out, {short: name for short, name in zip(out, names) if short != name}
 
 
@@ -207,6 +226,7 @@ def import_mps(path: str | Path) -> CanonicalLp:
     rhs: dict[str, float] = {}
     bounds_lo: dict[str, float] = {}
     bounds_up: dict[str, float] = {}
+    bound_kinds: set[tuple[str, str]] = set()
     in_integer = False
 
     def ensure_var(token: str) -> None:
@@ -254,6 +274,8 @@ def import_mps(path: str | Path) -> CanonicalLp:
                 ensure_var(var)
                 for row, val in _pairs(tokens[1:]):
                     if row == objective_row:
+                        if var in obj_coeff:
+                            raise ValueError(f"duplicate objective entry for column {var!r}")
                         obj_coeff[var] = val
                     elif row in row_sense:
                         key = (row, var)
@@ -280,6 +302,9 @@ def import_mps(path: str | Path) -> CanonicalLp:
                     raise ValueError(f"{kind} bound needs {_BOUND_FIELDS[kind]} fields, "
                                      f"got {len(tokens)}")
                 var = tokens[2]
+                if (kind, var) in bound_kinds:
+                    raise ValueError(f"duplicate {kind} bound for column {var!r}")
+                bound_kinds.add((kind, var))
                 ensure_var(var)
                 if kind == "UP":
                     bounds_up[var] = _number(tokens[3])

@@ -9,6 +9,7 @@ complementarity siting scheme.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -25,6 +26,11 @@ DEFAULT_SMOOTHING_FACTOR = 0.15
 
 _MATRIX_MAGIC = b"WCRM"
 _MATRIX_VERSION = 1
+
+#: Float64 bytes per block of sites in the criticality build.
+_BLOCK_BYTES = 2 << 20
+#: Weight of each of 8 consecutive sites in a packed byte, first site highest.
+_BIT_WEIGHTS = np.array([128, 64, 32, 16, 8, 4, 2, 1], dtype=np.uint8)[:, None]
 
 
 @dataclass(frozen=True)
@@ -135,7 +141,12 @@ class SiteCatalog:
 
     @cached_property
     def cf_matrix(self) -> np.ndarray:
-        """Capacity factors as a (sites, periods) matrix in catalog order."""
+        """Capacity factors as a (sites, periods) matrix in catalog order.
+
+        The first access stacks a full float64 copy of every series and
+        keeps it for the catalog's lifetime; ``build_criticality_matrix``
+        reads the series block by block and never builds it.
+        """
         mat = np.stack([site.capacity_factors.values for site in self.sites])
         mat.setflags(write=False)
         return mat
@@ -188,7 +199,11 @@ class CriticalityMatrix:
 
     @cached_property
     def dense(self) -> np.ndarray:
-        """Unpacked matrix as (sites, windows) uint8, read-only."""
+        """Unpacked matrix as (sites, windows) uint8, read-only.
+
+        Matrices from ``from_bool`` and ``build_criticality_matrix`` carry
+        it from the start; others unpack ``packed_rows`` on first access.
+        """
         bits = np.unpackbits(self.packed_rows, axis=1)[:, : self.n_sites]
         cols = np.ascontiguousarray(bits.T)
         cols.setflags(write=False)
@@ -205,8 +220,37 @@ class CriticalityMatrix:
         """Pack a boolean (sites, windows) matrix into row-major bit rows."""
         matrix = np.asarray(matrix, dtype=bool)
         n_sites, n_windows = matrix.shape
-        packed = np.packbits(matrix.T, axis=1)
-        return cls(n_windows, n_sites, packed, threshold_c, window_length, site_ids)
+        return cls._from_blocks(n_sites, n_windows, [(0, matrix)], threshold_c, window_length,
+                                site_ids)
+
+    @classmethod
+    def _from_blocks(
+        cls,
+        n_sites: int,
+        n_windows: int,
+        blocks: Iterable[tuple[int, np.ndarray]],
+        threshold_c: int,
+        window_length: int,
+        site_ids: tuple[str, ...],
+    ) -> "CriticalityMatrix":
+        """Matrix from ``(first site, bool (sites, windows) block)`` pairs
+        covering every site once.  Each block's first site is a multiple of
+        8, so it fills whole bytes: its rows go into ``dense`` and its bytes
+        of ``packed_rows``, most significant bit first, at once."""
+        rows = -(-n_sites // 8) * 8
+        dense = np.zeros((rows, n_windows), dtype=np.uint8)  # zero rows pad the last byte
+        packed = np.empty((rows // 8, n_windows), dtype=np.uint8)  # byte-major until the end
+        for start, covered in blocks:
+            end = start + len(covered)
+            stop = -(-end // 8) * 8
+            dense[start:end] = covered
+            bits = dense[start:stop].reshape((stop - start) // 8, 8, n_windows) * _BIT_WEIGHTS
+            np.sum(bits, axis=1, dtype=np.uint8, out=packed[start // 8 : stop // 8])
+        matrix = cls(n_windows, n_sites, packed.T, threshold_c, window_length, site_ids)
+        dense = dense[:n_sites]
+        dense.setflags(write=False)
+        object.__setattr__(matrix, "dense", dense)  # fills the cached property
+        return matrix
 
     def to_bytes(self) -> bytes:
         """Serialize to the packed binary interchange format.
@@ -238,6 +282,12 @@ class CriticalityMatrix:
         return cls(int(w), int(l), rows, int(c), int(delta), site_ids)
 
 
+def _block_sites(periods: int) -> int:
+    """Sites per criticality build block: ``_BLOCK_BYTES`` of float64
+    series, rounded down to a multiple of 8 and at least 8."""
+    return max(8, _BLOCK_BYTES // (8 * periods) // 8 * 8)
+
+
 def build_criticality_matrix(
     catalog: SiteCatalog,
     demand: TimeSeries,
@@ -253,6 +303,14 @@ def build_criticality_matrix(
     per-site share ``varsigma * window_demand / k``; the comparison is
     non-strict.  Window demand is aggregated with the same mean measure as
     the capacity factors so both sides average over identical spans.
+
+    The matrix is built in blocks of sites (``_BLOCK_BYTES`` of float64
+    series, a multiple of 8 sites), straight from the sites' series, and
+    each block is written into ``dense`` and its byte columns of
+    ``packed_rows`` at once.  No float array larger than one block is made,
+    so beyond the returned matrix (9/8 byte per cell) the build needs a few
+    blocks' worth of memory, not several (sites, periods) float64 copies;
+    ``catalog.cf_matrix`` is not built.
     """
     if len(demand) != catalog.time_length:
         raise ValueError(
@@ -263,15 +321,24 @@ def build_criticality_matrix(
     if k < 1:
         raise ValueError("k must be >= 1")
     window_demand = window_values(demand.values, delta)  # also validates delta
-    window_cf = np.lib.stride_tricks.sliding_window_view(catalog.cf_matrix, int(delta), axis=1).mean(axis=2)
-    potentials = np.array([site.technical_potential_MW for site in catalog.sites])
+    delta = int(delta)
     reference = varsigma * window_demand / k
-    covered = potentials[:, None] * window_cf >= reference[None, :]
-    return CriticalityMatrix.from_bool(
-        covered,
-        threshold_c=c,
-        window_length=int(delta),
-        site_ids=tuple(site.id for site in catalog.sites),
+    sites = catalog.sites
+    step = _block_sites(catalog.time_length)
+
+    def blocks():
+        for start in range(0, len(sites), step):
+            chunk = sites[start : start + step]
+            cf = np.stack([site.capacity_factors.values for site in chunk])
+            # a one-period mean is the value itself, as in window_values
+            window_cf = cf if delta == 1 else (
+                np.lib.stride_tricks.sliding_window_view(cf, delta, axis=1).mean(axis=2))
+            potentials = np.array([site.technical_potential_MW for site in chunk])
+            # in place: the product takes no float block of its own
+            yield start, np.multiply(potentials[:, None], window_cf, out=window_cf) >= reference
+
+    return CriticalityMatrix._from_blocks(
+        len(sites), reference.size, blocks(), c, delta, tuple(site.id for site in sites)
     )
 
 

@@ -210,6 +210,9 @@ def test_solve_after_round_trip_agrees(tmp_path):
 COLLIDING = ("balance_row_5658", "balance_row_9302")
 PROBE_NAMES = COLLIDING + (f"bal~{mps_oracle._hash36(COLLIDING[1], 0)}",
                            f"bal~{mps_oracle._hash36(COLLIDING[1], 1)}")
+# A long name whose salt-0 form is the second colliding name's salt-1 form
+# (PROBE_NAMES[3]): after COLLIDING it must probe in turn.
+CHAINED = "balance_row_4303106"
 NAME_CHARS = st.sampled_from(list("ab_|Z09") + [" ", "\t", "\u3000", "\x1c", "é", "Ω", "中", "😀"])
 NAMES = st.one_of(st.text(NAME_CHARS, max_size=7), st.text(NAME_CHARS, min_size=8, max_size=8),
                   st.text(NAME_CHARS, min_size=9, max_size=30), st.text(max_size=12))
@@ -285,8 +288,10 @@ def test_integer_runs_match_oracle(tmp_path, integer):
     list(COLLIDING), [PROBE_NAMES[2], COLLIDING[1]], [PROBE_NAMES[2], PROBE_NAMES[3], COLLIDING[1]],
     [COLLIDING[1], PROBE_NAMES[2]], ["x", "x", "x"], [" a b", " a b", "\u3000a"],
     ["Ωmega_long_name", "Ωmega_long_name", "中中中中中中中中中"], ["", "", "12345678", "123456789"],
+    [*COLLIDING, PROBE_NAMES[3]], [*COLLIDING, CHAINED], [*COLLIDING, CHAINED, CHAINED, "x", "x"],
 ], ids=["hash-collision", "taken-by-short", "double-probe", "short-after-long", "repeats",
-        "whitespace", "non-ascii", "lengths"])
+        "whitespace", "non-ascii", "lengths", "probe-chain-short", "probe-chain-long",
+        "probe-chain-repeats"])
 def test_mangle_matches_oracle(names):
     assert mangle_names(names) == mps_oracle.mangle_names(names)
 
@@ -296,6 +301,16 @@ def test_collisions_probe_the_salt():
     assert out[0] == PROBE_NAMES[2] and out[1] != out[0]
     out, _ = mangle_names([PROBE_NAMES[2], PROBE_NAMES[3], COLLIDING[1]])
     assert out[2] not in PROBE_NAMES
+
+
+def test_probed_form_sends_a_later_name_on():
+    # the later name's first candidate is the earlier name's probed form
+    assert mps_oracle._hash36(CHAINED, 0) == mps_oracle._hash36(COLLIDING[1], 1)
+    for later in (PROBE_NAMES[3], CHAINED):
+        out, table = mangle_names([*COLLIDING, later])
+        assert out[:2] == list(PROBE_NAMES[2:])
+        assert out[2] == f"{later[:3]}~{mps_oracle._hash36(later, 0 if later == PROBE_NAMES[3] else 1)}"
+        assert table[out[2]] == later
 
 
 @settings(max_examples=200, deadline=None)
@@ -369,8 +384,17 @@ def test_import_rejects_malformed_line(tmp_path, line, new, message):
     (8, ["    RHS  r0  1.0", "    RHS  r0  7.0"], "duplicate RHS entry for row 'r0'"),
     (10, [" UP BND  x0  4.0  9.0"], "UP bound needs 4 fields, got 5"),
     (10, [" UP BND  x0  4.0", " MI BND  x0  0.0"], "MI bound needs 3 fields, got 4"),
+    (6, ["    x0  COST  1.0  COST  5.0"], "duplicate objective entry for column 'x0'"),
+    (6, ["    x0  COST  1.0  r0  1.0", "    x0  COST  5.0"],
+     "duplicate objective entry for column 'x0'"),
+    (10, [" UP BND  x0  4.0", " UP BND  x0  9.0"], "duplicate UP bound for column 'x0'"),
+    (10, [" LO BND  x0  1.0", " UP BND  x0  4.0", " LO BND  x0  2.0"],
+     "duplicate LO bound for column 'x0'"),
+    (10, [" UP BND  x0  4.0", " MI BND  x0", " MI BND  x0"], "duplicate MI bound for column 'x0'"),
 ], ids=["rhs-repeated-on-line", "rhs-repeated-on-next-line", "bound-extra-field",
-        "valueless-bound-with-value"])
+        "valueless-bound-with-value", "objective-repeated-on-line",
+        "objective-repeated-on-next-line", "up-bound-repeated", "lo-bound-repeated",
+        "mi-bound-repeated"])
 def test_import_rejects_data_it_would_drop(tmp_path, line, new, message):
     """Like ``test_import_rejects_malformed_line``: line ``line`` of the
     small model is replaced by ``new``, whose last line is the faulty one."""

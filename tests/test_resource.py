@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import criticality_oracle
 from helpers import build_catalog
 from windplan.fileio import load_default_curves
 from windplan.resource import (
-    CriticalityMatrix, SiteCatalog, build_criticality_matrix,
+    CriticalityMatrix, SiteCatalog, _block_sites, build_criticality_matrix,
     capacity_factors_from_speeds, make_site,
 )
 from windplan.timeseries import TimeSeries, window_values
@@ -121,6 +125,71 @@ def test_matrix_window_cf_equals_per_row_windows():
         expected = potentials[:, None] * window_cf >= reference[None, :]
         matrix = build_criticality_matrix(catalog, demand, 0.3, 3, delta, 2)
         assert np.array_equal(matrix.dense.astype(bool), expected)
+
+
+# The shortest series whose block is the minimum of 8 sites.
+LONG = next(p for p in range(1, 1 << 24) if _block_sites(p) == 8)
+QUARTERS = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+@st.composite
+def criticality_cases(draw):
+    """Site count (around one and two blocks), periods, window length, seed
+    and whether capacity factors and demand are chosen to tie."""
+    periods = draw(st.one_of(st.integers(600, 3000), st.just(LONG)))
+    block = _block_sites(periods)
+    n_sites = draw(st.sampled_from([1, 7, 8, 9, block - 1, block, block + 1, 2 * block + 3]))
+    return (n_sites, periods, draw(st.sampled_from([1, 2, 5])), draw(st.integers(0, 2**32 - 1)),
+            draw(st.booleans()))
+
+
+@settings(max_examples=30, deadline=None)
+@given(criticality_cases())
+@example((_block_sites(2920) - 1, 2920, 1, 0, False))
+@example((_block_sites(2920) + 1, 2920, 2, 1, True))
+@example((2 * _block_sites(2920) + 3, 2920, 5, 2, False))
+@example((2 * 8 + 3, LONG, 1, 3, True))
+@example((9, 700, 5, 4, True))
+def test_matrix_matches_full_matrix_oracle(case):
+    n_sites, periods, delta, seed, ties = case
+    rng = np.random.default_rng(seed)
+    if ties:  # quarters times 400 MW against 400 MW shares of the last site's output
+        cf = rng.choice(QUARTERS, (n_sites, periods))
+        potentials, demand = [400.0] * n_sites, TimeSeries(3200.0 * cf[-1])
+        varsigma, k = 0.5, 4
+    else:
+        cf = rng.uniform(0.0, 1.0, (n_sites, periods))
+        potentials, demand = rng.uniform(100.0, 1000.0, n_sites), TimeSeries(
+            rng.uniform(500.0, 5000.0, periods))
+        varsigma, k = 0.3, 3
+    catalog = build_catalog(cf, "P", potentials=potentials)
+    got = build_criticality_matrix(catalog, demand, varsigma, k, delta, 1)
+    want = criticality_oracle.build_criticality_matrix(catalog, demand, varsigma, k, delta, 1)
+    assert (got.n_windows, got.n_sites, got.window_length, got.site_ids) == (
+        want.n_windows, want.n_sites, want.window_length, want.site_ids)
+    assert got.packed_rows.tobytes() == want.packed_rows.tobytes()
+    want_dense = criticality_oracle.dense(want)
+    assert got.dense.shape == want_dense.shape and got.dense.dtype == want_dense.dtype
+    assert got.dense.tobytes() == want_dense.tobytes()
+    if ties and delta < 5:  # window means of quarters are exact: the last site ties
+        assert got.dense[-1].all()
+
+
+def test_matrix_build_memory_is_bounded():
+    """The build plus ``dense`` stays under half of one float64 (sites,
+    periods) matrix; a full-matrix build peaks at about three."""
+    n_sites = 16 * _block_sites(LONG) + 3  # 17 blocks, the last one partial
+    rng = np.random.default_rng(9)
+    catalog = build_catalog(rng.uniform(0.0, 1.0, (n_sites, LONG)), "P",
+                            potentials=rng.uniform(100.0, 1000.0, n_sites))
+    demand = TimeSeries(rng.uniform(500.0, 5000.0, LONG))
+    tracemalloc.start()
+    try:
+        build_criticality_matrix(catalog, demand, 0.3, 3, 1, 1).dense
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * n_sites * LONG * 8
 
 
 def test_matrix_rejects_bad_inputs():
