@@ -29,8 +29,6 @@ _MATRIX_VERSION = 1
 
 #: Float64 bytes per block of sites in the criticality build.
 _BLOCK_BYTES = 2 << 20
-#: Weight of each of 8 consecutive sites in a packed byte, first site highest.
-_BIT_WEIGHTS = np.array([128, 64, 32, 16, 8, 4, 2, 1], dtype=np.uint8)[:, None]
 
 
 @dataclass(frozen=True)
@@ -236,18 +234,14 @@ class CriticalityMatrix:
         """Matrix from ``(first site, bool (sites, windows) block)`` pairs
         covering every site once.  Each block's first site is a multiple of
         8, so it fills whole bytes: its rows go into ``dense`` and its bytes
-        of ``packed_rows``, most significant bit first, at once."""
-        rows = -(-n_sites // 8) * 8
-        dense = np.zeros((rows, n_windows), dtype=np.uint8)  # zero rows pad the last byte
-        packed = np.empty((rows // 8, n_windows), dtype=np.uint8)  # byte-major until the end
+        of ``packed_rows`` at once."""
+        dense = np.empty((n_sites, n_windows), dtype=np.uint8)
+        packed = np.empty((n_windows, (n_sites + 7) // 8), dtype=np.uint8)
         for start, covered in blocks:
-            end = start + len(covered)
-            stop = -(-end // 8) * 8
-            dense[start:end] = covered
-            bits = dense[start:stop].reshape((stop - start) // 8, 8, n_windows) * _BIT_WEIGHTS
-            np.sum(bits, axis=1, dtype=np.uint8, out=packed[start // 8 : stop // 8])
-        matrix = cls(n_windows, n_sites, packed.T, threshold_c, window_length, site_ids)
-        dense = dense[:n_sites]
+            dense[start : start + len(covered)] = covered
+            bits = np.packbits(np.ascontiguousarray(covered.T), axis=1)  # ~3x faster contiguous
+            packed[:, start // 8 : start // 8 + bits.shape[1]] = bits
+        matrix = cls(n_windows, n_sites, packed, threshold_c, window_length, site_ids)
         dense.setflags(write=False)
         object.__setattr__(matrix, "dense", dense)  # fills the cached property
         return matrix
@@ -329,10 +323,8 @@ def build_criticality_matrix(
     def blocks():
         for start in range(0, len(sites), step):
             chunk = sites[start : start + step]
-            cf = np.stack([site.capacity_factors.values for site in chunk])
-            # a one-period mean is the value itself, as in window_values
-            window_cf = cf if delta == 1 else (
-                np.lib.stride_tricks.sliding_window_view(cf, delta, axis=1).mean(axis=2))
+            window_cf = window_values(np.stack([site.capacity_factors.values for site in chunk]),
+                                      delta)
             potentials = np.array([site.technical_potential_MW for site in chunk])
             # in place: the product takes no float block of its own
             yield start, np.multiply(potentials[:, None], window_cf, out=window_cf) >= reference

@@ -81,20 +81,23 @@ def resample_mean(series: TimeSeries, factor: int) -> TimeSeries:
 
 
 def window_values(values: np.ndarray, delta: int) -> np.ndarray:
-    """Means of all overlapping windows of ``delta`` consecutive entries.
+    """Means of all overlapping windows of ``delta`` consecutive entries
+    along the last axis.
 
-    Successive windows share ``delta - 1`` entries, so a length-T input
-    yields ``T - delta + 1`` window values.
+    Successive windows share ``delta - 1`` entries, so a length-T series
+    yields ``T - delta + 1`` window values; a (sites, T) block yields one
+    such row per site.  The result is always a new array.
     """
     if delta < 1 or int(delta) != delta:
         raise ValueError("delta must be a positive integer")
     delta = int(delta)
-    if delta > values.size:
-        raise ValueError(f"window length {delta} exceeds series length {values.size}")
+    length = values.shape[-1]
+    if delta > length:
+        raise ValueError(f"window length {delta} exceeds series length {length}")
     if delta == 1:
         return np.array(values, dtype=np.float64)
-    view = np.lib.stride_tricks.sliding_window_view(values, delta)
-    return view.mean(axis=1)
+    view = np.lib.stride_tricks.sliding_window_view(values, delta, axis=-1)
+    return view.mean(axis=-1)
 
 
 def window_aggregate(cf: TimeSeries, delta: int, measure: str = "mean") -> np.ndarray:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from windplan.timeseries import TimeSeries, empirical_quantile, resample_mean, window_aggregate
+from windplan.timeseries import (
+    TimeSeries, empirical_quantile, resample_mean, window_aggregate, window_values,
+)
 
 
 def test_validation_rejects_bad_series():
@@ -77,6 +79,18 @@ def test_window_count_is_t_minus_delta_plus_one():
         assert window_aggregate(cf, delta).size == 50 - delta + 1
     with pytest.raises(ValueError):
         window_aggregate(cf, 51)
+
+
+def test_window_values_on_a_block_windows_each_row():
+    rng = np.random.default_rng(1)
+    block = rng.uniform(0, 1, (5, 40))
+    for delta in (1, 2, 7, 40):
+        out = window_values(block, delta)
+        rows = np.stack([window_values(row, delta) for row in block])
+        assert out.tobytes() == rows.tobytes()
+        assert not np.shares_memory(out, block)
+    with pytest.raises(ValueError):
+        window_values(block, 41)
 
 
 def test_window_rejects_other_measures():
