@@ -314,13 +314,18 @@ def _out_dir(config: PipelineConfig, override: str | None) -> Path:
     return out
 
 
-def _read_selected(path: Path) -> frozenset[str]:
+def _read_selected(path: Path, catalog) -> frozenset[str]:
+    """The site ids of a siting output, each of which the catalog must hold."""
     if not path.exists():
         raise DataError(f"siting output {path} not found; run the site stage first")
     doc = json.loads(fileio._read(path))
     if not isinstance(doc, dict) or "site_ids" not in doc:
         raise DataError(f"siting output {path} has no site_ids")
-    return frozenset(fileio.list_of(fileio.string)(doc["site_ids"], f"{path.name} site_ids"))
+    selected = frozenset(fileio.list_of(fileio.string)(doc["site_ids"], f"{path.name} site_ids"))
+    unknown = selected - {site.id for site in catalog.sites}
+    if unknown:
+        raise DataError(f"siting output {path} names sites not in the catalog: {sorted(unknown)}")
+    return selected
 
 
 @functools.cache
@@ -364,7 +369,7 @@ def main(argv=None) -> int:
         catalog, demand = _load_stage_inputs(config)
         if args.command == "cep":
             run_cep(config, out_dir, catalog, demand,
-                    _read_selected(out_dir / "siting_solution.json"))
+                    _read_selected(out_dir / "siting_solution.json", catalog))
             return EXIT_OK
         plan, solution, matrix = run_siting(
             config, out_dir, catalog, demand, threads=args.threads, seed_override=args.seed

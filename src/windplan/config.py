@@ -1,10 +1,11 @@
 """The run configuration: one ``config.json``, parsed and checked once.
 
 :func:`load_config` turns the document into frozen dataclasses.  Each field
-carries its default and the checker of its raw value; an unknown key, a
-wrong type or a value out of range raises ``ValueError`` naming its key
-path.  ``cep`` records arrive as built ``Technology``, ``Placement`` and
-``Line`` objects, with the period weight and the CO2 budget resolved.
+carries its default, and the checker of its raw value unless its annotation
+names one (:func:`windplan.fileio.field_checks`); an unknown key, a wrong
+type or a value out of range raises ``ValueError`` naming its key path.
+``cep`` records arrive as built ``Technology``, ``Placement`` and ``Line``
+objects, with the period weight and the CO2 budget resolved.
 """
 
 from __future__ import annotations
@@ -13,13 +14,14 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Mapping
 
 from windplan.cep import DEFAULT_CONNECTION_SHARE, Line, Placement, Technology, with_connection_cost
 from windplan.fileio import (
-    boolean, checker, integer, line_from_dict, list_of, number, optional, placement_from_dict,
-    record_from_dict, string, technology_from_dict, typed_fields,
+    checker, field_checks, integer, list_of, mapping, number, optional, record_from_dict, string,
+    technology_from_dict, typed_fields,
 )
 from windplan.resource import DEFAULT_LEGACY_THRESHOLD_MW, DEFAULT_SMOOTHING_FACTOR
 from windplan.siting import (
@@ -32,10 +34,6 @@ def _key(check, **default):
     return dataclasses.field(metadata={"check": check}, **default)
 
 
-def _checks(cls) -> dict:
-    return {f.name: f.metadata["check"] for f in dataclasses.fields(cls) if f.metadata}
-
-
 _POSITIVE = number("a positive number", lambda v: v > 0)
 _NON_NEGATIVE = number("a non-negative number", lambda v: v >= 0)
 _POSITIVE_INT = integer("a positive integer", lambda v: v >= 1)
@@ -46,15 +44,8 @@ def _one_of(*choices):
     return checker(lambda v: v in choices, " or ".join(map(repr, choices)))
 
 
-_object = checker(lambda v: isinstance(v, Mapping), "an object")
-
-
 def _targets(value, where) -> dict:
-    return {key: number()(item, f"{where}.{key}") for key, item in _object(value, where).items()}
-
-
-_ANNEAL_TYPES = {"iterations": integer(), "neighbors": integer(), "radius": integer(),
-                 "t0": number(), "decay": number(), "return_mode": string}
+    return {key: number()(item, f"{where}.{key}") for key, item in mapping(value, where).items()}
 
 # The sited offshore technology before cep.sited_technology overrides its
 # fields and the grid-connection share is added to its capex.
@@ -79,17 +70,15 @@ DEFAULT_FIRM = frozenset({"gas_turbine"})
 @dataclass(frozen=True)
 class SitingConfig:
     scheme: str = _key(_one_of("prod", "comp"), default="comp")
-    partitioned: bool = _key(boolean, default=True)
+    partitioned: bool = True
     targets_MW: Mapping[str, float] = _key(_targets, default_factory=dict)
     power_density_MW_km2: float = _key(_POSITIVE, default=DEFAULT_POWER_DENSITY_MW_KM2)
     site_area_km2: float = _key(_POSITIVE, default=DEFAULT_SITE_AREA_KM2)
     utilization: float = _key(_POSITIVE, default=DEFAULT_UTILIZATION)
     varsigma: float = _key(number("a number in (0, 1]", lambda v: 0 < v <= 1), default=0.3)
     delta: int = _key(_POSITIVE_INT, default=1)
-    coverage_threshold: int | None = _key(optional(integer()), default=None)  # None: ceil(k/2)
-    anneal: AnnealParams = _key(
-        lambda v, where: record_from_dict(AnnealParams, v, _ANNEAL_TYPES, where),
-        default=AnnealParams())
+    coverage_threshold: int | None = None  # None: ceil(k/2)
+    anneal: AnnealParams = _key(partial(record_from_dict, AnnealParams), default=AnnealParams())
     n_runs: int = _key(_POSITIVE_INT, default=30)
     base_seed: int = _key(_NON_NEGATIVE_INT, default=0)
     smoothing_factor: float = _key(_NON_NEGATIVE, default=DEFAULT_SMOOTHING_FACTOR)
@@ -104,19 +93,20 @@ class CepConfig:
     iteration_limit: int = _key(_NON_NEGATIVE_INT, default=200000)
     technologies: tuple[Technology, ...] = _key(list_of(technology_from_dict),
                                                 default=DEFAULT_TECHNOLOGIES)
-    placements: tuple[Placement, ...] | None = _key(list_of(placement_from_dict), default=None)
-    lines: tuple[Line, ...] | None = _key(list_of(line_from_dict), default=None)
+    placements: tuple[Placement, ...] | None = _key(list_of(partial(record_from_dict, Placement)),
+                                                    default=None)
+    lines: tuple[Line, ...] | None = _key(list_of(partial(record_from_dict, Line)), default=None)
     # load_config adds the grid-connection share to the capex
     sited_technology: Technology = _key(
-        lambda v, where: technology_from_dict({**_OFFSHORE, **_object(v, where)}, where),
+        lambda v, where: technology_from_dict({**_OFFSHORE, **mapping(v, where)}, where),
         default=technology_from_dict(_OFFSHORE))
     weight_hours: float | None = _key(_POSITIVE, default=None)  # None: period length
     co2_budget: float | None = _key(optional(_NON_NEGATIVE), default=None)
     firm_technologies: frozenset[str] | None = _key(
         lambda v, where: frozenset(list_of(string)(v, where)), default=None)
     discount_rate: float = _key(_NON_NEGATIVE, default=0.07)
-    storage_cyclic: bool = _key(boolean, default=True)
-    apply_line_losses: bool = _key(boolean, default=False)
+    storage_cyclic: bool = True
+    apply_line_losses: bool = False
 
     def placements_for(self, bus_ids) -> tuple[Placement, ...]:
         """The configured placements, or every technology at every bus."""
@@ -162,15 +152,17 @@ class PipelineConfig:
 _PATH_TYPES = dict.fromkeys(("catalog", "wind_speeds", "demand", "runoff", "hydro_params",
                              "curves_dir", "output_dir"), optional(string))
 
+# the CepConfig fields and the inputs _cep_config resolves
+_CEP_TYPES = {**field_checks(CepConfig), "offshore_connection_share": _NON_NEGATIVE,
+              "co2_budget_fraction": optional(_NON_NEGATIVE),
+              "co2_baseline_emissions": optional(_NON_NEGATIVE)}
+
 _TOP_TYPES = {
     "paths": lambda v, where: typed_fields(v, _PATH_TYPES, where),
     "resolution_hours": _POSITIVE,
     "resample_factor": _POSITIVE_INT,
-    "siting": lambda v, where: record_from_dict(SitingConfig, v, _checks(SitingConfig), where),
-    "cep": lambda v, where: typed_fields(v, {
-        **_checks(CepConfig), "offshore_connection_share": _NON_NEGATIVE,
-        "co2_budget_fraction": optional(_NON_NEGATIVE),
-        "co2_baseline_emissions": optional(_NON_NEGATIVE)}, where),
+    "siting": partial(record_from_dict, SitingConfig),
+    "cep": lambda v, where: typed_fields(v, _CEP_TYPES, where),
 }
 
 
@@ -179,18 +171,15 @@ def _cep_config(values: dict, period_hours: float) -> CepConfig:
     share = values.pop("offshore_connection_share", DEFAULT_CONNECTION_SHARE)
     fraction = values.pop("co2_budget_fraction", None)
     baseline = values.pop("co2_baseline_emissions", None)
-    cep = CepConfig(**values)
-    if cep.co2_budget is None and fraction is not None:
+    if values.get("co2_budget") is None and fraction is not None:
         if baseline is None:
             raise ValueError("cep.co2_budget_fraction given without co2_baseline_emissions")
-        cep = replace(cep, co2_budget=fraction * baseline)
-    if cep.weight_hours is None:
-        cep = replace(cep, weight_hours=period_hours)
-    sited = cep.sited_technology
-    if sited.capex is None:
-        return cep
-    return replace(cep, sited_technology=replace(
-        sited, capex=with_connection_cost(sited.capex, share)))
+        values["co2_budget"] = fraction * baseline
+    values.setdefault("weight_hours", period_hours)   # the JSON value is never null
+    sited = values.get("sited_technology", CepConfig.sited_technology)
+    if sited.capex is not None:
+        values["sited_technology"] = replace(sited, capex=with_connection_cost(sited.capex, share))
+    return CepConfig(**values)
 
 
 def load_config(path: str | Path) -> PipelineConfig:

@@ -14,10 +14,9 @@ Power curve CSV
     ``cut_out``, then ``wind_speed_ms, power_pu`` breakpoints.
 
 Hydro country CSV
-    Columns ``country, flood_threshold, ror_capacity_MW, sto_capacity_MW,
-    sto_energy_MWh, yearly_hydro_MWh, flow_multiplier, avg_head_m,
-    phs_power_MW, phs_energy_MWh, phs_duration_h`` (blank = unknown), one
-    row per country.
+    Columns are the fields of :class:`windplan.hydro.HydroCountryParams`,
+    in order, one row per country; a field whose default is ``None`` may
+    be blank (unknown).
 
 Runoff manifest CSV
     Columns ``cell_id, country, area_km2, series_path`` where the series
@@ -31,20 +30,28 @@ Siting solution
     JSON object plus a GeoJSON point collection for mapping.
 
 CEP instance
-    JSON document referencing time-series CSVs by relative path.
+    JSON object of the :class:`windplan.cep.CepInstance` fields plus
+    ``resolution_hours``; each record's keys are its dataclass's JSON
+    fields (:func:`field_checks`).  Series are references ``{"csv",
+    "column"}`` to time-series CSVs, relative to the document: ``demand``
+    on a bus, ``cf`` on a sited asset, ``availability`` and ``inflow`` on
+    a placement.
 
 Every reader raises ``ValueError`` naming the file, and the line where
 there is one, for an unreadable or non-UTF-8 file, a value that does not
-parse, a row with the wrong number of fields or a repeated id.
+parse, a row with the wrong number of fields, a repeated id or a
+malformed instance document.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import json
 import math
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -281,11 +288,7 @@ def load_curves_dir(directory: str | Path) -> dict[str, PowerCurve]:
 # Hydro CSVs
 # ---------------------------------------------------------------------------
 
-HYDRO_HEADER = (
-    "country", "flood_threshold", "ror_capacity_MW", "sto_capacity_MW", "sto_energy_MWh",
-    "yearly_hydro_MWh", "flow_multiplier", "avg_head_m", "phs_power_MW", "phs_energy_MWh",
-    "phs_duration_h",
-)
+HYDRO_HEADER = tuple(f.name for f in dataclasses.fields(HydroCountryParams))
 
 
 def write_hydro_params_csv(
@@ -303,15 +306,14 @@ def write_hydro_params_csv(
     return path
 
 
-_HYDRO_OPTIONAL = ("flow_multiplier", "phs_energy_MWh", "phs_duration_h")   # blank = unknown
-
-
 def read_hydro_params_csv(path: str | Path) -> dict[str, HydroCountryParams]:
+    """A blank field whose default is ``None`` is unknown."""
     path = Path(path)
+    fields = dataclasses.fields(HydroCountryParams)[1:]
     params = _read_table(path, HYDRO_HEADER, "hydro", lambda record: HydroCountryParams(
         country=record["country"], **{
-            key: None if key in _HYDRO_OPTIONAL and not record[key].strip()
-            else float(record[key]) for key in HYDRO_HEADER[1:]}))
+            f.name: None if f.default is None and not record[f.name].strip()
+            else float(record[f.name]) for f in fields}))
     _check_unique(path, [p.country for p in params], "country")
     return {p.country: p for p in params}
 
@@ -461,14 +463,33 @@ def list_of(parse):
 
 boolean = checker(lambda v: isinstance(v, bool), "true or false")
 string = checker(lambda v: isinstance(v, str), "a string")
+mapping = checker(lambda v: isinstance(v, Mapping), "an object")
+
+# The checker of a field by its annotation; ``float | str`` is a capacity credit.
+_SCALARS = {"str": string, "bool": boolean, "int": integer(), "float": number(),
+            "float | str": checker(lambda v: v == "computed" or _is_number(v),
+                                   "a number or 'computed'",
+                                   lambda v: v if v == "computed" else float(v))}
+_BY_ANNOTATION = {**_SCALARS, **{f"{kind} | None": optional(check)
+                                 for kind, check in _SCALARS.items()}}
+
+
+@functools.cache
+def field_checks(cls) -> Mapping:
+    """The JSON fields of dataclass ``cls``, each with the checker of its
+    raw value: the field's ``check`` metadata, else the checker its
+    annotation names.  A field of any other type (a series, a nested
+    record) is not a JSON field.  The read-only map is built once."""
+    checks = {f.name: f.metadata.get("check", _BY_ANNOTATION.get(f.type))
+              for f in dataclasses.fields(cls)}
+    return MappingProxyType({name: check for name, check in checks.items() if check})
 
 
 def typed_fields(doc, types: Mapping, where: str) -> dict:
     """The checked values of the keys a JSON object gives; each key must
     appear in ``types``, which maps it to its checker.  ``where`` is the
     object's key path, empty at a document's top level."""
-    if not isinstance(doc, Mapping):
-        raise ValueError(f"{where or 'the document'} must be an object, got {doc!r}")
+    mapping(doc, where or "the document")
     unknown = set(doc) - set(types)
     if unknown:
         raise ValueError(f"unknown {where or 'top-level'} fields: {sorted(unknown)}")
@@ -476,97 +497,59 @@ def typed_fields(doc, types: Mapping, where: str) -> dict:
             for key, value in doc.items()}
 
 
-def record_from_dict(cls, doc, types: Mapping, where: str):
-    """A ``cls`` dataclass from a JSON object; absent keys take the class
-    defaults, and a rejected value names its key path."""
-    kwargs = typed_fields(doc, types, where)
+def record_from_dict(cls, doc, where: str, **checks):
+    """A ``cls`` dataclass from a JSON object of its :func:`field_checks`
+    fields; ``checks`` add fields (series references) or replace checkers.
+    Absent keys take the class defaults, and a rejected value names its
+    key path."""
+    kwargs = typed_fields(doc, {**field_checks(cls), **checks} if checks else field_checks(cls),
+                          where)
     missing = [f.name for f in dataclasses.fields(cls) if f.name not in kwargs
                and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
+    at = f"{where}: " if where else ""
     if missing:
-        raise ValueError(f"{where}: missing fields {missing}")
+        raise ValueError(f"{at}missing fields {missing}")
     try:
         return cls(**kwargs)
     except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from exc
-
-
-_NUMBER, _OPTIONAL = number(), optional(number())
-
-_TECH_TYPES = {
-    "id": string, "kind": string, "capex": _OPTIONAL, "lifetime_years": _OPTIONAL,
-    "annuity": _OPTIONAL, "fixed_om": _NUMBER, "variable_om": _NUMBER, "fuel_cost": _NUMBER,
-    "efficiency": _NUMBER, "co2_per_mwh_th": _NUMBER, "ramp_up": _NUMBER, "ramp_down": _NUMBER,
-    "must_run": _NUMBER,
-    "capacity_credit": checker(lambda v: v == "computed" or _is_number(v),
-                               "a number or 'computed'",
-                               lambda v: v if v == "computed" else float(v)),
-    "charge_ratio": _NUMBER, "eta_charge": _NUMBER, "eta_discharge": _NUMBER,
-    "eta_self": _NUMBER, "min_soc": _NUMBER, "energy_capex": _OPTIONAL,
-    "energy_annuity": _OPTIONAL,
-}
-_PLACEMENT_TYPES = {
-    "bus": string, "tech": string, "legacy_MW": _NUMBER, "potential_MW": _OPTIONAL,
-    "legacy_energy_MWh": _NUMBER, "potential_energy_MWh": _OPTIONAL,
-}
-_LINE_TYPES = {
-    "id": string, "from_bus": string, "to_bus": string, "legacy_MW": _NUMBER,
-    "potential_MW": _OPTIONAL, "capex": _OPTIONAL, "lifetime_years": _OPTIONAL,
-    "annuity": _OPTIONAL, "fixed_om": _NUMBER, "variable_om": _NUMBER, "kind": string,
-    "length_km": _OPTIONAL, "efficiency_per_1000km": _NUMBER,
-}
-_INSTANCE_SCALARS = {
-    "weight_hours": _NUMBER, "co2_budget": _OPTIONAL, "shed_penalty": _NUMBER,
-    "discount_rate": _NUMBER, "storage_cyclic": boolean, "apply_line_losses": boolean,
-    "sited_technology": optional(string),
-}
+        raise ValueError(f"{at}{exc}") from exc
 
 
 def technology_from_dict(doc, where: str = "technology") -> Technology:
-    return record_from_dict(Technology, doc, _TECH_TYPES, where)
-
-
-def placement_from_dict(doc, where: str = "placement", series=None) -> Placement:
-    """``series`` checks the ``availability`` and ``inflow`` references of
-    an instance document; without it those keys are unknown."""
-    types = _PLACEMENT_TYPES if series is None else \
-        {**_PLACEMENT_TYPES, "availability": series, "inflow": series}
-    return record_from_dict(Placement, doc, types, where)
-
-
-def line_from_dict(doc, where: str = "line") -> Line:
-    return record_from_dict(Line, doc, _LINE_TYPES, where)
+    return record_from_dict(Technology, doc, where)
 
 
 def read_instance_json(path: str | Path) -> CepInstance:
     """Load a CEP instance document; series CSVs are resolved relative to
-    the document's directory."""
+    the document's directory, and a malformed document raises ValueError
+    naming the file."""
     path = Path(path)
     try:
         doc = json.loads(_read(path))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    resolution = number()(doc.pop("resolution_hours", 1.0), "resolution_hours")
+    try:
+        mapping(doc, "the document")
+        resolution = number()(doc.pop("resolution_hours", 1.0), "resolution_hours")
 
-    def series(ref, where):
-        return _series_ref(ref, where, path.parent, resolution)
+        def series(ref, where):
+            return _series_ref(ref, where, path.parent, resolution)
 
-    def record(cls, **types):
-        return lambda doc, where: record_from_dict(cls, doc, types, where)
+        def records(cls, **checks):
+            return list_of(lambda item, where: record_from_dict(cls, item, where, **checks))
 
-    values = typed_fields(doc, {
-        "buses": list_of(record(Bus, id=string, demand=series, reserve_margin=_OPTIONAL)),
-        "technologies": list_of(technology_from_dict),
-        "placements": list_of(lambda doc, where: placement_from_dict(doc, where, series)),
-        "lines": list_of(line_from_dict),
-        "sited": list_of(record(SitedAsset, id=string, bus=string, legacy_MW=_NUMBER,
-                                potential_MW=_NUMBER, cf=series)),
-        "firm_technologies": list_of(string), **_INSTANCE_SCALARS,
-    }, "")
-    return CepInstance(**{"placements": (), "weight_hours": resolution, **values})
+        return record_from_dict(
+            CepInstance, {"placements": [], "weight_hours": resolution, **doc}, "",
+            buses=records(Bus, demand=series), technologies=records(Technology),
+            placements=records(Placement, availability=series, inflow=series),
+            lines=records(Line), sited=records(SitedAsset, cf=series),
+            firm_technologies=list_of(string))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
-def _fields(record, types: Mapping) -> dict:
-    return {key: getattr(record, key) for key in types}
+def _fields(record) -> dict:
+    return {key: getattr(record, key) for key in field_checks(type(record))}
 
 
 def write_instance_json(path: str | Path, instance: CepInstance,
@@ -581,9 +564,10 @@ def write_instance_json(path: str | Path, instance: CepInstance,
     base = path.parent if series_dir is None else Path(series_dir)
     base.mkdir(parents=True, exist_ok=True)
 
-    def rel(target: Path) -> str:
-        return str(target.relative_to(path.parent)) if target.is_relative_to(path.parent) \
+    def ref(target: Path, column: str) -> dict:
+        csv_path = str(target.relative_to(path.parent)) if target.is_relative_to(path.parent) \
             else str(target)
+        return {"csv": csv_path, "column": column}
 
     demand_csv = base / "demand.csv"
     write_series_csv(demand_csv, {bus.id: bus.demand for bus in instance.buses})
@@ -596,34 +580,25 @@ def write_instance_json(path: str | Path, instance: CepInstance,
     if extra_series:
         series_csv = base / "placement_series.csv"
         write_series_csv(series_csv, extra_series)
-        refs = {key: {"csv": rel(series_csv), "column": key} for key in extra_series}
+        refs = {key: ref(series_csv, key) for key in extra_series}
     if instance.sited:
-        cf_csv = base / "site_cf.csv"
-        write_series_csv(cf_csv, {asset.id: asset.cf for asset in instance.sited})
+        write_series_csv(base / "site_cf.csv", {asset.id: asset.cf for asset in instance.sited})
 
     doc = {
         "resolution_hours": instance.buses[0].demand.resolution_hours,
-        **_fields(instance, _INSTANCE_SCALARS),
+        **_fields(instance),
         "firm_technologies": sorted(instance.firm_technologies),
-        "buses": [
-            {"id": bus.id, "reserve_margin": bus.reserve_margin,
-             "demand": {"csv": rel(demand_csv), "column": bus.id}}
-            for bus in instance.buses
-        ],
-        "technologies": [_fields(tech, _TECH_TYPES) for tech in instance.technologies],
+        "buses": [{**_fields(bus), "demand": ref(demand_csv, bus.id)} for bus in instance.buses],
+        "technologies": [_fields(tech) for tech in instance.technologies],
         "placements": [
-            {**_fields(pl, _PLACEMENT_TYPES),
+            {**_fields(pl),
              "availability": refs.get(f"availability|{pl.bus}|{pl.tech}"),
              "inflow": refs.get(f"inflow|{pl.bus}|{pl.tech}")}
             for pl in instance.placements
         ],
-        "lines": [_fields(ln, _LINE_TYPES) for ln in instance.lines],
-        "sited": [
-            {"id": asset.id, "bus": asset.bus, "legacy_MW": asset.legacy_MW,
-             "potential_MW": asset.potential_MW,
-             "cf": {"csv": rel(base / "site_cf.csv"), "column": asset.id}}
-            for asset in instance.sited
-        ],
+        "lines": [_fields(ln) for ln in instance.lines],
+        "sited": [{**_fields(asset), "cf": ref(base / "site_cf.csv", asset.id)}
+                  for asset in instance.sited],
     }
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return path

@@ -53,13 +53,18 @@ def _short_forms(names: np.ndarray, salt: int | np.ndarray) -> np.ndarray:
         _B36_PAIRS[h % 1296] + _B36_PAIRS[h // 1296 % 1296]
 
 
-def mangle_names(names: Sequence[str]) -> tuple[list[str], dict[str, str]]:
+def mangle_names(names: Sequence[str],
+                 reserved: Iterable[str] = ()) -> tuple[list[str], dict[str, str]]:
     """Shorten names to at most eight characters, deterministically.
 
     Short unique names pass through; long or colliding names become
     ``<first 3 chars>~<4-char hash>``, probing the hash salt until unique.
     Returns the final names and a map from mangled name to original for
     every name that changed.
+
+    No name keeps or takes one of ``reserved``: the rows are mangled around
+    the final column names, so that each key of the joint table names one
+    column or row of the file.
 
     First come, first served: each name gets the first of its candidates
     (the name itself or its salt-0 form, then its forms at the next salts)
@@ -74,14 +79,15 @@ def mangle_names(names: Sequence[str]) -> tuple[list[str], dict[str, str]]:
     out = given.copy()
     out[long] = _short_forms(given[long], 0)
     salt = long - 1  # of out[i]; -1: the name itself
-    holder: dict[str, int] = {}  # who holds each candidate
-    probing = np.array([i for i, candidate in enumerate(out.tolist())  # repeats, collisions
+    reserved, candidates = set(reserved), out.tolist()
+    holder = dict.fromkeys(reserved.intersection(candidates), -1)  # who holds each; -1: reserved
+    probing = np.array([i for i, candidate in enumerate(candidates)  # repeats, collisions
                         if holder.setdefault(candidate, i) != i], dtype=np.int64)
     while probing.size:
         salt[probing] += 1
         turned_away = []
         for i, form in zip(probing.tolist(), _short_forms(given[probing], salt[probing])):
-            j = holder.setdefault(form, i)
+            j = -1 if form in reserved else holder.setdefault(form, i)
             if j < i:
                 turned_away.append(i)
                 continue
@@ -205,7 +211,7 @@ def export_mps(lp: CanonicalLp, path: str | Path, comments: Sequence[str] = ()) 
     """
     path = Path(path)
     var_names, var_table = mangle_names(lp.var_names)
-    row_names, row_table = mangle_names(lp.row_names)
+    row_names, row_table = mangle_names(lp.row_names, reserved=var_names)
     with path.open("w", encoding="utf-8") as out:
         _write_mps(out, lp, var_names, row_names, comments)
 

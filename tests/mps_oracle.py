@@ -52,15 +52,16 @@ def _hash36(text: str, salt: int = 0) -> str:
     return "".join(out)
 
 
-def mangle_names(names: Sequence[str]) -> tuple[list[str], dict[str, str]]:
+def mangle_names(names: Sequence[str],
+                 reserved: Sequence[str] = ()) -> tuple[list[str], dict[str, str]]:
     """Shorten names to at most eight characters, deterministically.
 
     Short unique names pass through; long or colliding names become
     ``<first 3 chars>~<4-char hash>``, probing the hash salt until unique.
     Returns the final names and a map from mangled name to original for
-    every name that changed.
+    every name that changed.  No name keeps or takes one of ``reserved``.
     """
-    used: set[str] = set()
+    used: set[str] = set(reserved)
     out: list[str] = []
     table: dict[str, str] = {}
     for name in names:
@@ -90,7 +91,7 @@ def export_mps(lp: CanonicalLp, path: str | Path, comments: Sequence[str] = ()) 
     """
     path = Path(path)
     var_names, var_table = mangle_names(lp.var_names)
-    row_names, row_table = mangle_names(lp.row_names)
+    row_names, row_table = mangle_names(lp.row_names, reserved=var_names)
     lines = [f"* {comment}" for comment in comments]
     lines.append(f"NAME          {lp.name[:60]}")
     lines.append("ROWS")

@@ -331,3 +331,19 @@ def test_power_curve_row_field_count_names_line(tmp_path):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match=f"{re.escape(str(path))}: line 7: expected 2 fields, got 3"):
         fileio.read_power_curve_csv(path)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([], "the document must be an object, got []"),
+    ("x", "the document must be an object, got 'x'"),
+    (None, "the document must be an object, got None"),
+    ({"buses": []}, "missing fields ['technologies']"),
+    ({"buses": [], "technologies": []}, "instance needs at least one bus"),
+    ({"resolution_hours": "1"}, "resolution_hours must be a number, got '1'"),
+], ids=["list", "string", "null", "no-technologies", "no-buses", "string-resolution"])
+def test_malformed_instance_document_names_the_file(tmp_path, doc, message):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        fileio.read_instance_json(path)
+    assert str(info.value) == f"{path}: {message}"

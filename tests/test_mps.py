@@ -539,3 +539,58 @@ def test_solution_import_reports_repeated_unknown_names(tmp_path):
     sol, report = import_solution(path, ["x0", "x1"])
     assert sol.x.tolist() == [2.0, 0.0]
     assert report.unknown == ["zz", "zz"] and report.missing == ["x1"]
+
+
+# ---------------------------------------------------------------------------
+# One mangling table for both name spaces
+# ---------------------------------------------------------------------------
+
+def _mangle_both(columns, rows):
+    """Columns, then rows mangled around them, as ``export_mps`` does."""
+    cols, col_table = mangle_names(columns)
+    out, row_table = mangle_names(rows, reserved=cols)
+    return cols, out, {**col_table, **row_table}
+
+
+def _assert_table_names_one_item(columns, rows):
+    cols, out, table = _mangle_both(columns, rows)
+    finals = cols + out
+    assert all(finals.count(key) == 1 for key in table)
+    assert [table.get(name, name) for name in cols] == list(columns)
+    assert [table.get(name, name) for name in out] == list(rows)
+    oracle_cols, _ = mps_oracle.mangle_names(columns)
+    assert oracle_cols == cols
+    assert mps_oracle.mangle_names(rows, reserved=oracle_cols)[0] == out
+
+
+def test_column_and_row_with_one_short_form_keep_both_originals(tmp_path):
+    """``balance_row_5658`` and ``balance_row_9302`` both shorten to
+    ``bal~RZCJ`` at salt 0: as a column and a row, each gets its own key."""
+    lp = CanonicalLp(objective=[1.0], entry_rows=[0], entry_cols=[0], entry_vals=[1.0],
+                     senses=["<"], rhs=[1.0], lower=[0.0], upper=[1.0], integer=[False],
+                     var_names=[COLLIDING[0]], row_names=[COLLIDING[1]])
+    path = export_mps(lp, tmp_path / "pair.mps")
+    table = json.loads((tmp_path / "pair.mps.names.json").read_text(encoding="utf-8"))
+    back = import_mps(path)
+    assert back.var_names == (PROBE_NAMES[2],) and back.row_names == (PROBE_NAMES[3],)
+    assert table == {PROBE_NAMES[2]: COLLIDING[0], PROBE_NAMES[3]: COLLIDING[1]}
+    assert_same_files(lp, tmp_path)
+
+
+@pytest.mark.parametrize("columns, rows", [
+    ([COLLIDING[0]], [COLLIDING[1]]),
+    ([PROBE_NAMES[2]], [COLLIDING[1]]),  # a kept column name bars a row's form
+    ([COLLIDING[1]], [PROBE_NAMES[2]]),  # a column's form bars a row's own name
+    (["x", "x"], ["x", "x"]),
+    ([PROBE_NAMES[2]], [PROBE_NAMES[2], COLLIDING[1]]),
+    ([COLLIDING[1], PROBE_NAMES[2]], [CHAINED, PROBE_NAMES[3], COLLIDING[0]]),
+], ids=["shared-form", "kept-column", "column-form", "repeats", "kept-in-both", "chains"])
+def test_mangling_table_keys_name_one_column_or_row(columns, rows):
+    _assert_table_names_one_item(columns, rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(NAMES, st.sampled_from(PROBE_NAMES + (CHAINED,))), max_size=20),
+       st.lists(st.one_of(NAMES, st.sampled_from(PROBE_NAMES + (CHAINED,))), max_size=20))
+def test_mangling_table_keys_name_one_column_or_row_on_random_names(columns, rows):
+    _assert_table_names_one_item(columns + columns[:3], rows + columns[:5])

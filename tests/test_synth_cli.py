@@ -573,3 +573,21 @@ def test_exit_data_on_unusable_output_paths(dataset, capsys, setup, message):
     err = json.loads(lines[0])
     assert err["error"] == "data" and err["exit_code"] == 2
     assert message in err["message"]
+
+
+def test_cep_rejects_site_ids_not_in_the_catalog(dataset, capsys):
+    tmp_path, data_dir = dataset
+    config = write_config(tmp_path, data_dir)
+    assert main(["site", str(config)]) == 0
+    path = tmp_path / "out" / "siting_solution.json"
+    doc = json.loads(path.read_text())
+    doc["site_ids"] += ["s99", "zz"]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["cep", str(config)]) == 2
+    assert not (tmp_path / "out" / "cep_solution.json").exists()
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "data"
+    assert err["message"] == f"siting output {path} names sites not in the catalog: ['s99', 'zz']"
