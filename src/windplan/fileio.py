@@ -404,16 +404,17 @@ def write_solution_geojson(
 # ---------------------------------------------------------------------------
 
 def _series_ref(doc: Mapping | None, where: str, base: Path,
-                resolution_hours: float) -> TimeSeries | None:
+                read_table) -> TimeSeries | None:
     """The series a ``{"csv": ..., "column": ...}`` reference at key path
-    ``where`` names, read relative to ``base``; ``None`` stays ``None``."""
+    ``where`` names, from ``read_table`` of the CSV path relative to
+    ``base``; ``None`` stays ``None``."""
     if doc is None:
         return None
     ref = typed_fields(doc, {"csv": string, "column": string}, where)
     missing = [key for key in ("csv", "column") if key not in ref]
     if missing:
         raise ValueError(f"{where}: missing fields {missing}")
-    table = read_series_csv(base / ref["csv"], resolution_hours)
+    table = read_table(base / ref["csv"])
     if ref["column"] not in table:
         raise ValueError(f"{where}: {ref['csv']}: no column {ref['column']!r}")
     return table[ref["column"]]
@@ -521,8 +522,9 @@ def technology_from_dict(doc, where: str = "technology") -> Technology:
 
 def read_instance_json(path: str | Path) -> CepInstance:
     """Load a CEP instance document; series CSVs are resolved relative to
-    the document's directory, and a malformed document raises ValueError
-    naming the file."""
+    the document's directory and each is parsed once, however many
+    references name it, and a malformed document raises ValueError naming
+    the file."""
     path = Path(path)
     try:
         doc = json.loads(_read(path))
@@ -531,9 +533,16 @@ def read_instance_json(path: str | Path) -> CepInstance:
     try:
         mapping(doc, "the document")
         resolution = number()(doc.pop("resolution_hours", 1.0), "resolution_hours")
+        tables: dict[Path, dict[str, TimeSeries]] = {}
+
+        def read_table(csv_path: Path) -> dict[str, TimeSeries]:
+            key = csv_path.resolve()
+            if key not in tables:
+                tables[key] = read_series_csv(csv_path, resolution)
+            return tables[key]
 
         def series(ref, where):
-            return _series_ref(ref, where, path.parent, resolution)
+            return _series_ref(ref, where, path.parent, read_table)
 
         def records(cls, **checks):
             return list_of(lambda item, where: record_from_dict(cls, item, where, **checks))

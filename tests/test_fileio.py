@@ -1,9 +1,11 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from test_schema import _plain
 from windplan import fileio
 from windplan.cep import build_lp, decode_solution
 from windplan.hydro import HydroCountryParams
@@ -216,6 +218,44 @@ def test_instance_json_writer_round_trip(tmp_path):
     assert np.array_equal(lp1.upper, lp2.upper)
     assert back.buses[1].reserve_margin is None
     assert solve(lp1).objective == solve(lp2).objective
+
+
+def test_instance_json_reads_each_csv_once(tmp_path, monkeypatch):
+    from windplan.cep import Bus, CepInstance, Placement, SitedAsset, Technology
+
+    def series(seed):
+        return TimeSeries(np.random.default_rng(seed).uniform(0, 1, 4))
+
+    instance = CepInstance(
+        buses=tuple(Bus(id=bus, demand=series(i)) for i, bus in enumerate("ABC")),
+        technologies=(Technology(id="gas", kind="dispatchable", capex=100.0),
+                      Technology(id="wind", kind="res", capex=50.0),
+                      Technology(id="bat", kind="storage", capex=30.0, energy_capex=10.0)),
+        placements=tuple(Placement(bus=bus, tech="bat", inflow=series(10 + i),
+                                   availability=series(20 + i))
+                         for i, bus in enumerate("AB")),
+        sited=tuple(SitedAsset(id=f"w{i}", bus=bus, legacy_MW=0.0, potential_MW=3.0,
+                               cf=series(30 + i))
+                    for i, bus in enumerate("ABCA")),
+        sited_technology="wind", firm_technologies=frozenset({"gas"}),
+    )
+    path = fileio.write_instance_json(tmp_path / "instance.json", instance)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["buses"][1]["demand"]["csv"] = "./demand.csv"   # one file under two spellings
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    reads = []
+    real = fileio.read_series_csv
+
+    def counting(csv_path, *args, **kwargs):
+        reads.append(Path(csv_path).resolve().name)
+        return real(csv_path, *args, **kwargs)
+
+    monkeypatch.setattr(fileio, "read_series_csv", counting)
+    back = fileio.read_instance_json(path)
+    assert sorted(reads) == ["demand.csv", "placement_series.csv", "site_cf.csv"]
+    assert _plain(back) == _plain(instance)
+    assert _plain(fileio.read_instance_json(path)) == _plain(back)
+    assert len(reads) == 6   # a second document read parses its files again
 
 
 @pytest.mark.parametrize("ref, message", [

@@ -1,14 +1,18 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
 from lp_oracle import (
     dual_objective, generate_box_lp, reference_dual_bound, reference_solve_unconstrained,
     reference_start_state, vertex_enum_optimum,
 )
-from windplan.lp import CanonicalLp, LpBuilder, _Simplex, solve
+from windplan.lp import (
+    _BASIC, _REFACTOR_EVERY, CanonicalLp, LpBuilder, _Basis, _Simplex, solve,
+)
 
 
 def build_lp(c, rows, senses, b, lower=None, upper=None, integer=None):
@@ -341,3 +345,160 @@ def test_rows_without_columns(sense, rhs, status):
         assert out.objective == 0.0 and out.duals[0] == 0.0
     else:
         assert math.isnan(out.objective)
+
+
+# ---------------------------------------------------------------------------
+# The crash basis: zero-valued artificials handed to structural columns
+# ---------------------------------------------------------------------------
+
+def _start_activity(lp, start):
+    """A x at ``start``, summed in the order the simplex set-up sums it, so a
+    right-hand side set to it leaves a residual of exactly zero."""
+    return sp.csc_matrix((lp.entry_vals, (lp.entry_rows, lp.entry_cols)),
+                         shape=(lp.n_rows, lp.n_vars)) @ start
+
+
+@st.composite
+def crash_lps(draw):
+    """A ``start_lps`` case with some rows made equalities through the start
+    point, whose artificials therefore start at exactly zero."""
+    lp, feas_tol = draw(start_lps().filter(lambda case: case[0].n_rows > 0))
+    start = np.where(np.isfinite(lp.lower), lp.lower,
+                     np.where(np.isfinite(lp.upper), lp.upper, 0.0))
+    zero = np.array(draw(st.lists(st.booleans(), min_size=lp.n_rows, max_size=lp.n_rows)))
+    senses = np.where(zero, "=", np.array(lp.senses, dtype="U1"))
+    rhs = np.where(zero, _start_activity(lp, start), lp.rhs)
+    return dataclasses.replace(lp, senses=tuple(senses.tolist()), rhs=rhs), feas_tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(crash_lps())
+def test_crash_moves_no_value_and_keeps_a_factorable_basis(case):
+    lp, feas_tol = case
+    simplex = _Simplex(lp, feas_tol, 1e-7, 100)
+    x, basis, vstatus = simplex.x.copy(), simplex.basis.copy(), simplex.vstatus.copy()
+    simplex._crash()
+    assert_same_bytes(simplex.x, x, "x")
+    changed = np.flatnonzero(simplex.basis != basis)
+    arts, cols = basis[changed], simplex.basis[changed]
+    assert np.all(arts >= simplex.n_real) and np.all(x[arts] == 0.0)
+    assert np.all(simplex.lower[arts] == 0.0) and np.all(simplex.upper[arts] == 0.0)
+    assert np.all(simplex.vstatus[arts] != _BASIC)
+    assert np.all(cols < simplex.n_struct) and np.all(vstatus[cols] != _BASIC)
+    assert np.all(simplex.vstatus[simplex.basis] == _BASIC)
+    assert np.count_nonzero(simplex.vstatus == _BASIC) == lp.n_rows
+    dense = simplex.A.toarray()
+    assert np.linalg.matrix_rank(dense[:, simplex.basis]) == lp.n_rows
+    x_nonbasic = simplex.x.copy()
+    x_nonbasic[simplex.basis] = 0.0
+    rhs = simplex.b - dense @ x_nonbasic
+    got = simplex.factor.ftran(rhs)
+    scale = 1.0 + np.abs(rhs).max() + np.abs(simplex.x).max()
+    assert np.abs(dense[:, simplex.basis] @ simplex.x[simplex.basis] - rhs).max() <= 1e-9 * scale
+    assert np.abs(got - simplex.x[simplex.basis]).max() <= 1e-9 * scale
+
+
+def _zero_residual_box_lp(rng, max_vars=5, max_rows=5):
+    """Like ``generate_box_lp``, but its equality rows pass through both the
+    start point (the lower bounds) and an interior point, so the LP stays
+    feasible and every equality artificial starts at exactly zero.  The
+    equality rows are independent, as the vertex enumeration assumes."""
+    n = int(rng.integers(2, max_vars + 1))
+    m = int(rng.integers(1, max_rows + 1))
+    n_eq = int(rng.integers(1, min(m, n - 1) + 1))
+    lower = rng.uniform(-2.0, 0.0, n)
+    upper = lower + rng.uniform(0.5, 4.0, n)
+    step = rng.uniform(0.2, 0.8, n) * (upper - lower)
+    while True:
+        A = np.where(rng.random((m, n)) < 0.6, rng.normal(0, 1.5, (m, n)), 0.0)
+        for i in range(n_eq):   # a_i . step = 0 through one entry
+            k = int(rng.integers(n))
+            A[i, k] = 0.0
+            A[i, k] = -(A[i] @ step) / step[k]
+        if np.linalg.matrix_rank(A[:n_eq]) == n_eq:
+            break
+    senses = ["="] * n_eq + [str(s) for s in rng.choice(["<", ">"], size=m - n_eq)]
+    pad = np.where(np.array(senses) == "<", 1.0, -1.0) * rng.uniform(0.05, 1.0, m)
+    b = A @ (lower + step) + np.where(np.array(senses) == "=", 0.0, pad)
+    rows, cols = np.nonzero(A)
+    lp = CanonicalLp(objective=rng.normal(0, 1, n), entry_rows=rows, entry_cols=cols,
+                     entry_vals=A[rows, cols], senses=senses, rhs=b, lower=lower,
+                     upper=upper, integer=[False] * n, var_names=[f"x{j}" for j in range(n)],
+                     row_names=[f"r{i}" for i in range(m)])
+    eq = np.array(senses) == "="
+    return dataclasses.replace(lp, rhs=np.where(eq, _start_activity(lp, lower), b))
+
+
+def test_crashed_lps_match_vertex_enumeration(monkeypatch):
+    crashed = []
+    real = _Simplex._crash
+
+    def counting(self):
+        before = self.basis.copy()
+        real(self)
+        crashed.append(int(np.count_nonzero(self.basis != before)))
+
+    monkeypatch.setattr(_Simplex, "_crash", counting)
+    rng = np.random.default_rng(2024)
+    for _ in range(400):
+        lp = _zero_residual_box_lp(rng)
+        out = solve(lp)
+        assert out.status == "optimal"
+        oracle = vertex_enum_optimum(lp)
+        assert out.objective == pytest.approx(oracle, rel=1e-9, abs=1e-8)
+    assert len(crashed) == 400 and sum(c > 0 for c in crashed) >= 300
+
+
+def test_storage_lp_with_every_soc_row_crashed_skips_phase_one(monkeypatch):
+    # Three periods of price arbitrage: charge pc_t, discharge pd_t, state of
+    # charge soc_t on a cycle.  Every soc row starts with a zero residual.
+    price, eta = [1.0, 5.0, 2.0], 0.9
+    builder = LpBuilder()
+    pc = builder.add_vars([f"pc{t}" for t in range(3)], 0.0, 4.0, price)
+    pd = builder.add_vars([f"pd{t}" for t in range(3)], 0.0, 4.0, [-p for p in price])
+    soc = builder.add_vars([f"soc{t}" for t in range(3)], 0.0, 6.0)
+    builder.add_rows([f"soc{t}" for t in range(3)], "=", 0.0,
+                     (soc, 1.0), (np.roll(soc, 1), -1.0), (pc, -eta), (pd, 1.0 / eta))
+    builder.add_rows([f"power{t}" for t in range(3)], "<", 4.0, (pc, 1.0), (pd, 1.0))
+    lp = builder.build()
+    phases = []
+    real = _Simplex.run_phase
+
+    def recording(self, cost, phase):
+        phases.append(phase)
+        return real(self, cost, phase)
+
+    monkeypatch.setattr(_Simplex, "run_phase", recording)
+    simplex = _Simplex(lp, 1e-7, 1e-7, 1000)
+    assert simplex.n_art == 3
+    out = simplex.solve()
+    assert phases == [2]
+    assert np.all(simplex.basis < simplex.n_real)
+    assert out.status == "optimal"
+    assert out.objective == pytest.approx(vertex_enum_optimum(lp), abs=1e-9)
+    assert out.objective < 0.0   # the arbitrage pays
+
+
+# ---------------------------------------------------------------------------
+# The eta file up to the refactorisation cadence
+# ---------------------------------------------------------------------------
+
+def test_eta_file_matches_dense_solves_up_to_the_cadence():
+    rng = np.random.default_rng(11)
+    m = 12
+    dense = np.eye(m) * 4.0 + np.where(rng.random((m, m)) < 0.2, rng.normal(0, 1, (m, m)), 0.0)
+    factor = _Basis(sp.csc_matrix(dense), np.arange(m))
+    for k in range(_REFACTOR_EVERY):
+        assert len(factor.etas) == k
+        for _ in range(2):
+            rhs = rng.normal(0, 1, m)
+            for got, want in ((factor.ftran(rhs), np.linalg.solve(dense, rhs)),
+                              (factor.btran(rhs), np.linalg.solve(dense.T, rhs))):
+                assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+        column = np.where(rng.random(m) < 0.3, rng.normal(0, 1, m), 0.0)
+        row = int(rng.integers(m))
+        column[row] = rng.choice([-1.0, 1.0]) * rng.uniform(2.0, 5.0)
+        spike = factor.ftran(column)
+        row = int(np.argmax(np.abs(spike)))
+        assert factor.push_eta(row, spike) == (k + 1 < _REFACTOR_EVERY)
+        dense[:, row] = column
