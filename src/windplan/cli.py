@@ -181,19 +181,25 @@ def _hydro_components(config: PipelineConfig, bus_ids):
     weight_hours = config.cep.weight_hours
     params = fileio.read_hydro_params_csv(hydro_path)
     grid = fileio.read_runoff_manifest(runoff_path, config.resolution_hours)
+    # Runoff cells of countries without a bus feed nothing and are dropped.
+    cells = tuple(cell for cell in grid.cells if cell.country in bus_ids)
+    if not cells:
+        return (), []
+    grid = RunoffGrid(cells)
+    countries = grid.countries()
+    for country in countries:
+        if country not in params:
+            raise DataError(f"hydro parameters missing for bus {country!r}")
     if factor > 1:
         # runoff is a depth per period: aggregated blocks accumulate it
         means = _resampled(dict(enumerate(cell.runoff_m for cell in grid.cells)), factor)
         grid = RunoffGrid(tuple(
             replace(cell, runoff_m=means[i].with_values(means[i].values * factor))
             for i, cell in enumerate(grid.cells)))
-    countries = [c for c in grid.countries() if c in set(bus_ids)]
-    ror = ror_capacity_factors(grid, {c: params[c] for c in countries if c in params})
+    ror = ror_capacity_factors(grid, params)
     placements = []
     horizon_hours = len(grid.cells[0].runoff_m) * weight_hours
     for country in countries:
-        if country not in params:
-            raise DataError(f"hydro parameters missing for bus {country!r}")
         p = params[country]
         if p.ror_capacity_MW > 0:
             placements.append(Placement(

@@ -141,11 +141,7 @@ def write_series_csv(
     return path
 
 
-def read_series_csv(
-    path: str | Path,
-    resolution_hours: float = 1.0,
-    start_label: str = "",
-) -> dict[str, TimeSeries]:
+def read_series_csv(path: str | Path, resolution_hours: float = 1.0) -> dict[str, TimeSeries]:
     path = Path(path)
     lines = _data_lines(_lines(path))
     if not lines:
@@ -155,10 +151,7 @@ def read_series_csv(
     data = np.array(_parse_rows(path, lines[1:], lambda line: _floats(line.split(","), len(header))))
     if data.ndim != 2:
         raise ValueError(f"{path}: no data rows")
-    return {
-        name: TimeSeries(data[:, j], resolution_hours, start_label)
-        for j, name in enumerate(header)
-    }
+    return {name: TimeSeries(data[:, j], resolution_hours) for j, name in enumerate(header)}
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +326,7 @@ def read_runoff_manifest(path: str | Path, resolution_hours: float = 1.0) -> Run
                           float(record["area_km2"]), table[record["cell_id"]])
     cells = _read_table(path, ("cell_id", "country", "area_km2", "series_path"),
                         "runoff manifest", cell)
+    _check_unique(path, [c.cell_id for c in cells], "cell_id")
     return RunoffGrid(tuple(cells))
 
 
@@ -561,24 +555,19 @@ def _fields(record) -> dict:
     return {key: getattr(record, key) for key in field_checks(type(record))}
 
 
-def write_instance_json(path: str | Path, instance: CepInstance,
-                        series_dir: str | Path | None = None) -> Path:
+def write_instance_json(path: str | Path, instance: CepInstance) -> Path:
     """Serialize an instance as a JSON document referencing series CSVs.
 
-    Series are written next to the document (or into ``series_dir``) and
-    referenced by relative path, so the pair round-trips through
-    :func:`read_instance_json`.
+    Series are written next to the document and referenced by file name,
+    so the pair round-trips through :func:`read_instance_json`.
     """
     path = Path(path)
-    base = path.parent if series_dir is None else Path(series_dir)
-    base.mkdir(parents=True, exist_ok=True)
+    path.parent.mkdir(parents=True, exist_ok=True)
 
     def ref(target: Path, column: str) -> dict:
-        csv_path = str(target.relative_to(path.parent)) if target.is_relative_to(path.parent) \
-            else str(target)
-        return {"csv": csv_path, "column": column}
+        return {"csv": target.name, "column": column}
 
-    demand_csv = base / "demand.csv"
+    demand_csv = path.parent / "demand.csv"
     write_series_csv(demand_csv, {bus.id: bus.demand for bus in instance.buses})
     extra_series = {
         f"{role}|{pl.bus}|{pl.tech}": series for pl in instance.placements
@@ -587,11 +576,12 @@ def write_instance_json(path: str | Path, instance: CepInstance,
     }
     refs: dict[str, dict] = {}
     if extra_series:
-        series_csv = base / "placement_series.csv"
+        series_csv = path.parent / "placement_series.csv"
         write_series_csv(series_csv, extra_series)
         refs = {key: ref(series_csv, key) for key in extra_series}
+    site_cf_csv = path.parent / "site_cf.csv"
     if instance.sited:
-        write_series_csv(base / "site_cf.csv", {asset.id: asset.cf for asset in instance.sited})
+        write_series_csv(site_cf_csv, {asset.id: asset.cf for asset in instance.sited})
 
     doc = {
         "resolution_hours": instance.buses[0].demand.resolution_hours,
@@ -606,7 +596,7 @@ def write_instance_json(path: str | Path, instance: CepInstance,
             for pl in instance.placements
         ],
         "lines": [_fields(ln) for ln in instance.lines],
-        "sited": [{**_fields(asset), "cf": ref(base / "site_cf.csv", asset.id)}
+        "sited": [{**_fields(asset), "cf": ref(site_cf_csv, asset.id)}
                   for asset in instance.sited],
     }
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -162,7 +162,9 @@ class CriticalityMatrix:
     """Binary window-by-site coverage matrix with its counting threshold.
 
     Rows (windows) are stored as packed bit strings over sites in catalog
-    order, most significant bit first.  ``threshold_c`` is the number of
+    order, most significant bit first.  Readers count on ``dense`` or
+    :meth:`columns`; besides ``dense`` itself, only :meth:`columns` and
+    :meth:`to_bytes` read ``packed_rows``.  ``threshold_c`` is the number of
     covering sites required for a window to count as non-critical;
     ``window_length`` is the number of periods each window spans, so
     ``n_windows == T - window_length + 1``.
@@ -206,6 +208,11 @@ class CriticalityMatrix:
         cols = np.ascontiguousarray(bits.T)
         cols.setflags(write=False)
         return cols
+
+    def columns(self, windows: np.ndarray) -> np.ndarray:
+        """``dense[:, windows]`` as a (sites, windows) view of the windows'
+        unpacked rows; for a few windows this beats gathering ``dense``."""
+        return np.unpackbits(self.packed_rows[windows], axis=1, count=self.n_sites).T
 
     @classmethod
     def from_bool(

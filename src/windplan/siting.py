@@ -34,8 +34,6 @@ DEFAULT_POWER_DENSITY_MW_KM2 = 6.0
 DEFAULT_SITE_AREA_KM2 = 442.5
 DEFAULT_UTILIZATION = 0.5
 
-_POP8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
-
 
 # ---------------------------------------------------------------------------
 # Cardinality preprocessing
@@ -277,27 +275,16 @@ def solve_prod(catalog: SiteCatalog, plan: CardinalityPlan) -> SitingSolution:
 # ---------------------------------------------------------------------------
 
 def coverage_count(matrix: CriticalityMatrix, selected: Iterable[str]) -> int:
-    """Number of windows covered by at least ``threshold_c`` selected sites.
-
-    Pure function over the packed bit rows: the selection is packed into a
-    site bitmask, AND-ed against every window row and popcounted.
-    """
+    """Number of windows covered by at least ``threshold_c`` selected sites;
+    a repeated id counts once."""
     ids = list(selected)
     unknown = [sid for sid in ids if sid not in matrix.index_of]
     if unknown:
         raise ValueError(f"site ids not indexed in matrix: {unknown}")
-    if not ids:
-        return 0
-    mask_bits = np.zeros(matrix.n_sites, dtype=bool)
-    mask_bits[[matrix.index_of[sid] for sid in ids]] = True
-    mask = np.packbits(mask_bits)
-    hits = _POP8[matrix.packed_rows & mask[None, :]].sum(axis=1, dtype=np.int64)
-    return int(np.count_nonzero(hits >= matrix.threshold_c))
-
-
-def _site_columns(matrix: CriticalityMatrix, windows: np.ndarray) -> np.ndarray:
-    """``matrix.dense[:, windows]``, unpacked from the window-major rows."""
-    return np.unpackbits(matrix.packed_rows[windows], axis=1, count=matrix.n_sites).T
+    picked = np.zeros(matrix.n_sites, dtype=bool)
+    picked[[matrix.index_of[sid] for sid in ids]] = True
+    counts = matrix.dense[picked].sum(axis=0, dtype=np.int32)
+    return int(np.count_nonzero(counts >= matrix.threshold_c))
 
 
 class _Coverage:
@@ -322,7 +309,7 @@ class _Coverage:
         if r not in self._boundary:
             cols = np.flatnonzero((self.counts >= self.c - r) & (self.counts <= self.c + r - 1))
             base = self.counts[cols]
-            sub = np.ascontiguousarray(_site_columns(self.matrix, cols))
+            sub = np.ascontiguousarray(self.matrix.columns(cols))
             self._boundary[r] = (base, sub, np.count_nonzero(base >= self.c))
         base, sub, f_base = self._boundary[r]
         new = np.broadcast_to(base, (len(ins), base.size))
@@ -377,7 +364,7 @@ def greedy_init(
     is_open = remaining[cand_part] > 0
 
     def covering(windows: np.ndarray) -> np.ndarray:  # per site, flagged windows covered
-        return _site_columns(matrix, np.flatnonzero(windows)).sum(axis=1, dtype=np.int64)
+        return matrix.columns(np.flatnonzero(windows)).sum(axis=1, dtype=np.int64)
 
     gains = covering(counts == c - 1)
     while (remaining > 0).any():
@@ -442,6 +429,18 @@ class _SearchSpace:
         if r_eff == 0:
             raise ValueError("no feasible swap anywhere: every partition pool is empty")
         return _compositions(r_eff, [int(cap) for cap in self.caps]), r_eff
+
+    def pool_indices(self, ids: Iterable[str]) -> np.ndarray:
+        """Matrix indices of a scripted non-legacy selection.  It may name
+        each swappable site once; a legacy site, a site outside every quota
+        or a repeat would enter the swap gains from nowhere or twice."""
+        idx = np.array([self.matrix.index_of[sid] for sid in ids], dtype=np.intp)
+        named = np.bincount(idx, minlength=self.matrix.n_sites)
+        bad = np.flatnonzero((named > 1) | ((named > 0) & (self._pool_of < 0)))
+        if bad.size:
+            raise ValueError("scripted neighbour names legacy, unquota'd or repeated sites: "
+                             f"{[self.matrix.site_ids[i] for i in bad]}")
+        return idx
 
     def selection_ids(self) -> frozenset[str]:
         ids = [self.matrix.site_ids[i] for i in self.sel_flat]
@@ -560,8 +559,10 @@ def local_search(
 
     ``neighbor_sampler(current_non_legacy_ids, i, j, rng)`` may be supplied
     to script the neighbour sequence (it must return the full non-legacy
-    selection of neighbour ``j``); ``on_iteration(i, gain, accepted,
-    incumbent_objective)`` observes the incumbent trajectory.
+    selection of neighbour ``j``; a legacy site, a site outside every quota
+    or a repeated site in it raises ``ValueError``); ``on_iteration(i,
+    gain, accepted, incumbent_objective)`` observes the incumbent
+    trajectory.
 
     In ``best_visited`` mode the highest-coverage solution ever evaluated
     (the initial one included) is returned, so the result never scores
@@ -573,11 +574,10 @@ def local_search(
     iteration costs O(n·r·|B|) instead of O(n·W), and ``B`` is recomputed
     only after an accepted move.  Draws and results equal a full recount.
     """
+    seed: int | None = None
     if isinstance(rng, (int, np.integer)):
-        seed: int | None = int(rng)
+        seed = int(rng)
         rng = np.random.default_rng(seed)
-    else:
-        seed = getattr(rng, "windplan_seed", None)
     f_init = coverage_count(matrix, init.selected)
     solution = _finish_solution(catalog, plan, init.selected, f_init, "comp", seed)
     space = _SearchSpace(matrix, catalog, plan, solution.selected)
@@ -601,8 +601,8 @@ def local_search(
         # Every sampler yields, per neighbour, the sites entering and leaving.
         if neighbor_sampler is not None:
             current_ids = tuple(matrix.site_ids[s] for s in space.sel_flat)
-            scripted = [np.array([matrix.index_of[s] for s in neighbor_sampler(current_ids, i, j, rng)],
-                                 dtype=np.intp) for j in range(n)]
+            scripted = [space.pool_indices(neighbor_sampler(current_ids, i, j, rng))
+                        for j in range(n)]
             ins = [cand[~np.isin(cand, space.sel_flat)] for cand in scripted]
             outs = [space.sel_flat[~np.isin(space.sel_flat, cand)] for cand in scripted]
             gains = [int(cover.gains(a[None], b[None])[0]) for a, b in zip(ins, outs)]
@@ -619,9 +619,6 @@ def local_search(
             gains = cover.gains(ins, outs)
         j = int(np.argmax(gains))  # ties to the lowest draw index
         gain = int(gains[j])
-        if cover.f + gain > best_f:
-            best_f = cover.f + gain
-            best_sel = np.concatenate([space.sel_flat[~np.isin(space.sel_flat, outs[j])], ins[j]])
         accepted = _accept(gain, params.temperature(i), rng)
         if accepted:
             cover.move(ins[j], outs[j], gain)
@@ -629,6 +626,9 @@ def local_search(
                 _replace_selection(space, scripted[j])
             else:
                 space.swap(sel_at[j], uns_at[j])
+        # A new best has a positive gain, which is always accepted.
+        if cover.f > best_f:
+            best_f, best_sel = cover.f, space.sel_flat.copy()
         if on_iteration is not None:
             on_iteration(i, float(gain), accepted, cover.f)
 

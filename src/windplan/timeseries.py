@@ -30,14 +30,10 @@ class TimeSeries:
         Per-period values (per-unit or physical units).
     resolution_hours : float
         Duration of one period in hours.  Must be positive.
-    start_label : str
-        Informational calendar label of the first period; not used in any
-        computation.
     """
 
     values: np.ndarray
     resolution_hours: float = 1.0
-    start_label: str = ""
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _validated_values(self.values))
@@ -54,7 +50,7 @@ class TimeSeries:
     def with_values(self, values, resolution_hours: float | None = None) -> "TimeSeries":
         """Copy of this series with new values (and optionally resolution)."""
         res = self.resolution_hours if resolution_hours is None else resolution_hours
-        return TimeSeries(values, res, self.start_label)
+        return TimeSeries(values, res)
 
 
 def resample_mean(series: TimeSeries, factor: int) -> TimeSeries:
@@ -77,7 +73,7 @@ def resample_mean(series: TimeSeries, factor: int) -> TimeSeries:
             f"({remainder} trailing values would be dropped)"
         )
     blocks = series.values.reshape(n // factor, factor)
-    return TimeSeries(blocks.mean(axis=1), series.resolution_hours * factor, series.start_label)
+    return TimeSeries(blocks.mean(axis=1), series.resolution_hours * factor)
 
 
 def window_values(values: np.ndarray, delta: int) -> np.ndarray:

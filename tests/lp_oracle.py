@@ -60,10 +60,17 @@ def generate_box_lp(rng, max_vars=8, max_rows=8):
 
 
 def vertex_enum_optimum(lp, tol=1e-9):
-    """Minimum objective over all vertices of the feasible polytope."""
+    """Minimum objective over all vertices of the feasible polytope.
+
+    Linearly dependent equality rows make every active set that holds them
+    singular, so the true vertices would be skipped: they raise
+    ``ValueError`` instead.
+    """
     n, m = lp.n_vars, lp.n_rows
     A = lp.dense_matrix()
     eq_rows = [i for i in range(m) if lp.senses[i] == "="]
+    if eq_rows and np.linalg.matrix_rank(A[eq_rows]) < len(eq_rows):
+        raise ValueError("equality rows are linearly dependent")
     ineq_rows = [i for i in range(m) if lp.senses[i] != "="]
     best = np.inf
     free_after_eq = n - len(eq_rows)

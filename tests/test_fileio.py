@@ -111,6 +111,16 @@ def test_runoff_manifest(tmp_path):
         fileio.read_runoff_manifest(bad)
 
 
+def test_runoff_manifest_rejects_a_repeated_cell(tmp_path):
+    fileio.write_series_csv(tmp_path / "ro.csv", {"c1": TimeSeries([0.001, 0.002])})
+    manifest = tmp_path / "runoff.csv"
+    manifest.write_text("cell_id,country,area_km2,series_path\n"
+                        "c1,AA,100.0,ro.csv\nc1,AA,100.0,ro.csv\n", encoding="utf-8")
+    message = f"^{re.escape(str(manifest))}: cell_id 'c1' appears more than once$"
+    with pytest.raises(ValueError, match=message):
+        fileio.read_runoff_manifest(manifest)
+
+
 def test_criticality_persistence(tmp_path):
     rng = np.random.default_rng(1)
     bits = rng.random((6, 19)) < 0.5

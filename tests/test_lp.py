@@ -479,6 +479,22 @@ def test_storage_lp_with_every_soc_row_crashed_skips_phase_one(monkeypatch):
     assert out.objective < 0.0   # the arbitrage pays
 
 
+def test_vertex_oracle_rejects_dependent_equality_rows():
+    # 5 variables and 4 equality rows of rank 3 (row 3 = row 0 + row 1): every
+    # active set holding all four rows is singular, so enumeration would skip
+    # the true vertices and report a worse optimum
+    rng = np.random.default_rng(12)
+    a = rng.normal(0.0, 1.0, (3, 5))
+    a = np.vstack([a, a[0] + a[1]])
+    b = a @ rng.uniform(0.2, 0.8, 5)
+    lp = build_lp(list(rng.normal(0.0, 1.0, 5)), a.tolist(), ["="] * 4, list(b),
+                  lower=[0.0] * 5, upper=[1.0] * 5)
+    assert np.linalg.matrix_rank(lp.dense_matrix()) == 3
+    assert solve(lp).status == "optimal"
+    with pytest.raises(ValueError, match="^equality rows are linearly dependent$"):
+        vertex_enum_optimum(lp)
+
+
 # ---------------------------------------------------------------------------
 # The eta file up to the refactorisation cadence
 # ---------------------------------------------------------------------------

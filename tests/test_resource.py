@@ -220,6 +220,16 @@ def test_packed_binary_round_trip():
         CriticalityMatrix.from_bytes(b"XXXX" + blob[4:])
 
 
+def test_matrix_columns_are_dense_columns():
+    rng = np.random.default_rng(6)
+    for n_sites in (1, 7, 8, 9, 21):
+        m = CriticalityMatrix.from_bool(rng.random((n_sites, 30)) < 0.4, 1, 1)
+        for windows in (np.arange(30), np.array([29, 3, 3, 0]), np.array([], dtype=np.intp)):
+            got = m.columns(windows)
+            assert got.shape == (n_sites, windows.size)
+            assert np.array_equal(got, m.dense[:, windows])
+
+
 def test_capacity_factors_from_speeds_uses_class_table():
     rng = np.random.default_rng(6)
     curves = load_default_curves()

@@ -137,6 +137,12 @@ def test_coverage_matches_naive_recount():
         assert coverage_count(m, sel) == naive_coverage(m, sel)
 
 
+def test_coverage_counts_a_repeated_id_once():
+    m = _matrix_from_rows([[1, 0], [1, 1], [0, 1]], c=2)
+    assert coverage_count(m, ["s0", "s0"]) == 0
+    assert coverage_count(m, ["s0", "s1", "s1", "s0"]) == coverage_count(m, ["s0", "s1"]) == 1
+
+
 def test_coverage_monotone_in_selection():
     rng = np.random.default_rng(8)
     m = random_matrix(rng, 12, 80, c=3)
@@ -577,3 +583,50 @@ def test_finish_solution_rejects_sites_outside_every_quota(plan_for_a_only):
     solution = _finish_solution(catalog, plan, {"s00", "s01", "s04"}, 0.0, "comp")
     assert solution.selected == {"s00", "s01", "s04"}
     assert solution.per_partition_counts == {"A": 2}
+
+
+def test_scripted_neighbour_naming_a_legacy_site_is_rejected_before_scoring():
+    # s00 is legacy and covers windows 0 and 1 at c = 2; a neighbour naming
+    # it again would count it twice and trace a gain of 2 for a selection
+    # that recounts to 0
+    catalog = build_catalog(np.full((4, 4), 0.5), "P", legacy_MW=[150.0, 0.0, 0.0, 0.0])
+    bits = np.zeros((4, 4), dtype=bool)
+    bits[0, :2] = True
+    m = CriticalityMatrix.from_bool(bits, 2, 1, tuple(catalog.index_of))
+    plan = plan_for(catalog, {"P": 2})
+    init = greedy_init(m, catalog, plan)
+    assert init.selected == {"s00", "s01"} and init.objective == 0
+    trace = []
+    with pytest.raises(ValueError, match=r"^scripted neighbour names legacy, unquota'd or "
+                                         r"repeated sites: \['s00'\]$"):
+        local_search(init, m, catalog, plan, AnnealParams(iterations=1, neighbors=1),
+                     ScriptedRng([]), neighbor_sampler=lambda cur, i, j, rng: ("s00", "s02"),
+                     on_iteration=lambda *args: trace.append(args))
+    assert trace == []
+
+
+def test_scripted_neighbour_outside_every_quota_is_rejected(plan_for_a_only):
+    catalog, plan = plan_for_a_only
+    m = CriticalityMatrix.from_bool(np.ones((6, 4), dtype=bool), 1, 1, tuple(catalog.index_of))
+    init = _finish_solution(catalog, plan, {"s00", "s01", "s04"}, 0.0, "comp")
+    with pytest.raises(ValueError, match=r"^scripted neighbour names legacy, unquota'd or "
+                                         r"repeated sites: \['s03', 's04'\]$"):
+        local_search(init, m, catalog, plan, AnnealParams(iterations=1, neighbors=2),
+                     ScriptedRng([]),
+                     neighbor_sampler=lambda cur, i, j, rng: ("s00", "s02") if j == 0
+                     else ("s04", "s00", "s03"))
+
+
+def test_scripted_neighbour_naming_a_site_twice_is_rejected():
+    # s01 named twice would enter twice: a traced gain of 2 for a selection
+    # {s01, s02} that recounts to 0
+    catalog = build_catalog(np.full((5, 4), 0.5), "P")
+    bits = np.zeros((5, 4), dtype=bool)
+    bits[1, :2] = True
+    m = CriticalityMatrix.from_bool(bits, 2, 1, tuple(catalog.index_of))
+    plan = plan_for(catalog, {"P": 2})
+    init = _finish_solution(catalog, plan, {"s03", "s04"}, 0, "comp")
+    with pytest.raises(ValueError, match=r"^scripted neighbour names legacy, unquota'd or "
+                                         r"repeated sites: \['s01'\]$"):
+        local_search(init, m, catalog, plan, AnnealParams(iterations=1, neighbors=1, radius=2),
+                     ScriptedRng([]), neighbor_sampler=lambda cur, i, j, rng: ("s01", "s01", "s02"))

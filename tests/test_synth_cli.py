@@ -312,6 +312,49 @@ def _manifest_without_series_path(config, data_dir):
     _with_hydro(config, data_dir)
 
 
+def _add_country_without_bus(data_dir):
+    """A runoff cell and a hydro parameters row for P3, which has no bus."""
+    manifest = data_dir / "runoff.csv"
+    manifest.write_text(manifest.read_text() + "P3_cell1,P3,900.0,runoff_series.csv\n",
+                        encoding="utf-8")
+    series = data_dir / "runoff_series.csv"
+    lines = series.read_text().splitlines()
+    lines = [line if line.startswith("#") else line + "," + line.split(",")[0] for line in lines]
+    header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    lines[header] = lines[header].rsplit(",", 1)[0] + ",P3_cell1"
+    series.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    params = data_dir / "hydro_params.csv"
+    rows = params.read_text().splitlines()
+    params.write_text("\n".join(rows + [rows[1].replace("P1", "P3", 1)]) + "\n",
+                      encoding="utf-8")
+
+
+def test_runoff_of_a_country_without_bus_is_ignored(dataset):
+    tmp_path, data_dir = dataset
+    config = write_config(tmp_path, data_dir)
+    _with_hydro(config, data_dir)
+    assert main(["pipeline", str(config), "--out", str(tmp_path / "a")]) == 0
+    _add_country_without_bus(data_dir)
+    assert "P3" in fileio.read_runoff_manifest(data_dir / "runoff.csv").countries()
+    assert main(["pipeline", str(config), "--out", str(tmp_path / "b")]) == 0
+    assert file_bytes(tmp_path / "b") == file_bytes(tmp_path / "a")
+
+
+def test_exit_data_on_bus_without_hydro_parameters(dataset, capsys):
+    tmp_path, data_dir = dataset
+    config = write_config(tmp_path, data_dir)
+    _with_hydro(config, data_dir)
+    params = data_dir / "hydro_params.csv"
+    params.write_text("\n".join(line for line in params.read_text().splitlines()
+                                if not line.startswith("P2,")) + "\n", encoding="utf-8")
+    assert main(["pipeline", str(config)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "data" and err["exit_code"] == 2
+    assert err["message"] == "hydro parameters missing for bus 'P2'"
+
+
 GAS = {"id": "gas_turbine", "kind": "dispatchable", "capex": 838.87, "lifetime_years": 30.0}
 
 
