@@ -6,17 +6,19 @@ only so mixed-integer relaxations can be exported; the bundled solver
 rejects them).  :class:`LpBuilder` assembles one from single variables,
 rows and coefficients or from whole families of them given as index
 arrays.  :func:`solve` is a bounded-variable revised simplex over a sparse
-working matrix with an LU-factorised basis, intended for desk-scale
-instances; anything larger should go through the MPS exporter in
-:mod:`windplan.mps` and an external solver.  The simplex sets up its
-working matrix, bounds and starting basis with array expressions.  Every LP
-with rows, including one whose rows have no columns, goes through the same
-path: a crash, phase one unless no artificial is left basic, then phase
-two; only an LP without rows takes a closed form.
+working matrix, intended for desk-scale instances; anything larger should
+go through the MPS exporter in :mod:`windplan.mps` and an external solver.
+It presolves row singletons into bounds, sets up its working matrix,
+bounds and starting basis with array expressions, and LU-factorises only
+the kernel of each basis.  Every LP with rows left, including one whose
+rows have no columns, goes through the same path: a crash, phase one
+unless no artificial is left basic, then phase two; only an LP without
+rows takes a closed form.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -199,14 +201,18 @@ _BASIC, _AT_LOWER, _AT_UPPER, _FREE = 0, 1, 2, 3
 
 
 class _Basis:
-    """LU-factorised basis with product-form eta updates.
+    """Basis with an LU-factorised kernel and product-form eta updates.
 
-    FTRAN/BTRAN go through the last factorisation plus the eta sequence;
-    the factorisation is rebuilt once the sequence reaches
-    ``_REFACTOR_EVERY`` entries (or on a degenerate pivot element).  Every
-    eta adds a Python step to each FTRAN and BTRAN, so the cadence trades
-    that against one sparse LU factorisation; 20 to 50 ran equally fast
-    on the ``sizing`` benchmark LPs, 100 about a quarter slower.
+    The basis columns with one entry (slacks, artificials, one-entry
+    structurals) are solved by substitution on the rows they cover; only
+    the kernel, the other columns on the rows left, goes to ``splu``.  Two
+    such columns on one row make the basis singular.  FTRAN/BTRAN go
+    through that factorisation plus the eta sequence; the factorisation is
+    rebuilt once the sequence reaches ``_REFACTOR_EVERY`` entries (or on a
+    degenerate pivot element).  Every eta adds a Python step to each FTRAN
+    and BTRAN, so the cadence trades that against one kernel factorisation;
+    20 to 50 ran equally fast on the presolved ``sizing`` benchmark LPs,
+    60 a tenth slower and 100 a third slower.
     """
 
     def __init__(self, A: sp.csc_matrix, basis: np.ndarray):
@@ -215,11 +221,25 @@ class _Basis:
 
     def refactor(self, basis: np.ndarray) -> None:
         matrix = self.A[:, basis].tocsc()
-        self.lu = spla.splu(matrix.astype(np.float64))
+        single = np.diff(matrix.indptr) == 1
+        first = matrix.indptr[:-1][single]
+        self.s_cols = np.flatnonzero(single)
+        self.s_rows, self.s_vals = matrix.indices[first], matrix.data[first]
+        covered = np.bincount(self.s_rows, minlength=matrix.shape[0])
+        if np.any(covered > 1) or np.any(self.s_vals == 0.0):
+            raise RuntimeError("Factor is exactly singular")
+        self.k_cols, self.k_rows = np.flatnonzero(~single), np.flatnonzero(covered == 0)
+        self.kernel = matrix[:, self.k_cols]
+        self.kernel_t = self.kernel.T.tocsr()
+        self.lu = spla.splu(self.kernel[self.k_rows].tocsc()) if self.k_cols.size else None
         self.etas: list[tuple[int, np.ndarray]] = []
 
     def ftran(self, rhs: np.ndarray) -> np.ndarray:
-        x = self.lu.solve(rhs)
+        x = np.empty(rhs.size)
+        if self.lu is not None:
+            x[self.k_cols] = xk = self.lu.solve(rhs[self.k_rows])
+            rhs = rhs - self.kernel @ xk
+        x[self.s_cols] = rhs[self.s_rows] / self.s_vals
         for r, w in self.etas:
             xr = x[r] / w[r]
             if xr != 0.0:
@@ -228,10 +248,14 @@ class _Basis:
         return x
 
     def btran(self, rhs: np.ndarray) -> np.ndarray:
-        y = np.array(rhs, dtype=np.float64)
+        c = np.array(rhs, dtype=np.float64)
         for r, w in reversed(self.etas):
-            y[r] = (y[r] - float(w @ y) + w[r] * y[r]) / w[r]
-        return self.lu.solve(y, trans="T")
+            c[r] = (c[r] - float(w @ c) + w[r] * c[r]) / w[r]
+        y = np.zeros(c.size)
+        y[self.s_rows] = c[self.s_cols] / self.s_vals
+        if self.lu is not None:
+            y[self.k_rows] = self.lu.solve(c[self.k_cols] - self.kernel_t @ y, trans="T")
+        return y
 
     def push_eta(self, row: int, spike: np.ndarray) -> bool:
         """Record a pivot; returns False when a refactorisation is due."""
@@ -524,6 +548,70 @@ class _Simplex:
         )
 
 
+def _presolve(lp: CanonicalLp):
+    """Rows with one entry (|a| > 1e-7) off the fixed columns, as bounds.
+
+    Such a row bounds its column at (rhs - the fixed columns' share) / a,
+    on the side its sense and the sign of a give (both sides for ``=``);
+    a bound is only ever tightened, and a column whose bounds would cross
+    keeps all such rows.  Returns the reduced LP (``lp`` itself when no row
+    goes), the kept rows, and for the postsolve the row that set each
+    column's lower and upper bound (-1 for none) with each row's a.
+    """
+    rows, cols, vals = lp.entry_rows, lp.entry_cols, lp.entry_vals
+    fixed = (lp.lower == lp.upper)[cols]
+    share = np.bincount(rows[fixed], vals[fixed] * lp.lower[cols[fixed]], lp.n_rows)
+    single = ~fixed & (np.bincount(rows[~fixed], minlength=lp.n_rows)[rows] == 1)
+    r, j, a = (arr[single & (np.abs(vals) > 1e-7)] for arr in (rows, cols, vals))
+    v = (lp.rhs[r] - share[r]) / a
+    r, j, a, v = (arr[np.isfinite(v)] for arr in (r, j, a, v))
+    sense = np.array(lp.senses, dtype="U1")[r]
+    sets = ((sense == "=") | ((sense == ">") == (a > 0)),     # a lower bound
+            (sense == "=") | ((sense == "<") == (a > 0)))     # an upper bound
+    bounds = np.array([lp.lower, lp.upper])
+    np.maximum.at(bounds[0], j[sets[0]], v[sets[0]])
+    np.minimum.at(bounds[1], j[sets[1]], v[sets[1]])
+    cross = bounds[0] > bounds[1]
+    bounds[:, cross] = lp.lower[cross], lp.upper[cross]
+    gone = ~cross[j]
+    if not gone.any():
+        return lp, np.arange(lp.n_rows), None
+    setter, coef = np.full((2, lp.n_vars), -1), np.zeros(lp.n_rows)
+    for side, old in enumerate((lp.lower, lp.upper)):
+        at = gone & sets[side] & (v == bounds[side][j]) & (v != old[j])
+        setter[side, j[at]] = r[at]   # one row per bound
+    coef[r] = a
+    keep = np.ones(lp.n_rows, dtype=bool)
+    keep[r[gone]] = False
+    kept, entries = np.flatnonzero(keep), keep[rows]
+    reduced = CanonicalLp(
+        objective=lp.objective, entry_rows=(np.cumsum(keep) - 1)[rows[entries]],
+        entry_cols=cols[entries], entry_vals=vals[entries],
+        senses=[lp.senses[i] for i in kept], rhs=lp.rhs[kept], lower=bounds[0],
+        upper=bounds[1], integer=lp.integer, var_names=lp.var_names,
+        row_names=[lp.row_names[i] for i in kept], name=lp.name)
+    return reduced, kept, (setter, coef)
+
+
+def _postsolve(lp: CanonicalLp, reduced: CanonicalLp, kept, setters, out: LpSolution):
+    """The reduced solve's result on the original rows.
+
+    Kept rows take the reduced duals; a removed row takes d_j / a while
+    its column sits at the bound that row set with d_j pointing at it, 0
+    otherwise.  Reduced costs are then c - A'y on the original matrix.
+    """
+    duals = np.zeros(lp.n_rows)
+    if out.status not in ("optimal", "iteration_limit"):
+        return dataclasses.replace(out, duals=duals)
+    duals[kept] = out.duals
+    (setter, coef), d = setters, out.reduced_costs
+    for side, active in enumerate((d > 0, d < 0)):
+        active &= (setter[side] >= 0) & (out.x == (reduced.lower, reduced.upper)[side])
+        duals[setter[side, active]] = d[active] / coef[setter[side, active]]
+    pull = np.bincount(lp.entry_cols, lp.entry_vals * duals[lp.entry_rows], lp.n_vars)
+    return dataclasses.replace(out, duals=duals, reduced_costs=lp.objective - pull)
+
+
 def _solve_unconstrained(lp: CanonicalLp) -> LpSolution:
     """Closed form without rows: each variable at the bound its cost points to,
     a zero-cost one at the finite bound nearest zero."""
@@ -545,19 +633,23 @@ def solve(
 ) -> LpSolution:
     """Solve a continuous canonical LP with the reference simplex.
 
-    Two-phase bounded-variable revised simplex: a triangular crash hands
-    the rows whose artificials start at zero to structural columns, phase
-    one (skipped when no artificial is left basic) drives the rest out,
-    and phase two optimises.  Dantzig pricing with a permanent fallback to
-    Bland's anti-cycling rule after 1000 non-improving pivots.  Optimal
-    solutions satisfy primal feasibility and strong duality within the
-    given tolerances.  Exceeding the iteration limit returns the best
-    iterate with status ``iteration_limit``.
+    A presolve turns the rows with one entry off the fixed columns into
+    bounds.  A two-phase bounded-variable revised simplex solves the rest:
+    a triangular crash hands the rows whose artificials start at zero to
+    structural columns, phase one (skipped when no artificial is left
+    basic) drives the rest out, and phase two optimises, with Dantzig
+    pricing and a permanent fallback to Bland's rule after 1000
+    non-improving pivots.  A postsolve gives every original row its dual.
+    Optimal solutions satisfy primal feasibility and strong duality on the
+    original LP within the given tolerances.  Exceeding the iteration limit
+    returns the best iterate with status ``iteration_limit``.
     """
     if np.any(lp.integer):
         raise ValueError("the reference solver handles continuous LPs only; "
                          "export integer models via MPS instead")
-    if lp.n_rows == 0:   # splu cannot factor an empty basis
-        return _solve_unconstrained(lp)
-    simplex = _Simplex(lp, feas_tol, opt_tol, iteration_limit, on_iteration)
-    return simplex.solve()
+    reduced, kept, setters = _presolve(lp)
+    if reduced.n_rows == 0:
+        out = _solve_unconstrained(reduced)
+    else:
+        out = _Simplex(reduced, feas_tol, opt_tol, iteration_limit, on_iteration).solve()
+    return out if reduced is lp else _postsolve(lp, reduced, kept, setters, out)

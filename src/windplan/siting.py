@@ -433,8 +433,14 @@ class _SearchSpace:
     def pool_indices(self, ids: Iterable[str]) -> np.ndarray:
         """Matrix indices of a scripted non-legacy selection.  It may name
         each swappable site once; a legacy site, a site outside every quota
-        or a repeat would enter the swap gains from nowhere or twice."""
-        idx = np.array([self.matrix.index_of[sid] for sid in ids], dtype=np.intp)
+        or a repeat would enter the swap gains from nowhere or twice, and an
+        id the matrix does not index has no column at all."""
+        ids, index_of = list(ids), self.matrix.index_of
+        unknown = [sid for sid in ids if sid not in index_of]
+        if unknown:
+            raise ValueError("scripted neighbour names sites the matrix does not index: "
+                             f"{unknown}")
+        idx = np.array([index_of[sid] for sid in ids], dtype=np.intp)
         named = np.bincount(idx, minlength=self.matrix.n_sites)
         bad = np.flatnonzero((named > 1) | ((named > 0) & (self._pool_of < 0)))
         if bad.size:

@@ -1,18 +1,23 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings, strategies as st
 
 from lp_oracle import (
     dual_objective, generate_box_lp, reference_dual_bound, reference_solve_unconstrained,
     reference_start_state, vertex_enum_optimum,
 )
+import windplan.cli as cli
+from windplan import fileio
 from windplan.lp import (
-    _BASIC, _REFACTOR_EVERY, CanonicalLp, LpBuilder, _Basis, _Simplex, solve,
+    _BASIC, _REFACTOR_EVERY, CanonicalLp, LpBuilder, _Basis, _presolve, _Simplex, solve,
 )
+from windplan.synth import gen_synthetic
 
 
 def build_lp(c, rows, senses, b, lower=None, upper=None, integer=None):
@@ -518,3 +523,218 @@ def test_eta_file_matches_dense_solves_up_to_the_cadence():
         row = int(np.argmax(np.abs(spike)))
         assert factor.push_eta(row, spike) == (k + 1 < _REFACTOR_EVERY)
         dense[:, row] = column
+
+
+# ---------------------------------------------------------------------------
+# Presolve: row singletons off the fixed columns become bounds
+# ---------------------------------------------------------------------------
+
+def _with_singleton_rows(rng, lp):
+    """``lp`` plus up to two fixed columns and one to four rows with one
+    entry off them, of every sense and both signs of a; some rows also carry
+    entries on the fixed columns, and some bounds are redundant or cross."""
+    n_fixed, n_single = int(rng.integers(0, 3)), int(rng.integers(1, 5))
+    n, m = lp.n_vars + n_fixed, lp.n_rows + n_single
+    fixed_at = rng.uniform(-1.0, 1.0, n_fixed)
+    rows, cols, vals, rhs = [lp.entry_rows], [lp.entry_cols], [lp.entry_vals], [lp.rhs]
+    for i in range(lp.n_rows, m):
+        j = int(rng.integers(lp.n_vars))
+        a = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+        on = np.flatnonzero(rng.random(n_fixed) < 0.5)
+        f = rng.normal(0.0, 1.0, on.size)
+        lo, up = lp.lower[j], lp.upper[j]
+        v = lo + rng.uniform(-0.3, 1.3) * (up - lo)
+        rows.append(np.full(on.size + 1, i))
+        cols.append(np.concatenate([[j], lp.n_vars + on]))
+        vals.append(np.concatenate([[a], f]))
+        rhs.append([a * v + f @ fixed_at[on]])
+    cat = np.concatenate
+    return CanonicalLp(
+        objective=cat([lp.objective, rng.normal(0.0, 1.0, n_fixed)]),
+        entry_rows=cat(rows), entry_cols=cat(cols), entry_vals=cat(vals),
+        senses=list(lp.senses) + [str(s) for s in rng.choice(["<", "=", ">"], n_single)],
+        rhs=cat(rhs), lower=cat([lp.lower, fixed_at]), upper=cat([lp.upper, fixed_at]),
+        integer=[False] * n, var_names=[f"x{j}" for j in range(n)],
+        row_names=[f"r{i}" for i in range(m)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_presolved_singleton_rows_keep_the_optimum_and_its_duals(seed):
+    rng = np.random.default_rng(seed)
+    lp = _with_singleton_rows(rng, generate_box_lp(rng, max_vars=4, max_rows=3))
+    out = solve(lp)
+    plain = _Simplex(lp, 1e-7, 1e-7, 100000).solve()
+    assert out.status == plain.status
+    assert out.duals.size == lp.n_rows and out.reduced_costs.size == lp.n_vars
+    try:
+        oracle = vertex_enum_optimum(lp)
+    except ValueError:   # dependent equality rows: the oracle does not apply
+        oracle = None
+    if out.status != "optimal":
+        assert out.status == "infeasible" and oracle in (None, math.inf)
+        return
+    assert out.objective == pytest.approx(plain.objective, rel=1e-9, abs=1e-8)
+    if oracle is not None:
+        assert out.objective == pytest.approx(oracle, rel=1e-9, abs=1e-8)
+    assert dual_objective(lp, out) == pytest.approx(out.objective, abs=1e-6)
+    _, kept, _ = _presolve(lp)
+    removed = np.setdiff1d(np.arange(lp.n_rows), kept)
+    slack = lp.rhs - lp.dense_matrix() @ out.x
+    for i in removed:
+        assert abs(out.duals[i] * slack[i]) <= 1e-6 * (1 + abs(out.duals[i]))
+        if lp.senses[i] == "<":
+            assert out.duals[i] <= 0.0
+        elif lp.senses[i] == ">":
+            assert out.duals[i] >= 0.0
+
+
+def test_lp_of_singleton_rows_only_takes_the_closed_form_with_every_dual():
+    # x0 <= 2, x1 >= 0.5 (as -2 x1 <= -1), 3 x2 + x3 = 2.5 with x3 fixed at 1,
+    # and x0 >= -4, which the box [-1, 5] already implies
+    lp = build_lp([-1.0, 2.0, 1.0, 1.0, 1.0],
+                  [[1, 0, 0, 0, 0], [0, -2, 0, 0, 0], [0, 0, 3, 1, 0], [1, 0, 0, 0, 0]],
+                  ["<", "<", "=", ">"], [2.0, -1.0, 2.5, -4.0],
+                  lower=[-1.0, 0.0, -5.0, 1.0, 0.0], upper=[5.0, 4.0, 5.0, 1.0, 3.0])
+    reduced, kept, _ = _presolve(lp)
+    assert reduced.n_rows == 0 and kept.size == 0
+    out = solve(lp)
+    plain = _Simplex(lp, 1e-7, 1e-7, 1000).solve()
+    assert out.status == plain.status == "optimal" and out.iterations == 0
+    assert out.duals.size == lp.n_rows
+    np.testing.assert_allclose(out.x, [2.0, 0.5, 0.5, 1.0, 0.0], atol=1e-12)
+    assert out.objective == pytest.approx(plain.objective, abs=1e-12)
+    np.testing.assert_allclose(out.duals, [-1.0, -1.0, 1.0 / 3.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(out.duals, plain.duals, atol=1e-12)
+    np.testing.assert_allclose(out.reduced_costs, plain.reduced_costs, atol=1e-12)
+
+
+def test_presolve_leaves_an_lp_without_singleton_rows_alone():
+    lp = build_lp([-1.0, -1.0], [[1.0, 1.0], [1.0, -1.0]], ["<", ">"], [1.0, -0.5])
+    reduced, kept, _ = _presolve(lp)
+    assert reduced is lp and np.array_equal(kept, [0, 1])
+
+
+def test_crossing_singleton_rows_stay_rows():
+    # x0 <= 1 and x0 >= 2 would cross: both stay rows and the simplex finds
+    # the LP infeasible; x1 <= 3 goes
+    lp = build_lp([1.0, -1.0], [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], ["<", ">", "<"],
+                  [1.0, 2.0, 3.0], upper=[5.0, 5.0])
+    reduced, kept, _ = _presolve(lp)
+    assert np.array_equal(kept, [0, 1]) and reduced.upper[1] == 3.0
+    assert reduced.lower[0] == 0.0 and reduced.upper[0] == 5.0
+    out = solve(lp)
+    assert out.status == "infeasible" and np.all(out.duals == 0.0) and out.duals.size == 3
+
+
+def test_singleton_entry_at_most_1e_7_stays_a_row():
+    lp = build_lp([1.0, 1.0], [[1e-7, 0.0], [0.0, -2e-7]], ["<", "<"], [1.0, 1.0],
+                  lower=[-math.inf, -math.inf])
+    reduced, kept, _ = _presolve(lp)
+    assert np.array_equal(kept, [0]) and reduced.lower[1] == -5e6 and reduced.upper[0] == math.inf
+
+
+def test_removed_row_of_a_column_off_its_bound_gets_no_dual():
+    # x0 <= 2 goes; stopped before the first pivot, x0 sits at 0 with d < 0
+    lp = build_lp([-1.0, -1.0], [[1.0, 1.0], [1.0, 0.0]], ["<", "<"], [3.0, 2.0],
+                  upper=[5.0, 5.0])
+    out = solve(lp, iteration_limit=0)
+    assert out.status == "iteration_limit" and out.x[0] == 0.0
+    assert out.duals[1] == 0.0
+    np.testing.assert_array_equal(out.reduced_costs, lp.objective - lp.dense_matrix().T @ out.duals)
+
+
+def _sizing_lp(tmp_path, monkeypatch):
+    """The LP of a small ``synth`` pipeline run with hydro on and a CO2
+    budget at 60 % of an all-gas supply."""
+    gen_synthetic(tmp_path / "data", 3, n_sites=6, n_partitions=2, n_periods=96)
+    demand = fileio.read_series_csv(tmp_path / "data" / "demand.csv", 1.0)
+    all_gas = sum(float(s.values.sum()) for s in demand.values()) * 0.225 / 0.41
+    config = {
+        "paths": {name: f"data/{name}.csv" for name in
+                  ("wind_speeds", "demand", "runoff", "hydro_params")}
+        | {"catalog": "data/sites.csv", "output_dir": "out"},
+        "resample_factor": 3,
+        "siting": {"targets_MW": {"P1": 2000.0, "P2": 2000.0},
+                   "anneal": {"iterations": 5, "neighbors": 5}, "n_runs": 1},
+        "cep": {"reserve_margin": 0.2, "shed_penalty": 500.0, "co2_budget_fraction": 0.6,
+                "co2_baseline_emissions": all_gas},
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    built = []
+    real = cli.build_lp
+    monkeypatch.setattr(cli, "build_lp", lambda *a: built.append(real(*a)) or built[-1])
+    assert cli.main(["pipeline", str(tmp_path / "config.json")]) == 0
+    return built[0][0]
+
+
+def test_pipeline_lp_presolved_matches_the_plain_simplex(tmp_path, monkeypatch):
+    lp = _sizing_lp(tmp_path, monkeypatch)
+    reduced, _, _ = _presolve(lp)
+    assert any(name.startswith("dis|") for name in lp.row_names)   # hydro is on
+    assert reduced.n_rows < lp.n_rows
+    out = solve(lp)
+    plain = _Simplex(lp, 1e-7, 1e-7, 100000).solve()
+    assert out.status == plain.status == "optimal"
+    assert out.objective == pytest.approx(plain.objective, rel=1e-9)
+    co2 = lp.row_names.index("co2")
+    assert plain.duals[co2] != 0.0
+    assert out.duals[co2] == pytest.approx(plain.duals[co2], rel=1e-9)
+    assert dual_objective(lp, out) == pytest.approx(out.objective, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Kernel factorisation: column singletons by substitution, the rest by splu
+# ---------------------------------------------------------------------------
+
+def _mixed_columns(rng, m):
+    """m slack columns, m one-entry structural columns and m kernel columns."""
+    singles = np.zeros((m, m))
+    singles[np.arange(m), rng.permutation(m)] = rng.choice([-1.0, 1.0], m) * rng.uniform(0.5, 3, m)
+    kernel = np.eye(m) * 4.0 + np.where(rng.random((m, m)) < 0.3, rng.normal(0, 1, (m, m)), 0.0)
+    return np.hstack([np.eye(m), singles, kernel])
+
+
+@pytest.mark.parametrize("mix", ["mixed", "all singletons", "no singleton"])
+def test_kernel_factorisation_matches_dense_solves_up_to_the_cadence(mix, monkeypatch):
+    rng = np.random.default_rng({"mixed": 3, "all singletons": 4, "no singleton": 5}[mix])
+    m = 12
+    A = _mixed_columns(rng, m)
+    covers = np.argmax(A[:, : 2 * m] != 0.0, axis=0)   # the row of each singleton column
+    if mix == "no singleton":
+        basis = 2 * m + np.arange(m)
+    else:
+        slacks = rng.permutation(m)[: m // 3]
+        structs = [j for j in m + rng.permutation(m) if covers[j] not in slacks][: m // 3]
+        singles = np.concatenate([slacks, structs]).astype(np.intp)
+        if mix == "all singletons":
+            free = np.setdiff1d(np.arange(m), covers[singles])
+            singles = np.concatenate([singles, free])   # slacks for the rows left
+        kernel = 2 * m + np.setdiff1d(np.arange(m), covers[singles])
+        basis = np.concatenate([singles, kernel]).astype(np.intp)
+        rng.shuffle(basis)
+    calls = []
+    real = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda mat: calls.append(mat.shape) or real(mat))
+    factor = _Basis(sp.csc_matrix(A), basis)
+    n_single = int(np.count_nonzero(basis < 2 * m))
+    assert calls == ([] if n_single == m else [(m - n_single, m - n_single)])
+    dense = A[:, basis]
+    for k in range(_REFACTOR_EVERY):
+        assert len(factor.etas) == k
+        for _ in range(2):
+            rhs = rng.normal(0, 1, m)
+            for got, want in ((factor.ftran(rhs), np.linalg.solve(dense, rhs)),
+                              (factor.btran(rhs), np.linalg.solve(dense.T, rhs))):
+                assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+        column = A[:, int(rng.integers(3 * m))]
+        spike = factor.ftran(column)
+        row = int(np.argmax(np.abs(spike)))
+        assert factor.push_eta(row, spike) == (k + 1 < _REFACTOR_EVERY)
+        dense[:, row] = column
+
+
+def test_two_singletons_on_one_row_make_the_basis_singular():
+    A = sp.csc_matrix(np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]))
+    with pytest.raises(RuntimeError, match="singular"):
+        _Basis(A, np.array([0, 1, 2]))

@@ -630,3 +630,14 @@ def test_scripted_neighbour_naming_a_site_twice_is_rejected():
                                          r"repeated sites: \['s01'\]$"):
         local_search(init, m, catalog, plan, AnnealParams(iterations=1, neighbors=1, radius=2),
                      ScriptedRng([]), neighbor_sampler=lambda cur, i, j, rng: ("s01", "s01", "s02"))
+
+
+def test_scripted_neighbour_naming_an_unknown_site_is_rejected():
+    catalog = build_catalog(np.full((5, 4), 0.5), "P")
+    m = CriticalityMatrix.from_bool(np.ones((5, 4), dtype=bool), 1, 1, tuple(catalog.index_of))
+    plan = plan_for(catalog, {"P": 2})
+    init = _finish_solution(catalog, plan, {"s03", "s04"}, 0, "comp")
+    with pytest.raises(ValueError, match=r"^scripted neighbour names sites the matrix does "
+                                         r"not index: \['zz'\]$"):
+        local_search(init, m, catalog, plan, AnnealParams(iterations=1, neighbors=1),
+                     ScriptedRng([]), neighbor_sampler=lambda cur, i, j, rng: ("s01", "zz"))
