@@ -8,28 +8,25 @@ speed to cut-out and zero above cut-out.  Farm-level curves derived via
 is smeared across the cut-in and cut-out cliffs) and are flagged as
 ``smoothed`` so construction-time shape checks are skipped for them.
 
-The smoothing integrates on a fixed 0.01 m/s quadrature grid.  The
-351 x 3,501 grid-to-quadrature distance matrix holds only 14,804 distinct
-values, so the first smoothing call caches them with each pair's index
-among them (~0.1 s once, 9.8 MB resident); every call after that takes
-``exp`` of the distinct distances only and gathers the dense weight
-matrix from the cache.  The result is bit-identical to evaluating the
-kernel on the whole matrix.
+The smoothing integrates on a fixed 0.01 m/s quadrature grid whose every
+tenth point is a grid speed, so it is a correlation of the quadrature
+samples with the truncated kernel: each grid speed reads a window of the
+zero-padded samples as wide as the kernel's support, and nothing outside
+that support is touched.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from windplan.timeseries import TimeSeries
 
 # Fixed evaluation grid for smoothed curves: 0 to 35 m/s, 0.1 m/s step.
 SPEED_GRID = np.round(np.arange(0.0, 35.0 + 1e-9, 0.1), 1)
 _QUAD_STEP = 0.01  # internal quadrature step for kernel integration
-_LAYOUT_ROWS = 32  # grid rows per block while the distance layout is built
 _SHAPE_TOL = 1e-9
 
 #: Default mean-speed class table: closed lower bounds, covers [0, inf).
@@ -126,30 +123,6 @@ def select_turbine(mean_wind_speed: float, class_table=DEFAULT_CLASS_TABLE) -> s
     return chosen
 
 
-@functools.cache
-def _kernel_layout() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The quadrature grid, the sorted distinct distances between it and
-    ``SPEED_GRID``, and each (grid, quadrature) pair's index among them.
-
-    Built once per process on first use, a block of grid rows at a time so
-    that the whole distance matrix and its sort are never held at once.
-    The arrays are read-only.
-    """
-    quad = np.arange(0.0, 35.0 + _QUAD_STEP / 2, _QUAD_STEP)
-    starts = range(0, SPEED_GRID.size, _LAYOUT_ROWS)
-
-    def block(lo: int) -> np.ndarray:
-        return np.abs(SPEED_GRID[lo:lo + _LAYOUT_ROWS, None] - quad[None, :])
-
-    distinct = np.unique(np.concatenate([np.unique(block(lo)) for lo in starts]))
-    inverse = np.empty((SPEED_GRID.size, quad.size), dtype=np.intp)
-    for lo in starts:
-        inverse[lo:lo + _LAYOUT_ROWS] = np.searchsorted(distinct, block(lo))
-    for array in (quad, distinct, inverse):
-        array.setflags(write=False)
-    return quad, distinct, inverse
-
-
 def smooth_power_curve(curve: PowerCurve, sigma: float) -> PowerCurve:
     """Gaussian-kernel smoothing of a power curve onto the fixed speed grid.
 
@@ -160,21 +133,35 @@ def smooth_power_curve(curve: PowerCurve, sigma: float) -> PowerCurve:
     the input curve sampled on the grid unchanged; a negative or NaN
     ``sigma`` raises ``ValueError``.
 
-    The first call with ``sigma > 0`` builds the cached distance layout
-    (~0.1 s once per process, 9.8 MB resident); later calls reuse it.
+    The kernel is sampled once per call at the quadrature offsets within
+    the cut, and the weighted sums are one product of the strided
+    (351 x window) view of the zero-padded samples with it; the kernel mass
+    inside [0, 35] m/s is a difference of two of its prefix sums.  A
+    ``sigma`` too small to reach the next quadrature point keeps the centre
+    weight only, and an infinite one averages evenly over [0, 35] m/s.
     """
     if not sigma >= 0:  # also rejects NaN
         raise ValueError("sigma must be non-negative")
     if sigma == 0:
         values = curve.evaluate(SPEED_GRID)
     else:
-        quad, distinct, inverse = _kernel_layout()
-        samples = curve.evaluate(quad)
-        kernel = np.exp(-0.5 * (distinct / sigma) ** 2)
-        kernel[distinct > 3.0 * sigma + 1e-12] = 0.0
-        # the dense gather keeps the summation order of the BLAS product
-        weights = kernel[inverse]
-        values = (weights @ samples) / weights.sum(axis=1)
+        samples = curve.evaluate(np.arange(0.0, 35.0 + _QUAD_STEP / 2, _QUAD_STEP))
+        cut = 3.0 * sigma + 1e-12
+        # an offset or two past the cut, trimmed next; min() keeps an infinite cut out of int()
+        offsets = np.arange(min(int(min(cut, 35.0) / _QUAD_STEP) + 2, samples.size)) * _QUAD_STEP
+        offsets = offsets[offsets <= cut]
+        reach = offsets.size - 1
+        half = np.exp(-0.5 * (offsets / sigma) ** 2)
+        kernel = np.concatenate((half[:0:-1], half))
+        padded = np.zeros(samples.size + 2 * reach)
+        padded[reach:reach + samples.size] = samples
+        # grid speed i is quadrature point 10 i; its window covers 10 i +- reach
+        windows = sliding_window_view(padded, kernel.size)[::10]
+        centre = 10 * np.arange(SPEED_GRID.size)
+        lo = np.maximum(reach - centre, 0)  # kernel entries that fall inside [0, 35] m/s
+        hi = np.minimum(reach - centre + samples.size, kernel.size)
+        mass = np.concatenate(([0.0], np.cumsum(kernel)))
+        values = (windows @ kernel) / (mass[hi] - mass[lo])
     return PowerCurve(
         SPEED_GRID,
         np.clip(values, 0.0, 1.0),

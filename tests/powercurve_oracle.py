@@ -1,10 +1,11 @@
 """Dense reference implementation of the farm-level power-curve smoothing.
 
-``smooth_power_curve`` rebuilds the full 351 x 3,501 grid-to-quadrature
+``smooth_power_curve`` builds the full 351 x 3,501 grid-to-quadrature
 distance matrix and takes ``exp`` of every entry on every call.  The
-library version in ``windplan.powercurve`` takes ``exp`` of the distinct
-distances only and gathers the same weight matrix from a cached layout, so
-its ``powers`` must equal this function's byte for byte.
+library version in ``windplan.powercurve`` correlates the quadrature
+samples with the kernel over its support only and sums in another order,
+so its ``powers`` must equal this function's within float64 summation
+error (at most 3,501 terms per sum), not byte for byte.
 """
 
 from __future__ import annotations

@@ -1,5 +1,4 @@
-import subprocess
-import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -8,9 +7,10 @@ from hypothesis import example, given, settings, strategies as st
 import powercurve_oracle
 from windplan.fileio import load_default_curves
 from windplan.powercurve import (
-    _QUAD_STEP, DEFAULT_CLASS_TABLE, SPEED_GRID, PowerCurve, _kernel_layout, apply_transfer,
-    select_turbine, smooth_power_curve,
+    DEFAULT_CLASS_TABLE, SPEED_GRID, PowerCurve, apply_transfer, select_turbine,
+    smooth_power_curve,
 )
+from windplan.resource import capacity_factors_from_speeds
 from windplan.timeseries import TimeSeries
 
 
@@ -127,10 +127,16 @@ def test_default_class_table_covers_examples():
 
 
 # ---------------------------------------------------------------------------
-# Smoothing on the cached distance layout
+# Smoothing as a correlation over the kernel's support
 # ---------------------------------------------------------------------------
 
 _PACKAGED = load_default_curves()
+
+# Both sides divide a sum of at most 3,501 nonnegative products by a sum of
+# the same weights.  Recursive summation keeps each sum within 3,501 * eps / 2
+# of its exact value, relative, so each ratio in [0, 1] is within
+# 3,501 * eps of the exact one, and the two sides within twice that.
+_SUM_BOUND = 2 * 3501 * np.finfo(np.float64).eps
 
 
 def _nominal_ramp(cut_in, ramp, flat, exponent) -> PowerCurve:
@@ -155,35 +161,60 @@ _curves = st.one_of(
 @example("low_wind", 35.0 / 3.0)  # the 3-sigma cut at exactly 35 m/s
 @example("high_wind", 50.0)
 @example((3.0, 9.0, 10.0, 1.0), 35.0 / 3.0)
+# 3 sigma lands on a quadrature offset (0.01, 0.3 and 3.9 m/s): the offset
+# at the cut is inside it, the next one is not
+@example("high_wind", 0.01 / 3.0)
+@example("low_wind", 0.1)
+@example("high_wind", 1.3)
+@example((3.0, 9.0, 10.0, 1.0), 1.3)
 def test_smoothing_matches_dense_oracle(spec, sigma):
     curve = _PACKAGED[spec] if isinstance(spec, str) else _nominal_ramp(*spec)
     out = smooth_power_curve(curve, sigma)
     ref = powercurve_oracle.smooth_power_curve(curve, sigma)
-    assert out.powers.tobytes() == ref.powers.tobytes()
+    assert np.max(np.abs(out.powers - ref.powers)) <= _SUM_BOUND
     assert out.speeds.tobytes() == ref.speeds.tobytes()
     assert (out.cut_in, out.rated_speed, out.cut_out, out.smoothed) == (
         ref.cut_in, ref.rated_speed, ref.cut_out, ref.smoothed)
 
 
-def test_kernel_layout_rebuilds_distances_and_is_read_only():
-    quad, distinct, inverse = _kernel_layout()
-    dense_quad = np.arange(0.0, 35.0 + _QUAD_STEP / 2, _QUAD_STEP)
-    assert quad.tobytes() == dense_quad.tobytes()
-    dist = np.abs(SPEED_GRID[:, None] - dense_quad[None, :])
-    assert inverse.shape == dist.shape and inverse.dtype == np.intp
-    assert distinct[inverse].tobytes() == dist.tobytes()
-    assert np.all(np.diff(distinct) > 0)
-    assert _kernel_layout() is _kernel_layout()
-    for array in (quad, distinct, inverse):
-        assert not array.flags.writeable
-        with pytest.raises(ValueError):
-            array[0] = 0
+@settings(max_examples=50, deadline=None)
+@given(st.floats(1e-3, 1.8))
+@example(0.01 / 3.0)
+@example(0.1)
+@example(1.3)
+def test_smoothing_leaves_a_linear_stretch_unchanged(ramp_curve, sigma):
+    # a symmetric kernel wholly inside the 4-15 m/s ramp averages to the ramp
+    # itself; a window shifted by one quadrature step would be off by 0.01/11
+    out = smooth_power_curve(ramp_curve, sigma)
+    inside = (SPEED_GRID - 3 * sigma >= 4.0 + 1e-9) & (SPEED_GRID + 3 * sigma <= 15.0 - 1e-9)
+    assert inside.any()
+    expected = ramp_curve.evaluate(SPEED_GRID[inside])
+    assert np.max(np.abs(out.powers[inside] - expected)) <= _SUM_BOUND
 
 
-def test_kernel_layout_not_built_at_import():
-    code = ("import windplan, windplan.powercurve as p; "
-            "assert p._kernel_layout.cache_info().currsize == 0")
-    subprocess.run([sys.executable, "-c", code], check=True)
+@pytest.mark.parametrize("sigma", [5e-324, 1e-300, 1e300, float("inf")])
+def test_smoothing_at_extreme_sigma(sigma):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, curve in _PACKAGED.items():
+            out = smooth_power_curve(curve, sigma).powers
+            if sigma < 1:  # the centre weight only: the curve sampled on the grid
+                ref = smooth_power_curve(curve, 0.0).powers
+                assert np.max(np.abs(out - ref)) <= 1e-12, name
+            else:  # every weight is one: a flat average over [0, 35] m/s
+                ref = powercurve_oracle.smooth_power_curve(curve, sigma).powers
+                assert np.max(np.abs(out - ref)) <= _SUM_BOUND, name
+                assert np.ptp(out) <= _SUM_BOUND, name
+
+
+def test_capacity_factors_from_tiny_mean_speeds():
+    # sigma = 0.15 * 1.5e-300 keeps only the centre weight: no overflow, no
+    # 0/0 and no non-finite breakpoint
+    speeds = {"s1": TimeSeries([1e-300, 2e-300])}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cf = capacity_factors_from_speeds(speeds, _PACKAGED)
+    assert np.array_equal(cf["s1"].values, [0.0, 0.0])
 
 
 def test_smooth_rejects_nan_sigma(ramp_curve):
