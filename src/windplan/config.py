@@ -13,6 +13,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
+import stat
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -141,10 +143,12 @@ class PipelineConfig:
         if resolved is None and required:
             raise ValueError(f"config paths.{key} is required")
         if resolved is not None:
-            if not resolved.exists():
-                raise ValueError(f"config paths.{key}: {resolved} does not exist")
-            if resolved.is_dir() != (key == "curves_dir"):
-                kind = "a directory" if resolved.is_dir() else "not a directory"
+            try:
+                is_dir = stat.S_ISDIR(os.stat(resolved).st_mode)
+            except OSError as exc:   # missing, or a component not searchable
+                raise ValueError(f"config paths.{key}: {resolved}: {exc.strerror}") from None
+            if is_dir != (key == "curves_dir"):
+                kind = "a directory" if is_dir else "not a directory"
                 raise ValueError(f"config paths.{key}: {resolved} is {kind}")
         return resolved
 
@@ -182,6 +186,24 @@ def _cep_config(values: dict, period_hours: float) -> CepConfig:
     return CepConfig(**values)
 
 
+def _resolve_in(base: str, value: str) -> Path:
+    """``Path(base, value).resolve()`` for an already resolved ``base``: only
+    the components of a relative ``value`` can be links, so only they are
+    looked up (``Path.resolve`` looks up every component from the root)."""
+    parts = value.split(os.sep)
+    if os.path.isabs(value) or ".." in parts:
+        return Path(base, value).resolve()
+    path = base
+    for part in parts:
+        path = os.path.join(path, part)
+        try:
+            if stat.S_ISLNK(os.lstat(path).st_mode):
+                return Path(base, value).resolve()
+        except OSError:   # missing: nothing below it is a link either
+            break
+    return Path(base, value)
+
+
 def load_config(path: str | Path) -> PipelineConfig:
     path = Path(path)
     try:
@@ -194,7 +216,8 @@ def load_config(path: str | Path) -> PipelineConfig:
     canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
     resolution = values.get("resolution_hours", 1.0)
     factor = values.get("resample_factor", 1)
-    paths = {key: (path.parent / value).resolve()
+    base = os.path.realpath(path.parent)
+    paths = {key: _resolve_in(base, value)
              for key, value in values["paths"].items() if value is not None}
     return PipelineConfig(
         config_hash=hashlib.sha256(canonical.encode()).hexdigest(),

@@ -233,6 +233,27 @@ def test_defaults_come_from_the_library(tmp_path):
     assert config.output_dir is None
 
 
+@pytest.mark.parametrize("value", [
+    "data/f.csv", "./data//f.csv", "data/g.csv", "linked/x.csv", "linked/../data/f.csv",
+    "missing/x.csv", "data/f.csv/x", "..", "", "linked", "ABSOLUTE/linked/y",
+])
+def test_paths_resolve_as_path_resolve_does(tmp_path, value):
+    """A configured path is ``(config dir / value).resolve()``: with links
+    inside the value, ``..`` after a link, missing components, an absolute
+    value, and the config read through a linked directory."""
+    real = tmp_path / "real"
+    (real / "data").mkdir(parents=True)
+    (real / "data" / "f.csv").write_text("", encoding="utf-8")
+    (real / "elsewhere").mkdir()
+    (real / "linked").symlink_to(real / "elsewhere")
+    (real / "data" / "g.csv").symlink_to(real / "data" / "f.csv")
+    (tmp_path / "via").symlink_to(real)
+    value = value.replace("ABSOLUTE", str(tmp_path / "via"))
+    path = tmp_path / "via" / "config.json"
+    path.write_text(json.dumps({"paths": {"demand": value}}), encoding="utf-8")
+    assert load_config(path).paths["demand"] == (tmp_path / "via" / value).resolve()
+
+
 def test_cep_records_and_resolved_values(tmp_path):
     config = _load(tmp_path, {"paths": {}, **{k: FULL_CONFIG[k] for k in ("siting", "cep")}})
     cep = config.cep
