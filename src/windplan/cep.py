@@ -12,6 +12,8 @@ Conventions
 * Capacity variables are *additions*; operational limits apply to
   ``legacy + addition``.  Technologies without investment cost data are
   frozen at their legacy capacity (the addition is fixed to zero).
+* A fixed fleet's limits are bounds: a per-period limit on one dispatch
+  variable of such a fleet, or at a zero capacity factor, is not a row.
 * Period weights ``weight_hours`` convert power flows into energy for
   operating costs, emissions and the storage recursion alike.
 * Line flow is split into two non-negative directed parts; the variable
@@ -401,7 +403,8 @@ def build_lp(instance: CepInstance) -> tuple[CanonicalLp, CepIndex]:
     per-period definition straight into the budget row.  Rows that are
     vacuous by construction (unit ramp rates, zero must-run levels, zero
     minimum states of charge, non-positive adequacy requirements) are not
-    emitted.  Each per-period row family is added as one block.
+    emitted, nor are a fixed fleet's limits, which are bounds computed as
+    the rows' right-hand sides.  Each per-period row family is one block.
     """
     t_len = instance.n_periods
     periods = range(t_len)
@@ -409,15 +412,24 @@ def build_lp(instance: CepInstance) -> tuple[CanonicalLp, CepIndex]:
     builder = LpBuilder(name="cep")
     ix = CepIndex()
 
-    def addition_bound(legacy: float, potential: float | None, expandable: bool) -> float:
-        if not expandable:
-            return 0.0
-        if potential is None:
-            return math.inf
-        return potential - legacy
+    fixed: set[int] = set()   # capacity columns pinned at [0, 0]
+    floored = set()           # fixed dispatchable fleets with must-run as p's lower bound
 
-    def series_vars(prefix: str, objective: float = 0.0) -> np.ndarray:
-        return builder.add_vars(_series_names(prefix, periods), objective=objective)
+    def capacity_var(name: str, legacy: float, potential: float | None,
+                     annuity: float | None, objective: float) -> int:
+        """An addition column; without an annuity it is pinned at zero."""
+        bound = 0.0 if annuity is None else math.inf if potential is None else potential - legacy
+        col = builder.add_var(name, 0.0, bound, objective=objective)
+        if bound == 0.0:
+            fixed.add(col)
+        return col
+
+    def series_vars(prefix: str, objective: float = 0.0, lower=0.0, upper=math.inf) -> np.ndarray:
+        return builder.add_vars(_series_names(prefix, periods), lower, upper, objective)
+
+    def output_cap(cf: np.ndarray, legacy: float, k_var: int) -> np.ndarray:
+        """Upper bound on p: the fixed fleet's output, and zero where cf is."""
+        return np.where((cf == 0.0) | (k_var in fixed), cf * legacy, math.inf)
 
     sited_tech = (
         instance.technology(instance.sited_technology) if instance.sited_technology else None
@@ -426,56 +438,60 @@ def build_lp(instance: CepInstance) -> tuple[CanonicalLp, CepIndex]:
     # -- capacity variables -------------------------------------------------
     for asset in instance.sited:
         annuity = sited_tech.power_annuity(instance.discount_rate)
-        cost = (annuity or 0.0) + sited_tech.fixed_om
-        ix.site_K[asset.id] = builder.add_var(
-            f"K|site|{asset.id}", 0.0,
-            addition_bound(asset.legacy_MW, asset.potential_MW, annuity is not None),
-            objective=cost,
-        )
+        ix.site_K[asset.id] = capacity_var(f"K|site|{asset.id}", asset.legacy_MW,
+                                           asset.potential_MW, annuity,
+                                           (annuity or 0.0) + sited_tech.fixed_om)
         ix.site_credit[asset.id] = _resolve_credit(
             sited_tech, asset.cf, instance.bus(asset.bus), t_len
         )
     for pl in instance.placements:
         tech = instance.technology(pl.tech)
         annuity = tech.power_annuity(instance.discount_rate)
-        ix.tech_K[(pl.bus, pl.tech)] = builder.add_var(
-            f"K|{pl.bus}|{pl.tech}", 0.0,
-            addition_bound(pl.legacy_MW, pl.potential_MW, annuity is not None),
-            objective=(annuity or 0.0) + tech.fixed_om,
-        )
+        ix.tech_K[(pl.bus, pl.tech)] = capacity_var(
+            f"K|{pl.bus}|{pl.tech}", pl.legacy_MW, pl.potential_MW, annuity,
+            (annuity or 0.0) + tech.fixed_om)
         if tech.kind == STORAGE:
             energy_annuity = tech.storage_energy_annuity(instance.discount_rate)
-            ix.storage_S[(pl.bus, pl.tech)] = builder.add_var(
-                f"S|{pl.bus}|{pl.tech}", 0.0,
-                addition_bound(pl.legacy_energy_MWh, pl.potential_energy_MWh,
-                               energy_annuity is not None),
-                objective=energy_annuity or 0.0,
-            )
+            ix.storage_S[(pl.bus, pl.tech)] = capacity_var(
+                f"S|{pl.bus}|{pl.tech}", pl.legacy_energy_MWh, pl.potential_energy_MWh,
+                energy_annuity, energy_annuity or 0.0)
         if tech.kind == RES:
             ix.res_credit[(pl.bus, pl.tech)] = _resolve_credit(
                 tech, pl.availability, instance.bus(pl.bus), t_len
             )
     for line in instance.lines:
         annuity = line.power_annuity(instance.discount_rate)
-        ix.line_K[line.id] = builder.add_var(
-            f"K|line|{line.id}", 0.0,
-            addition_bound(line.legacy_MW, line.potential_MW, annuity is not None),
-            objective=(annuity or 0.0) + line.fixed_om,
-        )
+        ix.line_K[line.id] = capacity_var(f"K|line|{line.id}", line.legacy_MW,
+                                          line.potential_MW, annuity,
+                                          (annuity or 0.0) + line.fixed_om)
 
     # -- dispatch variables --------------------------------------------------
     for asset in instance.sited:
-        ix.site_p[asset.id] = series_vars(f"p|site|{asset.id}", omega * sited_tech.marginal_cost)
+        ix.site_p[asset.id] = series_vars(
+            f"p|site|{asset.id}", omega * sited_tech.marginal_cost,
+            upper=output_cap(asset.cf.values, asset.legacy_MW, ix.site_K[asset.id]))
     for pl in instance.placements:
         tech = instance.technology(pl.tech)
         key = (pl.bus, pl.tech)
         tag = f"{pl.bus}|{pl.tech}"
+        cost, fixed_k = omega * tech.marginal_cost, ix.tech_K[key] in fixed
         if tech.kind in (RES, DISPATCHABLE):
-            ix.gen_p[key] = series_vars(f"p|{tag}", omega * tech.marginal_cost)
+            cf = pl.availability.values if pl.availability is not None else np.ones(t_len)
+            upper = output_cap(cf, pl.legacy_MW, ix.tech_K[key])
+            floor = tech.must_run * pl.legacy_MW
+            # a floor above the cap stays in rows, where the LP reads infeasible
+            if tech.kind == DISPATCHABLE and fixed_k and np.all(floor <= upper):
+                floored.add(key)
+            ix.gen_p[key] = series_vars(f"p|{tag}", cost, floor if key in floored else 0.0, upper)
         else:
-            ix.charge[key] = series_vars(f"pc|{tag}", omega * tech.marginal_cost)
-            ix.discharge[key] = series_vars(f"pd|{tag}", omega * tech.marginal_cost)
-            ix.soc[key] = series_vars(f"e|{tag}")
+            charge_cap = tech.charge_ratio * pl.legacy_MW
+            ix.charge[key] = series_vars(f"pc|{tag}", cost, upper=charge_cap
+                                         if fixed_k or tech.charge_ratio == 0.0 else math.inf)
+            ix.discharge[key] = series_vars(f"pd|{tag}", cost,
+                                            upper=pl.legacy_MW if fixed_k else math.inf)
+            energy = pl.legacy_energy_MWh
+            ix.soc[key] = (series_vars(f"e|{tag}", lower=tech.min_soc * energy, upper=energy)
+                           if ix.storage_S[key] in fixed else series_vars(f"e|{tag}"))
             if pl.inflow is not None:
                 ix.spill[key] = series_vars(f"spill|{tag}")
     for line in instance.lines:
@@ -502,9 +518,9 @@ def build_lp(instance: CepInstance) -> tuple[CanonicalLp, CepIndex]:
 
     def availability_rows(prefix: str, cf: np.ndarray, legacy: float,
                           p_vars: np.ndarray, k_var: int) -> None:
-        rows = builder.add_rows(_series_names(prefix, periods), "<", cf * legacy, (p_vars, 1.0))
-        nonzero = cf != 0.0
-        builder.add_entries(rows[nonzero], k_var, -cf[nonzero])
+        t = np.flatnonzero(np.isinf(output_cap(cf, legacy, k_var)))   # limits not made bounds
+        builder.add_rows(_series_names(prefix, t), "<", cf[t] * legacy,
+                         (p_vars[t], 1.0), (k_var, -cf[t]))
 
     # -- sited RES operation ---------------------------------------------------
     for asset in instance.sited:
@@ -533,19 +549,19 @@ def build_lp(instance: CepInstance) -> tuple[CanonicalLp, CepIndex]:
                                      tech.ramp_down * pl.legacy_MW,
                                      (p_vars[1:], -1.0), (p_vars[:-1], 1.0),
                                      (k_var, -tech.ramp_down))
-                if tech.must_run > 0.0:
+                if tech.must_run > 0.0 and key not in floored:
                     builder.add_rows(_series_names(f"mustrun|{tag}", periods), "<",
                                      -tech.must_run * pl.legacy_MW,
                                      (k_var, tech.must_run), (p_vars, -1.0))
         else:
             charge, discharge, soc = ix.charge[key], ix.discharge[key], ix.soc[key]
             s_var = ix.storage_S[key]
-            charge_terms = [(charge, 1.0)]
+            families = [(f"dis|{tag}", pl.legacy_MW, [(discharge, 1.0), (k_var, -1.0)])]
             if tech.charge_ratio != 0.0:
-                charge_terms.append((k_var, -tech.charge_ratio))
-            _add_by_period(builder, t_len, "<",
-                           (f"dis|{tag}", pl.legacy_MW, [(discharge, 1.0), (k_var, -1.0)]),
-                           (f"chg|{tag}", tech.charge_ratio * pl.legacy_MW, charge_terms))
+                families.append((f"chg|{tag}", tech.charge_ratio * pl.legacy_MW,
+                                 [(charge, 1.0), (k_var, -tech.charge_ratio)]))
+            if k_var not in fixed:
+                _add_by_period(builder, t_len, "<", *families)
             # the cyclic recursion links period 0 to the last period; without
             # it the initial state is free inside its bounds
             first = 0 if instance.storage_cyclic else 1
@@ -561,7 +577,8 @@ def build_lp(instance: CepInstance) -> tuple[CanonicalLp, CepIndex]:
             if tech.min_soc > 0.0:
                 families.append((f"socmin|{tag}", -tech.min_soc * pl.legacy_energy_MWh,
                                  [(s_var, tech.min_soc), (soc, -1.0)]))
-            _add_by_period(builder, t_len, "<", *families)
+            if s_var not in fixed:
+                _add_by_period(builder, t_len, "<", *families)
 
     # -- transmission capacity ---------------------------------------------------
     for line in instance.lines:

@@ -60,6 +60,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _at_least(low: int):
+    """An argparse type: an integer of at least ``low``."""
+    def integer(text: str) -> int:   # argparse reports "invalid integer value" on a ValueError
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text}")
+        return int(text)
+    return integer
+
+
 # ---------------------------------------------------------------------------
 # Stage one
 # ---------------------------------------------------------------------------
@@ -345,7 +354,7 @@ def build_arg_parser() -> _Parser:
 
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset")
     p_synth.add_argument("--out", required=True)
-    p_synth.add_argument("--seed", type=int, default=42)
+    p_synth.add_argument("--seed", type=_at_least(0), default=42)
     p_synth.add_argument("--sites", type=int, default=8)
     p_synth.add_argument("--partitions", type=int, default=2)
     p_synth.add_argument("--periods", type=int, default=336)
@@ -355,8 +364,8 @@ def build_arg_parser() -> _Parser:
                            else f"run the {name} stage")
         p.add_argument("config")
         p.add_argument("--out", default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--seed", type=_at_least(0), default=None)
+        p.add_argument("--threads", type=_at_least(1), default=1)
     sub.choices["export-mps"].add_argument("--target", choices=("cep", "comp-mir"),
                                            default="cep")
     return parser

@@ -8,17 +8,16 @@ rows and coefficients or from whole families of them given as index
 arrays.  :func:`solve` is a bounded-variable revised simplex over a sparse
 working matrix, intended for desk-scale instances; anything larger should
 go through the MPS exporter in :mod:`windplan.mps` and an external solver.
-It presolves row singletons into bounds, sets up its working matrix,
-bounds and starting basis with array expressions, and LU-factorises only
-the kernel of each basis.  Every LP with rows left, including one whose
-rows have no columns, goes through the same path: a crash, phase one
-unless no artificial is left basic, then phase two; only an LP without
-rows takes a closed form.
+It solves the LP as built (a model sets its bounds as column bounds, not
+rows), sets up its working matrix, bounds and starting basis with array
+expressions, and LU-factorises only the kernel of each basis.  Every LP
+with rows, including one whose rows have no columns, goes through the
+same path: a crash, phase one unless no artificial is left basic, then
+phase two; only an LP without rows takes a closed form.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -180,7 +179,7 @@ class LpBuilder:
 class LpSolution:
     """Primal/dual result of a solve.
 
-    ``duals`` holds one multiplier per original row and ``reduced_costs``
+    ``duals`` holds one multiplier per row and ``reduced_costs``
     one entry per structural variable.  For non-optimal statuses the primal
     values are the final iterate and the objective may be NaN.
     """
@@ -211,7 +210,7 @@ class _Basis:
     rebuilt once the sequence reaches ``_REFACTOR_EVERY`` entries (or on a
     degenerate pivot element).  Every eta adds a Python step to each FTRAN
     and BTRAN, so the cadence trades that against one kernel factorisation;
-    20 to 50 ran equally fast on the presolved ``sizing`` benchmark LPs,
+    20 to 50 ran equally fast on the ``sizing`` benchmark LPs,
     60 a tenth slower and 100 a third slower.
     """
 
@@ -548,70 +547,6 @@ class _Simplex:
         )
 
 
-def _presolve(lp: CanonicalLp):
-    """Rows with one entry (|a| > 1e-7) off the fixed columns, as bounds.
-
-    Such a row bounds its column at (rhs - the fixed columns' share) / a,
-    on the side its sense and the sign of a give (both sides for ``=``);
-    a bound is only ever tightened, and a column whose bounds would cross
-    keeps all such rows.  Returns the reduced LP (``lp`` itself when no row
-    goes), the kept rows, and for the postsolve the row that set each
-    column's lower and upper bound (-1 for none) with each row's a.
-    """
-    rows, cols, vals = lp.entry_rows, lp.entry_cols, lp.entry_vals
-    fixed = (lp.lower == lp.upper)[cols]
-    share = np.bincount(rows[fixed], vals[fixed] * lp.lower[cols[fixed]], lp.n_rows)
-    single = ~fixed & (np.bincount(rows[~fixed], minlength=lp.n_rows)[rows] == 1)
-    r, j, a = (arr[single & (np.abs(vals) > 1e-7)] for arr in (rows, cols, vals))
-    v = (lp.rhs[r] - share[r]) / a
-    r, j, a, v = (arr[np.isfinite(v)] for arr in (r, j, a, v))
-    sense = np.array(lp.senses, dtype="U1")[r]
-    sets = ((sense == "=") | ((sense == ">") == (a > 0)),     # a lower bound
-            (sense == "=") | ((sense == "<") == (a > 0)))     # an upper bound
-    bounds = np.array([lp.lower, lp.upper])
-    np.maximum.at(bounds[0], j[sets[0]], v[sets[0]])
-    np.minimum.at(bounds[1], j[sets[1]], v[sets[1]])
-    cross = bounds[0] > bounds[1]
-    bounds[:, cross] = lp.lower[cross], lp.upper[cross]
-    gone = ~cross[j]
-    if not gone.any():
-        return lp, np.arange(lp.n_rows), None
-    setter, coef = np.full((2, lp.n_vars), -1), np.zeros(lp.n_rows)
-    for side, old in enumerate((lp.lower, lp.upper)):
-        at = gone & sets[side] & (v == bounds[side][j]) & (v != old[j])
-        setter[side, j[at]] = r[at]   # one row per bound
-    coef[r] = a
-    keep = np.ones(lp.n_rows, dtype=bool)
-    keep[r[gone]] = False
-    kept, entries = np.flatnonzero(keep), keep[rows]
-    reduced = CanonicalLp(
-        objective=lp.objective, entry_rows=(np.cumsum(keep) - 1)[rows[entries]],
-        entry_cols=cols[entries], entry_vals=vals[entries],
-        senses=[lp.senses[i] for i in kept], rhs=lp.rhs[kept], lower=bounds[0],
-        upper=bounds[1], integer=lp.integer, var_names=lp.var_names,
-        row_names=[lp.row_names[i] for i in kept], name=lp.name)
-    return reduced, kept, (setter, coef)
-
-
-def _postsolve(lp: CanonicalLp, reduced: CanonicalLp, kept, setters, out: LpSolution):
-    """The reduced solve's result on the original rows.
-
-    Kept rows take the reduced duals; a removed row takes d_j / a while
-    its column sits at the bound that row set with d_j pointing at it, 0
-    otherwise.  Reduced costs are then c - A'y on the original matrix.
-    """
-    duals = np.zeros(lp.n_rows)
-    if out.status not in ("optimal", "iteration_limit"):
-        return dataclasses.replace(out, duals=duals)
-    duals[kept] = out.duals
-    (setter, coef), d = setters, out.reduced_costs
-    for side, active in enumerate((d > 0, d < 0)):
-        active &= (setter[side] >= 0) & (out.x == (reduced.lower, reduced.upper)[side])
-        duals[setter[side, active]] = d[active] / coef[setter[side, active]]
-    pull = np.bincount(lp.entry_cols, lp.entry_vals * duals[lp.entry_rows], lp.n_vars)
-    return dataclasses.replace(out, duals=duals, reduced_costs=lp.objective - pull)
-
-
 def _solve_unconstrained(lp: CanonicalLp) -> LpSolution:
     """Closed form without rows: each variable at the bound its cost points to,
     a zero-cost one at the finite bound nearest zero."""
@@ -633,23 +568,19 @@ def solve(
 ) -> LpSolution:
     """Solve a continuous canonical LP with the reference simplex.
 
-    A presolve turns the rows with one entry off the fixed columns into
-    bounds.  A two-phase bounded-variable revised simplex solves the rest:
-    a triangular crash hands the rows whose artificials start at zero to
-    structural columns, phase one (skipped when no artificial is left
-    basic) drives the rest out, and phase two optimises, with Dantzig
-    pricing and a permanent fallback to Bland's rule after 1000
-    non-improving pivots.  A postsolve gives every original row its dual.
-    Optimal solutions satisfy primal feasibility and strong duality on the
-    original LP within the given tolerances.  Exceeding the iteration limit
-    returns the best iterate with status ``iteration_limit``.
+    An LP without rows takes a closed form.  Any other goes, as built, to
+    a two-phase bounded-variable revised simplex: a triangular crash hands
+    the rows whose artificials start at zero to structural columns, phase
+    one (skipped when no artificial is left basic) drives the rest out, and
+    phase two optimises, with Dantzig pricing and a permanent fallback to
+    Bland's rule after 1000 non-improving pivots.  Optimal solutions
+    satisfy primal feasibility and strong duality within the given
+    tolerances.  Exceeding the iteration limit returns the best iterate
+    with status ``iteration_limit``.
     """
     if np.any(lp.integer):
         raise ValueError("the reference solver handles continuous LPs only; "
                          "export integer models via MPS instead")
-    reduced, kept, setters = _presolve(lp)
-    if reduced.n_rows == 0:
-        out = _solve_unconstrained(reduced)
-    else:
-        out = _Simplex(reduced, feas_tol, opt_tol, iteration_limit, on_iteration).solve()
-    return out if reduced is lp else _postsolve(lp, reduced, kept, setters, out)
+    if lp.n_rows == 0:
+        return _solve_unconstrained(lp)
+    return _Simplex(lp, feas_tol, opt_tol, iteration_limit, on_iteration).solve()

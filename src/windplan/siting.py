@@ -684,6 +684,8 @@ def run_multistart(
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     if init is None:
         init = greedy_init(matrix, catalog, plan)
 

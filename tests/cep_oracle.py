@@ -3,10 +3,11 @@
 ``DictLpBuilder`` is a per-coefficient dictionary store (sorted by
 (row, col) at build time) whose block methods replay scalar calls, and
 ``build_lp`` and ``build_comp_mir`` walk every (row, period) and add one
-coefficient per call, the way the models were first written.  The
-block-assembled library versions in ``windplan.cep``, ``windplan.siting``
-and ``windplan.mps`` must produce the same ``CanonicalLp`` (every field
-and dtype) and, for the CEP, the same ``CepIndex``.
+variable or coefficient per call.  The block-assembled library versions
+in ``windplan.cep``, ``windplan.siting`` and ``windplan.mps`` must produce
+the same ``CanonicalLp`` (every field and dtype) and, for the CEP, the
+same ``CepIndex``.  ``build_lp_rows`` is the CEP as first written, with
+every limit a row; it is the same model as ``build_lp``.
 """
 
 from __future__ import annotations
@@ -99,11 +100,24 @@ class DictLpBuilder:
 
 
 def build_lp(instance: CepInstance) -> tuple[CanonicalLp, CepIndex]:
-    """Row-by-row, coefficient-by-coefficient reference for :func:`windplan.cep.build_lp`."""
+    """Row-by-row, coefficient-by-coefficient reference for
+    :func:`windplan.cep.build_lp`: a limit on one dispatch variable of a
+    fixed fleet, or at a zero capacity factor, is that variable's bound."""
+    return _build_lp(instance, bounds=True)
+
+
+def build_lp_rows(instance: CepInstance) -> tuple[CanonicalLp, CepIndex]:
+    """The CEP as first written: every limit is a row, against a capacity
+    column pinned at [0, 0] where the fleet is fixed."""
+    return _build_lp(instance, bounds=False)
+
+
+def _build_lp(instance: CepInstance, bounds: bool) -> tuple[CanonicalLp, CepIndex]:
     t_len = instance.n_periods
     omega = instance.weight_hours
     builder = DictLpBuilder(name="cep")
     ix = CepIndex()
+    fixed = set()   # capacity columns pinned at [0, 0], when limits become bounds
 
     def addition_bound(legacy: float, potential: float | None, expandable: bool) -> float:
         if not expandable:
@@ -111,6 +125,25 @@ def build_lp(instance: CepInstance) -> tuple[CanonicalLp, CepIndex]:
         if potential is None:
             return math.inf
         return potential - legacy
+
+    def capacity_var(name: str, upper: float, objective: float) -> int:
+        col = builder.add_var(name, 0.0, upper, objective=objective)
+        if bounds and upper == 0.0:
+            fixed.add(col)
+        return col
+
+    def fleet_cf(pl) -> np.ndarray:
+        return pl.availability.values if pl.availability is not None else np.ones(t_len)
+
+    def cap_is_bound(cf_t: float, k_var: int) -> bool:
+        return bounds and (cf_t == 0.0 or k_var in fixed)
+
+    def must_run_is_bound(pl, tech) -> bool:
+        """Fixed dispatchable fleet whose floor never exceeds its cap."""
+        cf = fleet_cf(pl)
+        return (bounds and tech.kind == DISPATCHABLE and ix.tech_K[(pl.bus, pl.tech)] in fixed
+                and all(tech.must_run * pl.legacy_MW <= cf[t] * pl.legacy_MW
+                        for t in range(t_len)))
 
     sited_tech = (
         instance.technology(instance.sited_technology) if instance.sited_technology else None
@@ -120,71 +153,78 @@ def build_lp(instance: CepInstance) -> tuple[CanonicalLp, CepIndex]:
     for asset in instance.sited:
         annuity = sited_tech.power_annuity(instance.discount_rate)
         cost = (annuity or 0.0) + sited_tech.fixed_om
-        ix.site_K[asset.id] = builder.add_var(
-            f"K|site|{asset.id}", 0.0,
-            addition_bound(asset.legacy_MW, asset.potential_MW, annuity is not None),
-            objective=cost,
-        )
+        ix.site_K[asset.id] = capacity_var(
+            f"K|site|{asset.id}",
+            addition_bound(asset.legacy_MW, asset.potential_MW, annuity is not None), cost)
         ix.site_credit[asset.id] = _resolve_credit(
             sited_tech, asset.cf, instance.bus(asset.bus), t_len
         )
     for pl in instance.placements:
         tech = instance.technology(pl.tech)
         annuity = tech.power_annuity(instance.discount_rate)
-        ix.tech_K[(pl.bus, pl.tech)] = builder.add_var(
-            f"K|{pl.bus}|{pl.tech}", 0.0,
+        ix.tech_K[(pl.bus, pl.tech)] = capacity_var(
+            f"K|{pl.bus}|{pl.tech}",
             addition_bound(pl.legacy_MW, pl.potential_MW, annuity is not None),
-            objective=(annuity or 0.0) + tech.fixed_om,
-        )
+            (annuity or 0.0) + tech.fixed_om)
         if tech.kind == STORAGE:
             energy_annuity = tech.storage_energy_annuity(instance.discount_rate)
-            ix.storage_S[(pl.bus, pl.tech)] = builder.add_var(
-                f"S|{pl.bus}|{pl.tech}", 0.0,
+            ix.storage_S[(pl.bus, pl.tech)] = capacity_var(
+                f"S|{pl.bus}|{pl.tech}",
                 addition_bound(pl.legacy_energy_MWh, pl.potential_energy_MWh,
                                energy_annuity is not None),
-                objective=energy_annuity or 0.0,
-            )
+                energy_annuity or 0.0)
         if tech.kind == RES:
             ix.res_credit[(pl.bus, pl.tech)] = _resolve_credit(
                 tech, pl.availability, instance.bus(pl.bus), t_len
             )
     for line in instance.lines:
         annuity = line.power_annuity(instance.discount_rate)
-        ix.line_K[line.id] = builder.add_var(
-            f"K|line|{line.id}", 0.0,
+        ix.line_K[line.id] = capacity_var(
+            f"K|line|{line.id}",
             addition_bound(line.legacy_MW, line.potential_MW, annuity is not None),
-            objective=(annuity or 0.0) + line.fixed_om,
-        )
+            (annuity or 0.0) + line.fixed_om)
 
     # -- dispatch variables --------------------------------------------------
     for asset in instance.sited:
+        cf, k_var = asset.cf.values, ix.site_K[asset.id]
         ix.site_p[asset.id] = np.array([
-            builder.add_var(f"p|site|{asset.id}|{t}", 0.0, math.inf,
+            builder.add_var(f"p|site|{asset.id}|{t}", 0.0,
+                            cf[t] * asset.legacy_MW if cap_is_bound(cf[t], k_var) else math.inf,
                             objective=omega * sited_tech.marginal_cost)
             for t in range(t_len)
         ])
     for pl in instance.placements:
         tech = instance.technology(pl.tech)
         key = (pl.bus, pl.tech)
+        k_fixed = ix.tech_K[key] in fixed
         if tech.kind in (RES, DISPATCHABLE):
+            cf, k_var = fleet_cf(pl), ix.tech_K[key]
+            floor = tech.must_run * pl.legacy_MW if must_run_is_bound(pl, tech) else 0.0
             ix.gen_p[key] = np.array([
-                builder.add_var(f"p|{pl.bus}|{pl.tech}|{t}", 0.0, math.inf,
+                builder.add_var(f"p|{pl.bus}|{pl.tech}|{t}", floor,
+                                cf[t] * pl.legacy_MW if cap_is_bound(cf[t], k_var) else math.inf,
                                 objective=omega * tech.marginal_cost)
                 for t in range(t_len)
             ])
         else:
+            s_fixed = ix.storage_S[key] in fixed
+            charge_bound = k_fixed or (bounds and tech.charge_ratio == 0.0)
             ix.charge[key] = np.array([
-                builder.add_var(f"pc|{pl.bus}|{pl.tech}|{t}", 0.0, math.inf,
+                builder.add_var(f"pc|{pl.bus}|{pl.tech}|{t}", 0.0,
+                                tech.charge_ratio * pl.legacy_MW if charge_bound else math.inf,
                                 objective=omega * tech.marginal_cost)
                 for t in range(t_len)
             ])
             ix.discharge[key] = np.array([
-                builder.add_var(f"pd|{pl.bus}|{pl.tech}|{t}", 0.0, math.inf,
+                builder.add_var(f"pd|{pl.bus}|{pl.tech}|{t}", 0.0,
+                                pl.legacy_MW if k_fixed else math.inf,
                                 objective=omega * tech.marginal_cost)
                 for t in range(t_len)
             ])
             ix.soc[key] = np.array([
-                builder.add_var(f"e|{pl.bus}|{pl.tech}|{t}", 0.0, math.inf)
+                builder.add_var(f"e|{pl.bus}|{pl.tech}|{t}",
+                                tech.min_soc * pl.legacy_energy_MWh if s_fixed else 0.0,
+                                pl.legacy_energy_MWh if s_fixed else math.inf)
                 for t in range(t_len)
             ])
             if pl.inflow is not None:
@@ -238,6 +278,8 @@ def build_lp(instance: CepInstance) -> tuple[CanonicalLp, CepIndex]:
     for asset in instance.sited:
         cf = asset.cf.values
         for t in range(t_len):
+            if cap_is_bound(cf[t], ix.site_K[asset.id]):
+                continue
             row = builder.add_row(f"avail|site|{asset.id}|{t}", "<", cf[t] * asset.legacy_MW)
             builder.add_entry(row, ix.site_p[asset.id][t], 1.0)
             if cf[t] != 0.0:
@@ -248,10 +290,12 @@ def build_lp(instance: CepInstance) -> tuple[CanonicalLp, CepIndex]:
         tech = instance.technology(pl.tech)
         key = (pl.bus, pl.tech)
         if tech.kind in (RES, DISPATCHABLE):
-            pi = pl.availability.values if pl.availability is not None else np.ones(t_len)
+            pi = fleet_cf(pl)
             k_var = ix.tech_K[key]
             p_vars = ix.gen_p[key]
             for t in range(t_len):
+                if cap_is_bound(pi[t], k_var):
+                    continue
                 row = builder.add_row(f"avail|{pl.bus}|{pl.tech}|{t}", "<", pi[t] * pl.legacy_MW)
                 builder.add_entry(row, p_vars[t], 1.0)
                 if pi[t] != 0.0:
@@ -271,7 +315,7 @@ def build_lp(instance: CepInstance) -> tuple[CanonicalLp, CepIndex]:
                         builder.add_entry(row, p_vars[t], -1.0)
                         builder.add_entry(row, p_vars[t - 1], 1.0)
                         builder.add_entry(row, k_var, -tech.ramp_down)
-                if tech.must_run > 0.0:
+                if tech.must_run > 0.0 and not must_run_is_bound(pl, tech):
                     for t in range(t_len):
                         row = builder.add_row(f"mustrun|{pl.bus}|{pl.tech}|{t}", "<",
                                               -tech.must_run * pl.legacy_MW)
@@ -281,9 +325,13 @@ def build_lp(instance: CepInstance) -> tuple[CanonicalLp, CepIndex]:
             k_var = ix.tech_K[key]
             s_var = ix.storage_S[key]
             for t in range(t_len):
+                if k_var in fixed:
+                    break
                 row = builder.add_row(f"dis|{pl.bus}|{pl.tech}|{t}", "<", pl.legacy_MW)
                 builder.add_entry(row, ix.discharge[key][t], 1.0)
                 builder.add_entry(row, k_var, -1.0)
+                if bounds and tech.charge_ratio == 0.0:
+                    continue
                 row = builder.add_row(f"chg|{pl.bus}|{pl.tech}|{t}", "<",
                                       tech.charge_ratio * pl.legacy_MW)
                 builder.add_entry(row, ix.charge[key][t], 1.0)
@@ -303,6 +351,8 @@ def build_lp(instance: CepInstance) -> tuple[CanonicalLp, CepIndex]:
                 if inflow is not None:
                     builder.add_entry(row, ix.spill[key][t], 1.0)
             for t in range(t_len):
+                if s_var in fixed:
+                    break
                 row = builder.add_row(f"socmax|{pl.bus}|{pl.tech}|{t}", "<", pl.legacy_energy_MWh)
                 builder.add_entry(row, ix.soc[key][t], 1.0)
                 builder.add_entry(row, s_var, -1.0)

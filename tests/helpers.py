@@ -119,3 +119,16 @@ class ScriptedRng:
     def random(self):
         self.calls += 1
         return self.uniforms.pop(0)
+
+
+# the CEP's per-period limits on one dispatch variable
+LIMIT_ROWS = ("avail|", "mustrun|", "dis|", "chg|", "socmax|", "socmin|")
+
+
+def limit_rows_with_one_free_entry(lp) -> list[str]:
+    """Names of the limit rows with exactly one entry off the fixed columns:
+    limits that the model should have set as that column's bound."""
+    free = (lp.lower != lp.upper)[lp.entry_cols]
+    counts = np.bincount(lp.entry_rows[free], minlength=lp.n_rows)
+    return [name for name, count in zip(lp.row_names, counts)
+            if count == 1 and name.startswith(LIMIT_ROWS)]

@@ -1,5 +1,6 @@
 """Block assembly in ``LpBuilder`` and the three LP producers built on it,
-against the coefficient-at-a-time reference in ``cep_oracle``."""
+against the coefficient-at-a-time reference in ``cep_oracle``, and the
+CEP's limits as bounds against the same model with every limit a row."""
 
 import dataclasses
 import math
@@ -13,11 +14,13 @@ from hypothesis import given, settings, strategies as st
 
 import cep_oracle as oracle
 import windplan.mps as mps
-from helpers import build_catalog, plan_for
+from helpers import build_catalog, limit_rows_with_one_free_entry, plan_for
+from lp_oracle import dual_objective
 from windplan.cep import (
     Bus, CepIndex, CepInstance, Line, Placement, SitedAsset, Technology, build_lp,
+    decode_solution,
 )
-from windplan.lp import LpBuilder
+from windplan.lp import LpBuilder, solve
 from windplan.resource import CriticalityMatrix
 from windplan.siting import build_comp_mir
 from windplan.timeseries import TimeSeries
@@ -257,6 +260,43 @@ def test_build_lp_matches_loop_oracle(instance):
         imported = mps.import_mps(got)
         with mock.patch.object(mps, "LpBuilder", oracle.DictLpBuilder):
             assert_identical_lp(imported, mps.import_mps(got))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cep_instances())
+def test_limits_as_bounds_solve_as_the_rows_do(instance):
+    results = []
+    for build in (build_lp, oracle.build_lp_rows):
+        lp, index = build(instance)
+        out = solve(lp)
+        if out.status == "optimal":
+            assert dual_objective(lp, out) == pytest.approx(out.objective, rel=1e-9, abs=1e-9)
+            decode_solution(out, index, instance)   # raises on a cost mismatch
+        results.append(out)
+    got, want = results
+    assert got.status == want.status
+    if got.status == "optimal":
+        assert got.objective == pytest.approx(want.objective, rel=1e-9, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cep_instances())
+def test_no_limit_row_has_one_entry_off_the_fixed_columns(instance):
+    assert limit_rows_with_one_free_entry(build_lp(instance)[0]) == []
+
+
+def test_must_run_above_availability_stays_rows_and_reads_infeasible():
+    instance = CepInstance(
+        buses=(Bus(id="B", demand=TimeSeries(np.full(3, 10.0))),),
+        technologies=(Technology(id="gas", kind="dispatchable", must_run=0.5),),
+        placements=(Placement(bus="B", tech="gas", legacy_MW=20.0,
+                              availability=TimeSeries(np.array([1.0, 0.2, 1.0]))),))
+    lp, _ = build_lp(instance)
+    assert_identical_lp(lp, oracle.build_lp(instance)[0])
+    assert [name for name in lp.row_names if name.startswith("mustrun|")] == \
+        [f"mustrun|B|gas|{t}" for t in range(3)]
+    assert lp.upper[lp.var_names.index("p|B|gas|1")] == 0.2 * 20.0
+    assert solve(lp).status == solve(oracle.build_lp_rows(instance)[0]).status == "infeasible"
 
 
 # ---------------------------------------------------------------------------

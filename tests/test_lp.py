@@ -8,6 +8,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings, strategies as st
 
+import cep_oracle
+from helpers import limit_rows_with_one_free_entry
 from lp_oracle import (
     dual_objective, generate_box_lp, reference_dual_bound, reference_solve_unconstrained,
     reference_start_state, vertex_enum_optimum,
@@ -15,7 +17,7 @@ from lp_oracle import (
 import windplan.cli as cli
 from windplan import fileio
 from windplan.lp import (
-    _BASIC, _REFACTOR_EVERY, CanonicalLp, LpBuilder, _Basis, _presolve, _Simplex, solve,
+    _BASIC, _REFACTOR_EVERY, CanonicalLp, LpBuilder, _Basis, _Simplex, solve,
 )
 from windplan.synth import gen_synthetic
 
@@ -526,7 +528,7 @@ def test_eta_file_matches_dense_solves_up_to_the_cadence():
 
 
 # ---------------------------------------------------------------------------
-# Presolve: row singletons off the fixed columns become bounds
+# Row singletons: rows with one entry off the fixed columns stay rows
 # ---------------------------------------------------------------------------
 
 def _with_singleton_rows(rng, lp):
@@ -560,12 +562,10 @@ def _with_singleton_rows(rng, lp):
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
-def test_presolved_singleton_rows_keep_the_optimum_and_its_duals(seed):
+def test_singleton_rows_keep_the_optimum_and_its_duals(seed):
     rng = np.random.default_rng(seed)
     lp = _with_singleton_rows(rng, generate_box_lp(rng, max_vars=4, max_rows=3))
     out = solve(lp)
-    plain = _Simplex(lp, 1e-7, 1e-7, 100000).solve()
-    assert out.status == plain.status
     assert out.duals.size == lp.n_rows and out.reduced_costs.size == lp.n_vars
     try:
         oracle = vertex_enum_optimum(lp)
@@ -574,68 +574,44 @@ def test_presolved_singleton_rows_keep_the_optimum_and_its_duals(seed):
     if out.status != "optimal":
         assert out.status == "infeasible" and oracle in (None, math.inf)
         return
-    assert out.objective == pytest.approx(plain.objective, rel=1e-9, abs=1e-8)
     if oracle is not None:
         assert out.objective == pytest.approx(oracle, rel=1e-9, abs=1e-8)
     assert dual_objective(lp, out) == pytest.approx(out.objective, abs=1e-6)
-    _, kept, _ = _presolve(lp)
-    removed = np.setdiff1d(np.arange(lp.n_rows), kept)
     slack = lp.rhs - lp.dense_matrix() @ out.x
-    for i in removed:
+    for i in range(lp.n_rows):
         assert abs(out.duals[i] * slack[i]) <= 1e-6 * (1 + abs(out.duals[i]))
         if lp.senses[i] == "<":
-            assert out.duals[i] <= 0.0
+            assert out.duals[i] <= 1e-9
         elif lp.senses[i] == ">":
-            assert out.duals[i] >= 0.0
+            assert out.duals[i] >= -1e-9
 
 
-def test_lp_of_singleton_rows_only_takes_the_closed_form_with_every_dual():
+def test_lp_of_singleton_rows_only_gets_every_dual():
     # x0 <= 2, x1 >= 0.5 (as -2 x1 <= -1), 3 x2 + x3 = 2.5 with x3 fixed at 1,
     # and x0 >= -4, which the box [-1, 5] already implies
     lp = build_lp([-1.0, 2.0, 1.0, 1.0, 1.0],
                   [[1, 0, 0, 0, 0], [0, -2, 0, 0, 0], [0, 0, 3, 1, 0], [1, 0, 0, 0, 0]],
                   ["<", "<", "=", ">"], [2.0, -1.0, 2.5, -4.0],
                   lower=[-1.0, 0.0, -5.0, 1.0, 0.0], upper=[5.0, 4.0, 5.0, 1.0, 3.0])
-    reduced, kept, _ = _presolve(lp)
-    assert reduced.n_rows == 0 and kept.size == 0
     out = solve(lp)
-    plain = _Simplex(lp, 1e-7, 1e-7, 1000).solve()
-    assert out.status == plain.status == "optimal" and out.iterations == 0
-    assert out.duals.size == lp.n_rows
+    assert out.status == "optimal"
     np.testing.assert_allclose(out.x, [2.0, 0.5, 0.5, 1.0, 0.0], atol=1e-12)
-    assert out.objective == pytest.approx(plain.objective, abs=1e-12)
+    assert out.objective == pytest.approx(-2.0 + 1.0 + 0.5 + 1.0, abs=1e-12)
     np.testing.assert_allclose(out.duals, [-1.0, -1.0, 1.0 / 3.0, 0.0], atol=1e-12)
-    np.testing.assert_allclose(out.duals, plain.duals, atol=1e-12)
-    np.testing.assert_allclose(out.reduced_costs, plain.reduced_costs, atol=1e-12)
-
-
-def test_presolve_leaves_an_lp_without_singleton_rows_alone():
-    lp = build_lp([-1.0, -1.0], [[1.0, 1.0], [1.0, -1.0]], ["<", ">"], [1.0, -0.5])
-    reduced, kept, _ = _presolve(lp)
-    assert reduced is lp and np.array_equal(kept, [0, 1])
+    np.testing.assert_allclose(out.reduced_costs, lp.objective - lp.dense_matrix().T @ out.duals,
+                               atol=1e-12)
 
 
 def test_crossing_singleton_rows_stay_rows():
-    # x0 <= 1 and x0 >= 2 would cross: both stay rows and the simplex finds
-    # the LP infeasible; x1 <= 3 goes
+    # x0 <= 1 and x0 >= 2 cross, so the LP is infeasible
     lp = build_lp([1.0, -1.0], [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], ["<", ">", "<"],
                   [1.0, 2.0, 3.0], upper=[5.0, 5.0])
-    reduced, kept, _ = _presolve(lp)
-    assert np.array_equal(kept, [0, 1]) and reduced.upper[1] == 3.0
-    assert reduced.lower[0] == 0.0 and reduced.upper[0] == 5.0
     out = solve(lp)
     assert out.status == "infeasible" and np.all(out.duals == 0.0) and out.duals.size == 3
 
 
-def test_singleton_entry_at_most_1e_7_stays_a_row():
-    lp = build_lp([1.0, 1.0], [[1e-7, 0.0], [0.0, -2e-7]], ["<", "<"], [1.0, 1.0],
-                  lower=[-math.inf, -math.inf])
-    reduced, kept, _ = _presolve(lp)
-    assert np.array_equal(kept, [0]) and reduced.lower[1] == -5e6 and reduced.upper[0] == math.inf
-
-
 def test_removed_row_of_a_column_off_its_bound_gets_no_dual():
-    # x0 <= 2 goes; stopped before the first pivot, x0 sits at 0 with d < 0
+    # stopped before the first pivot, x0 sits at 0 with d < 0 and x0 <= 2 is slack
     lp = build_lp([-1.0, -1.0], [[1.0, 1.0], [1.0, 0.0]], ["<", "<"], [3.0, 2.0],
                   upper=[5.0, 5.0])
     out = solve(lp, iteration_limit=0)
@@ -645,8 +621,8 @@ def test_removed_row_of_a_column_off_its_bound_gets_no_dual():
 
 
 def _sizing_lp(tmp_path, monkeypatch):
-    """The LP of a small ``synth`` pipeline run with hydro on and a CO2
-    budget at 60 % of an all-gas supply."""
+    """The instance and LP of a small ``synth`` pipeline run with hydro on
+    and a CO2 budget at 60 % of an all-gas supply."""
     gen_synthetic(tmp_path / "data", 3, n_sites=6, n_partitions=2, n_periods=96)
     demand = fileio.read_series_csv(tmp_path / "data" / "demand.csv", 1.0)
     all_gas = sum(float(s.values.sum()) for s in demand.values()) * 0.225 / 0.41
@@ -663,24 +639,26 @@ def _sizing_lp(tmp_path, monkeypatch):
     (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
     built = []
     real = cli.build_lp
-    monkeypatch.setattr(cli, "build_lp", lambda *a: built.append(real(*a)) or built[-1])
+    monkeypatch.setattr(cli, "build_lp",
+                        lambda instance: built.append((instance, real(instance))) or built[-1][1])
     assert cli.main(["pipeline", str(tmp_path / "config.json")]) == 0
-    return built[0][0]
+    return built[0][0], built[0][1][0]
 
 
-def test_pipeline_lp_presolved_matches_the_plain_simplex(tmp_path, monkeypatch):
-    lp = _sizing_lp(tmp_path, monkeypatch)
-    reduced, _, _ = _presolve(lp)
-    assert any(name.startswith("dis|") for name in lp.row_names)   # hydro is on
-    assert reduced.n_rows < lp.n_rows
-    out = solve(lp)
-    plain = _Simplex(lp, 1e-7, 1e-7, 100000).solve()
-    assert out.status == plain.status == "optimal"
-    assert out.objective == pytest.approx(plain.objective, rel=1e-9)
-    co2 = lp.row_names.index("co2")
-    assert plain.duals[co2] != 0.0
-    assert out.duals[co2] == pytest.approx(plain.duals[co2], rel=1e-9)
-    assert dual_objective(lp, out) == pytest.approx(out.objective, rel=1e-9)
+def test_pipeline_lp_has_no_limit_row_with_one_free_entry(tmp_path, monkeypatch):
+    instance, lp = _sizing_lp(tmp_path, monkeypatch)
+    techs = {name.split("|")[2] for name in lp.var_names if name.startswith(("p|", "pd|"))}
+    assert {"ror_hydro", "reservoir_hydro", "pumped_hydro"} <= techs   # hydro is on
+    assert limit_rows_with_one_free_entry(lp) == []
+    # the same model with every limit a row solves to the same optimum and CO2 price
+    rows, _ = cep_oracle.build_lp_rows(instance)
+    assert rows.n_rows > lp.n_rows
+    got, want = solve(lp), solve(rows)
+    assert got.status == want.status == "optimal"
+    assert got.objective == pytest.approx(want.objective, rel=1e-9)
+    co2 = want.duals[rows.row_names.index("co2")]
+    assert co2 != 0.0 and got.duals[lp.row_names.index("co2")] == pytest.approx(co2, rel=1e-9)
+    assert dual_objective(lp, got) == pytest.approx(got.objective, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -323,10 +323,10 @@ def test_mangle_matches_oracle_on_random_names(names):
 
 
 # sha256 of the files of the 3-bus pipeline below, written by the
-# line-at-a-time writer
+# line-at-a-time writer (the CEP with its fixed hydro limits as bounds)
 PINNED_SHA256 = {
-    "out/cep.mps": "d2e7e0d41eebe76032a0fb3200a8476bddf276516a8b5415ae1741dda39bb630",
-    "out/cep.mps.names.json": "ca3441b8aa40f58276772b010f4ccc39e81688b996a0e0a3f84d6dc112431761",
+    "out/cep.mps": "4305fa761c793d11cd388a49476aa06317f86ee415c23e1e7148c44dcdfce45e",
+    "out/cep.mps.names.json": "e7544bd00a7e9762a132c1f0290a6559527a3a382e292defff9cac3218156663",
     "mir/comp_mir.mps": "221969448bda9aae077dfd3b86f224a6fd413da45b007929072ad915b7170ea4",
 }
 

@@ -397,6 +397,14 @@ def test_multistart_deterministic_and_tie_to_lowest_seed(swap_setup):
     assert tied.rng_seed == 40
 
 
+@pytest.mark.parametrize("threads", [0, -3])
+def test_multistart_rejects_fewer_than_one_thread(swap_setup, threads):
+    catalog, m, plan, init = swap_setup
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        run_multistart(m, catalog, plan, AnnealParams(iterations=1, neighbors=1), n_runs=1,
+                       threads=threads, init=init)
+
+
 def test_multistart_single_run_equals_local_search(swap_setup):
     catalog, m, plan, init = swap_setup
     params = AnnealParams(iterations=20, neighbors=5)

@@ -232,6 +232,20 @@ def test_exit_usage_on_bad_command(capsys):
     assert err["error"] == "usage"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["pipeline", "config.json", "--seed", "-1"], "argument --seed: must be an integer >= 0"),
+    (["synth", "--out", "data", "--seed", "-2"], "argument --seed: must be an integer >= 0"),
+    (["site", "config.json", "--threads", "0"], "argument --threads: must be an integer >= 1"),
+    (["pipeline", "config.json", "--threads", "-3"], "argument --threads: must be an integer >= 1"),
+    (["export-mps", "config.json", "--threads", "two"], "argument --threads: invalid integer"),
+], ids=["negative-seed", "negative-synth-seed", "zero-threads", "negative-threads", "no-integer"])
+def test_exit_usage_on_bad_seed_or_threads(argv, message, capsys):
+    # rejected while parsing: no config is read and no thread starts
+    assert main(argv) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "usage" and err["message"].startswith(message)
+
+
 def test_exit_data_on_missing_config(tmp_path, capsys):
     assert main(["site", str(tmp_path / "nope.json")]) == 2
     err = json.loads(capsys.readouterr().err)
