@@ -333,7 +333,10 @@ def _read_selected(path: Path, catalog) -> frozenset[str]:
     """The site ids of a siting output, each of which the catalog must hold."""
     if not path.exists():
         raise DataError(f"siting output {path} not found; run the site stage first")
-    doc = json.loads(fileio._read(path))
+    try:
+        doc = json.loads(fileio._read(path))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict) or "site_ids" not in doc:
         raise DataError(f"siting output {path} has no site_ids")
     selected = frozenset(fileio.list_of(fileio.string)(doc["site_ids"], f"{path.name} site_ids"))
@@ -355,9 +358,9 @@ def build_arg_parser() -> _Parser:
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset")
     p_synth.add_argument("--out", required=True)
     p_synth.add_argument("--seed", type=_at_least(0), default=42)
-    p_synth.add_argument("--sites", type=int, default=8)
-    p_synth.add_argument("--partitions", type=int, default=2)
-    p_synth.add_argument("--periods", type=int, default=336)
+    p_synth.add_argument("--sites", type=_at_least(1), default=8)
+    p_synth.add_argument("--partitions", type=_at_least(1), default=2)
+    p_synth.add_argument("--periods", type=_at_least(1), default=336)
 
     for name in ("site", "cep", "pipeline", "export-mps"):
         p = sub.add_parser(name, help="export a model as MPS" if name == "export-mps"

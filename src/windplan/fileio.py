@@ -29,18 +29,9 @@ Criticality matrix
 Siting solution
     JSON object plus a GeoJSON point collection for mapping.
 
-CEP instance
-    JSON object of the :class:`windplan.cep.CepInstance` fields plus
-    ``resolution_hours``; each record's keys are its dataclass's JSON
-    fields (:func:`field_checks`).  Series are references ``{"csv",
-    "column"}`` to time-series CSVs, relative to the document: ``demand``
-    on a bus, ``cf`` on a sited asset, ``availability`` and ``inflow`` on
-    a placement.
-
 Every reader raises ``ValueError`` naming the file, and the line where
 there is one, for an unreadable or non-UTF-8 file, a value that does not
-parse, a row with the wrong number of fields, a repeated id or a
-malformed instance document.
+parse, a row with the wrong number of fields or a repeated id.
 """
 
 from __future__ import annotations
@@ -56,7 +47,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from windplan.cep import Bus, CepInstance, CepSolution, Line, Placement, SitedAsset, Technology
+from windplan.cep import CepInstance, CepSolution, Technology
 from windplan.hydro import HydroCountryParams, RunoffCell, RunoffGrid
 from windplan.powercurve import PowerCurve
 from windplan.resource import (
@@ -394,28 +385,7 @@ def write_solution_geojson(
 
 
 # ---------------------------------------------------------------------------
-# CEP instance JSON and report CSV
-# ---------------------------------------------------------------------------
-
-def _series_ref(doc: Mapping | None, where: str, base: Path,
-                read_table) -> TimeSeries | None:
-    """The series a ``{"csv": ..., "column": ...}`` reference at key path
-    ``where`` names, from ``read_table`` of the CSV path relative to
-    ``base``; ``None`` stays ``None``."""
-    if doc is None:
-        return None
-    ref = typed_fields(doc, {"csv": string, "column": string}, where)
-    missing = [key for key in ("csv", "column") if key not in ref]
-    if missing:
-        raise ValueError(f"{where}: missing fields {missing}")
-    table = read_table(base / ref["csv"])
-    if ref["column"] not in table:
-        raise ValueError(f"{where}: {ref['csv']}: no column {ref['column']!r}")
-    return table[ref["column"]]
-
-
-# ---------------------------------------------------------------------------
-# Typed JSON records (shared by the instance document and config.json)
+# Typed JSON records (config.json)
 # ---------------------------------------------------------------------------
 
 def checker(test, what: str, convert=lambda value: value):
@@ -492,13 +462,11 @@ def typed_fields(doc, types: Mapping, where: str) -> dict:
             for key, value in doc.items()}
 
 
-def record_from_dict(cls, doc, where: str, **checks):
+def record_from_dict(cls, doc, where: str):
     """A ``cls`` dataclass from a JSON object of its :func:`field_checks`
-    fields; ``checks`` add fields (series references) or replace checkers.
-    Absent keys take the class defaults, and a rejected value names its
-    key path."""
-    kwargs = typed_fields(doc, {**field_checks(cls), **checks} if checks else field_checks(cls),
-                          where)
+    fields.  Absent keys take the class defaults, and a rejected value
+    names its key path."""
+    kwargs = typed_fields(doc, field_checks(cls), where)
     missing = [f.name for f in dataclasses.fields(cls) if f.name not in kwargs
                and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
     at = f"{where}: " if where else ""
@@ -514,94 +482,9 @@ def technology_from_dict(doc, where: str = "technology") -> Technology:
     return record_from_dict(Technology, doc, where)
 
 
-def read_instance_json(path: str | Path) -> CepInstance:
-    """Load a CEP instance document; series CSVs are resolved relative to
-    the document's directory and each is parsed once, however many
-    references name it, and a malformed document raises ValueError naming
-    the file."""
-    path = Path(path)
-    try:
-        doc = json.loads(_read(path))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    try:
-        mapping(doc, "the document")
-        resolution = number()(doc.pop("resolution_hours", 1.0), "resolution_hours")
-        tables: dict[Path, dict[str, TimeSeries]] = {}
-
-        def read_table(csv_path: Path) -> dict[str, TimeSeries]:
-            key = csv_path.resolve()
-            if key not in tables:
-                tables[key] = read_series_csv(csv_path, resolution)
-            return tables[key]
-
-        def series(ref, where):
-            return _series_ref(ref, where, path.parent, read_table)
-
-        def records(cls, **checks):
-            return list_of(lambda item, where: record_from_dict(cls, item, where, **checks))
-
-        return record_from_dict(
-            CepInstance, {"placements": [], "weight_hours": resolution, **doc}, "",
-            buses=records(Bus, demand=series), technologies=records(Technology),
-            placements=records(Placement, availability=series, inflow=series),
-            lines=records(Line), sited=records(SitedAsset, cf=series),
-            firm_technologies=list_of(string))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-
-
-def _fields(record) -> dict:
-    return {key: getattr(record, key) for key in field_checks(type(record))}
-
-
-def write_instance_json(path: str | Path, instance: CepInstance) -> Path:
-    """Serialize an instance as a JSON document referencing series CSVs.
-
-    Series are written next to the document and referenced by file name,
-    so the pair round-trips through :func:`read_instance_json`.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-
-    def ref(target: Path, column: str) -> dict:
-        return {"csv": target.name, "column": column}
-
-    demand_csv = path.parent / "demand.csv"
-    write_series_csv(demand_csv, {bus.id: bus.demand for bus in instance.buses})
-    extra_series = {
-        f"{role}|{pl.bus}|{pl.tech}": series for pl in instance.placements
-        for role, series in (("availability", pl.availability), ("inflow", pl.inflow))
-        if series is not None
-    }
-    refs: dict[str, dict] = {}
-    if extra_series:
-        series_csv = path.parent / "placement_series.csv"
-        write_series_csv(series_csv, extra_series)
-        refs = {key: ref(series_csv, key) for key in extra_series}
-    site_cf_csv = path.parent / "site_cf.csv"
-    if instance.sited:
-        write_series_csv(site_cf_csv, {asset.id: asset.cf for asset in instance.sited})
-
-    doc = {
-        "resolution_hours": instance.buses[0].demand.resolution_hours,
-        **_fields(instance),
-        "firm_technologies": sorted(instance.firm_technologies),
-        "buses": [{**_fields(bus), "demand": ref(demand_csv, bus.id)} for bus in instance.buses],
-        "technologies": [_fields(tech) for tech in instance.technologies],
-        "placements": [
-            {**_fields(pl),
-             "availability": refs.get(f"availability|{pl.bus}|{pl.tech}"),
-             "inflow": refs.get(f"inflow|{pl.bus}|{pl.tech}")}
-            for pl in instance.placements
-        ],
-        "lines": [_fields(ln) for ln in instance.lines],
-        "sited": [{**_fields(asset), "cf": ref(site_cf_csv, asset.id)}
-                  for asset in instance.sited],
-    }
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path
-
+# ---------------------------------------------------------------------------
+# CEP report CSV
+# ---------------------------------------------------------------------------
 
 def write_cep_report_csv(
     path: str | Path,

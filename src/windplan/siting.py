@@ -542,7 +542,8 @@ class AnnealParams:
             raise ValueError(f"unknown return mode {self.return_mode!r}")
 
     def temperature(self, i: int) -> float:
-        return self.t0 * math.exp(-self.decay * i / self.iterations)
+        """The schedule at iteration ``i``; ``t0`` when there are no iterations."""
+        return self.t0 * math.exp(-self.decay * i / max(self.iterations, 1))
 
 
 def local_search(
@@ -645,10 +646,16 @@ def local_search(
 
 
 def _accept(delta: float, temperature: float, rng) -> bool:
+    """Metropolis acceptance.  A schedule that has cooled to 0.0 still
+    accepts a zero gain and rejects a loss; every non-positive gain takes
+    one draw, so each seed's stream does not depend on the temperature."""
     if delta > 0:
         return True
-    exponent = delta / temperature
-    p = math.exp(exponent) if exponent > -700 else 0.0
+    if temperature > 0:
+        exponent = delta / temperature
+        p = math.exp(exponent) if exponent > -700 else 0.0
+    else:
+        p = float(delta == 0)
     return bool(rng.random() < p)
 
 

@@ -30,7 +30,7 @@ from windplan.siting import (
     DEFAULT_POWER_DENSITY_MW_KM2, DEFAULT_SITE_AREA_KM2, DEFAULT_UTILIZATION, AnnealParams,
 )
 from windplan.synth import gen_synthetic
-from windplan.timeseries import TimeSeries, resample_mean
+from windplan.timeseries import resample_mean
 
 # ---------------------------------------------------------------------------
 # Every key set away from its default
@@ -283,8 +283,13 @@ def test_cep_records_and_resolved_values(tmp_path):
     ({"paths": {}, "resolution_hours": float("nan")}, "resolution_hours must be"),
     ({"siting": {}}, "'paths' section"),
     ([], "the document must be an object"),
+    ({"paths": {}, "cep": {"placements": [{"bus": "A", "tech": "gas", "legacy_mw": 5.0}]}},
+     "unknown cep.placements[0] fields: ['legacy_mw']"),
+    ({"paths": {}, "cep": {"lines": [{"id": "L", "from_bus": "A", "to_bus": "B",
+                                      "lenght_km": 3.0}]}},
+     "unknown cep.lines[0] fields: ['lenght_km']"),
 ], ids=["string-bool", "fraction-without-baseline", "prod-with-bad-anneal", "string-target",
-        "bad-credit", "nan", "no-paths", "not-an-object"])
+        "bad-credit", "nan", "no-paths", "not-an-object", "placement-typo", "line-typo"])
 def test_load_config_rejects(tmp_path, doc, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         _load(tmp_path, doc)
@@ -299,21 +304,6 @@ def test_readme_minimal_configuration_loads(tmp_path):
     assert config.cep.co2_budget == doc["cep"]["co2_budget"]
     assert set(config.paths) | {"output_dir"} == set(doc["paths"])
     assert config.output_dir == (tmp_path / doc["paths"]["output_dir"]).resolve()
-
-
-def test_read_instance_json_rejects_unknown_record_keys(tmp_path):
-    fileio.write_series_csv(tmp_path / "demand.csv", {"A": TimeSeries([1.0, 2.0])})
-    doc = {"buses": [{"id": "A", "demand": {"csv": "demand.csv", "column": "A"}}],
-           "technologies": [{"id": "gas", "kind": "dispatchable"}],
-           "placements": [{"bus": "A", "tech": "gas", "legacy_mw": 5.0}]}
-    (tmp_path / "instance.json").write_text(json.dumps(doc), encoding="utf-8")
-    with pytest.raises(ValueError, match=re.escape("unknown placements[0] fields: ['legacy_mw']")):
-        fileio.read_instance_json(tmp_path / "instance.json")
-    doc["placements"] = [{"bus": "A", "tech": "gas"}]
-    doc["lines"] = [{"id": "L", "from_bus": "A", "to_bus": "B", "lenght_km": 3.0}]
-    (tmp_path / "instance.json").write_text(json.dumps(doc), encoding="utf-8")
-    with pytest.raises(ValueError, match=re.escape("unknown lines[0] fields: ['lenght_km']")):
-        fileio.read_instance_json(tmp_path / "instance.json")
 
 
 # ---------------------------------------------------------------------------

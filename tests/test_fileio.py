@@ -5,7 +5,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from test_schema import _plain
 from windplan import fileio
 from windplan.cep import build_lp, decode_solution
 from windplan.hydro import HydroCountryParams
@@ -155,141 +154,7 @@ def test_solution_json_and_geojson(tmp_path):
     assert geo["properties"]["config_hash"] == "abc"
 
 
-def test_instance_json_round_trip(tmp_path):
-    fileio.write_series_csv(tmp_path / "demand.csv",
-                            {"A": TimeSeries([1.0, 1.0], 1.0)})
-    fileio.write_series_csv(tmp_path / "cf.csv",
-                            {"site1": TimeSeries([0.4, 0.8], 1.0)})
-    doc = {
-        "resolution_hours": 1.0,
-        "weight_hours": 1.0,
-        "shed_penalty": 1000.0,
-        "discount_rate": 0.0,
-        "firm_technologies": ["gas"],
-        "sited_technology": "wind",
-        "buses": [{"id": "A", "reserve_margin": 0.2,
-                   "demand": {"csv": "demand.csv", "column": "A"}}],
-        "technologies": [
-            {"id": "gas", "kind": "dispatchable", "capex": 100.0,
-             "lifetime_years": 25.0, "fixed_om": 5.0, "variable_om": 2.0},
-            {"id": "wind", "kind": "res", "capex": 50.0, "lifetime_years": 25.0,
-             "capacity_credit": "computed"},
-        ],
-        "placements": [{"bus": "A", "tech": "gas"}],
-        "sited": [{"id": "site1", "bus": "A", "legacy_MW": 0.0, "potential_MW": 2.0,
-                   "cf": {"csv": "cf.csv", "column": "site1"}}],
-    }
-    path = tmp_path / "instance.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    instance = fileio.read_instance_json(path)
-    assert instance.n_periods == 2
-    assert instance.sited[0].potential_MW == 2.0
-    lp, index = build_lp(instance)
-    sol = solve(lp)
-    assert sol.status == "optimal"
-    decoded = decode_solution(sol, index, instance)
-    assert decoded.objective == pytest.approx(sol.objective)
-
-
-def test_instance_json_writer_round_trip(tmp_path):
-    from windplan.cep import Bus, CepInstance, Line, Placement, SitedAsset, Technology
-
-    gas = Technology(id="gas", kind="dispatchable", capex=100.0, lifetime_years=25.0,
-                     fixed_om=5.0, variable_om=2.0)
-    wind = Technology(id="wind", kind="res", capex=50.0, lifetime_years=25.0,
-                      capacity_credit="computed")
-    bat = Technology(id="bat", kind="storage", capex=30.0, energy_capex=10.0,
-                     lifetime_years=10.0, eta_charge=0.9, eta_discharge=0.9)
-    instance = CepInstance(
-        buses=(Bus(id="A", demand=TimeSeries([1.0, 2.0, 1.5]), reserve_margin=0.2),
-               Bus(id="B", demand=TimeSeries([0.5, 1.0, 0.7]))),
-        technologies=(gas, wind, bat),
-        placements=(Placement(bus="A", tech="gas"),
-                    Placement(bus="B", tech="bat", inflow=TimeSeries([0.1, 0.0, 0.2])),
-                    Placement(bus="B", tech="wind",
-                              availability=TimeSeries([0.2, 0.9, 0.4]))),
-        lines=(Line(id="AB", from_bus="A", to_bus="B", legacy_MW=10.0),),
-        sited=(SitedAsset(id="w1", bus="A", legacy_MW=0.0, potential_MW=3.0,
-                          cf=TimeSeries([0.3, 0.8, 0.6])),),
-        sited_technology="wind",
-        co2_budget=5.0, shed_penalty=100.0, weight_hours=1.0,
-        firm_technologies=frozenset({"gas"}), discount_rate=0.0,
-    )
-    fileio.write_instance_json(tmp_path / "instance.json", instance)
-    back = fileio.read_instance_json(tmp_path / "instance.json")
-    lp1, _ = build_lp(instance)
-    lp2, _ = build_lp(back)
-    assert lp1.var_names == lp2.var_names
-    assert lp1.row_names == lp2.row_names
-    assert np.array_equal(lp1.objective, lp2.objective)
-    assert np.array_equal(lp1.entry_vals, lp2.entry_vals)
-    assert np.array_equal(lp1.rhs, lp2.rhs)
-    assert np.array_equal(lp1.lower, lp2.lower)
-    assert np.array_equal(lp1.upper, lp2.upper)
-    assert back.buses[1].reserve_margin is None
-    assert solve(lp1).objective == solve(lp2).objective
-
-
-def test_instance_json_reads_each_csv_once(tmp_path, monkeypatch):
-    from windplan.cep import Bus, CepInstance, Placement, SitedAsset, Technology
-
-    def series(seed):
-        return TimeSeries(np.random.default_rng(seed).uniform(0, 1, 4))
-
-    instance = CepInstance(
-        buses=tuple(Bus(id=bus, demand=series(i)) for i, bus in enumerate("ABC")),
-        technologies=(Technology(id="gas", kind="dispatchable", capex=100.0),
-                      Technology(id="wind", kind="res", capex=50.0),
-                      Technology(id="bat", kind="storage", capex=30.0, energy_capex=10.0)),
-        placements=tuple(Placement(bus=bus, tech="bat", inflow=series(10 + i),
-                                   availability=series(20 + i))
-                         for i, bus in enumerate("AB")),
-        sited=tuple(SitedAsset(id=f"w{i}", bus=bus, legacy_MW=0.0, potential_MW=3.0,
-                               cf=series(30 + i))
-                    for i, bus in enumerate("ABCA")),
-        sited_technology="wind", firm_technologies=frozenset({"gas"}),
-    )
-    path = fileio.write_instance_json(tmp_path / "instance.json", instance)
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    doc["buses"][1]["demand"]["csv"] = "./demand.csv"   # one file under two spellings
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    reads = []
-    real = fileio.read_series_csv
-
-    def counting(csv_path, *args, **kwargs):
-        reads.append(Path(csv_path).resolve().name)
-        return real(csv_path, *args, **kwargs)
-
-    monkeypatch.setattr(fileio, "read_series_csv", counting)
-    back = fileio.read_instance_json(path)
-    assert sorted(reads) == ["demand.csv", "placement_series.csv", "site_cf.csv"]
-    assert _plain(back) == _plain(instance)
-    assert _plain(fileio.read_instance_json(path)) == _plain(back)
-    assert len(reads) == 6   # a second document read parses its files again
-
-
-@pytest.mark.parametrize("ref, message", [
-    ("demand.csv", "buses[0].demand must be an object"),
-    (["demand.csv", "A"], "buses[0].demand must be an object"),
-    ({"column": "A"}, "buses[0].demand: missing fields ['csv']"),
-    ({"csv": "demand.csv"}, "buses[0].demand: missing fields ['column']"),
-    ({"csv": 3, "column": "A"}, "buses[0].demand.csv must be a string"),
-    ({"csv": "demand.csv", "column": ["A"]}, "buses[0].demand.column must be a string"),
-    ({"csv": "demand.csv", "column": "B"}, "buses[0].demand: demand.csv: no column 'B'"),
-], ids=["string", "list", "no-csv", "no-column", "csv-not-string", "column-not-string",
-        "unknown-column"])
-def test_instance_json_bad_series_reference(tmp_path, ref, message):
-    fileio.write_series_csv(tmp_path / "demand.csv", {"A": TimeSeries([1.0, 1.0], 1.0)})
-    doc = {"buses": [{"id": "A", "demand": ref}],
-           "technologies": [{"id": "gas", "kind": "dispatchable"}]}
-    path = tmp_path / "instance.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    with pytest.raises(ValueError) as info:
-        fileio.read_instance_json(path)
-    assert message in str(info.value)
-
-
-def test_instance_json_unknown_tech_field(tmp_path):
+def test_technology_from_dict_rejects_unknown_field():
     with pytest.raises(ValueError, match="unknown technology fields"):
         fileio.technology_from_dict({"id": "x", "kind": "res", "bogus": 1})
 
@@ -318,7 +183,6 @@ def test_cep_report_csv(tmp_path):
 @pytest.mark.parametrize("reader", [
     fileio.read_series_csv, fileio.read_catalog_csv, fileio.read_power_curve_csv,
     fileio.read_hydro_params_csv, fileio.read_runoff_manifest, fileio.load_criticality,
-    fileio.read_instance_json,
 ], ids=lambda reader: reader.__name__)
 def test_readers_reject_missing_and_directory_paths(tmp_path, reader):
     for path, error in ((tmp_path / "missing.csv", "No such file"),
@@ -381,19 +245,3 @@ def test_power_curve_row_field_count_names_line(tmp_path):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match=f"{re.escape(str(path))}: line 7: expected 2 fields, got 3"):
         fileio.read_power_curve_csv(path)
-
-
-@pytest.mark.parametrize("doc, message", [
-    ([], "the document must be an object, got []"),
-    ("x", "the document must be an object, got 'x'"),
-    (None, "the document must be an object, got None"),
-    ({"buses": []}, "missing fields ['technologies']"),
-    ({"buses": [], "technologies": []}, "instance needs at least one bus"),
-    ({"resolution_hours": "1"}, "resolution_hours must be a number, got '1'"),
-], ids=["list", "string", "null", "no-technologies", "no-buses", "string-resolution"])
-def test_malformed_instance_document_names_the_file(tmp_path, doc, message):
-    path = tmp_path / "instance.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    with pytest.raises(ValueError) as info:
-        fileio.read_instance_json(path)
-    assert str(info.value) == f"{path}: {message}"

@@ -7,7 +7,7 @@ from helpers import (
 )
 from windplan.resource import CriticalityMatrix, build_criticality_matrix
 from windplan.siting import (
-    AnnealParams, CardinalityPlan, _finish_solution, adjust_cardinality, block_spread,
+    AnnealParams, CardinalityPlan, _accept, _finish_solution, adjust_cardinality, block_spread,
     build_comp_mir, build_plan, compute_cardinalities, coverage_count, greedy_init, local_search,
     mir_solution_to_init, residual_demand, residual_summary, run_multistart,
     SitingSolution, sample_neighbor, solve_prod,
@@ -294,6 +294,7 @@ def test_anneal_defaults_and_schedule():
     # temperature(i) = 100 * exp(-10 * i / iterations)
     assert params.temperature(0) == pytest.approx(100.0)
     assert params.temperature(5000) == pytest.approx(100.0 * np.exp(-10.0))
+    assert AnnealParams(iterations=0).temperature(0) == 100.0
     import inspect
 
     assert inspect.signature(run_multistart).parameters["n_runs"].default == 30
@@ -365,6 +366,27 @@ def test_zero_gain_always_accepted():
     )
     assert trace == [(0, 0.0, True, 2)]
     assert out.selected == {"s01"}
+
+
+def test_zero_temperature_accepts_a_zero_gain_and_rejects_a_loss():
+    rng = ScriptedRng([0.999999, 0.0])
+    assert _accept(0, 0.0, rng)
+    assert not _accept(-1, 0.0, rng)
+    assert rng.calls == 2   # one draw per non-positive gain, as at T > 0
+
+
+def test_local_search_on_a_schedule_cooled_to_zero(swap_setup):
+    # decay 1000 over 15 iterations: the temperature underflows to 0.0 from i = 12
+    catalog, m, plan, init = swap_setup
+    params = AnnealParams(iterations=15, neighbors=8, decay=1000.0,
+                          return_mode="final_incumbent")
+    assert params.temperature(11) > 0.0 == params.temperature(12)
+    trace = []
+    out = local_search(init, m, catalog, plan, params, 5,
+                       on_iteration=lambda i, gain, accepted, f: trace.append((i, gain, accepted)))
+    assert out.per_partition_counts == init.per_partition_counts
+    assert [accepted for i, gain, accepted in trace if i >= 12] \
+        == [gain >= 0 for i, gain, accepted in trace if i >= 12]
 
 
 def test_incremental_counts_equal_full_recount(swap_setup):

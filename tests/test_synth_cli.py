@@ -142,6 +142,14 @@ def test_cli_comp_zero_iterations_is_greedy(dataset):
     assert doc["objective"] == greedy.objective
 
 
+def test_cli_site_on_a_schedule_cooled_to_zero(dataset):
+    # the temperature underflows to 0.0 for the last three of 15 iterations
+    tmp_path, data_dir = dataset
+    config = write_config(tmp_path, data_dir,
+                          siting={"anneal": {"iterations": 15, "neighbors": 10, "decay": 1000}})
+    assert main(["site", str(config)]) == 0
+
+
 def test_cli_unpartitioned_dominates_partitioned(dataset):
     tmp_path, data_dir = dataset
     part_cfg = write_config(tmp_path, data_dir)
@@ -238,12 +246,24 @@ def test_exit_usage_on_bad_command(capsys):
     (["site", "config.json", "--threads", "0"], "argument --threads: must be an integer >= 1"),
     (["pipeline", "config.json", "--threads", "-3"], "argument --threads: must be an integer >= 1"),
     (["export-mps", "config.json", "--threads", "two"], "argument --threads: invalid integer"),
-], ids=["negative-seed", "negative-synth-seed", "zero-threads", "negative-threads", "no-integer"])
+    (["synth", "--out", "data", "--sites", "0"], "argument --sites: must be an integer >= 1, got 0"),
+    (["synth", "--out", "data", "--partitions", "-1"],
+     "argument --partitions: must be an integer >= 1, got -1"),
+    (["synth", "--out", "data", "--periods", "0"], "argument --periods: must be an integer >= 1"),
+], ids=["negative-seed", "negative-synth-seed", "zero-threads", "negative-threads", "no-integer",
+        "zero-sites", "negative-partitions", "zero-periods"])
 def test_exit_usage_on_bad_seed_or_threads(argv, message, capsys):
     # rejected while parsing: no config is read and no thread starts
     assert main(argv) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "usage" and err["message"].startswith(message)
+
+
+def test_exit_data_on_more_partitions_than_sites(tmp_path, capsys):
+    argv = ["synth", "--out", str(tmp_path / "data"), "--sites", "2", "--partitions", "3"]
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "data" and err["message"] == "more partitions than sites"
 
 
 def test_exit_data_on_missing_config(tmp_path, capsys):
@@ -466,6 +486,19 @@ def test_exit_data_when_siting_output_missing(dataset, capsys):
     assert main(["cep", str(config)]) == 2
     err = json.loads(capsys.readouterr().err)
     assert "siting output" in err["message"]
+
+
+def test_exit_data_on_malformed_siting_output_names_it(dataset, capsys):
+    tmp_path, data_dir = dataset
+    config = write_config(tmp_path, data_dir)
+    path = tmp_path / "out" / "siting_solution.json"
+    path.parent.mkdir()
+    path.write_text("{'site_ids': []}", encoding="utf-8")
+    assert main(["cep", str(config)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "data"
+    assert err["message"] == f"{path}: Expecting property name enclosed in double quotes: " \
+                             "line 1 column 2 (char 1)"
 
 
 @pytest.mark.parametrize("doc, message", [
