@@ -3,16 +3,24 @@
 The writer emits fixed-format MPS (fields anchored at columns 2-3, 5-12,
 15-22, 25-36, 40-47 and 50-61) with values printed to 12 significant
 digits; a field longer than its slot simply runs on, which every
-whitespace-tolerant reader (including ours) accepts.  Names longer than
-eight characters are mangled deterministically and the mangling table is
-written next to the file.  Integer columns are wrapped in INTORG/INTEND
-markers.  Solution files are one ``name value`` pair per line.
+whitespace-tolerant reader (including ours) accepts.  Names the file cannot
+hold (longer than eight characters, empty or holding whitespace, and a row
+named like the objective row) are mangled deterministically and the
+mangling table is written next to the file.  Integer columns are wrapped in
+INTORG/INTEND markers.  Solution files are one ``name value`` pair per line.
 
-The writer runs no Python code per line or per field: each distinct name
-and value is laid out once, and a line is a row of pieces taken from those
-tables.  A 10 MB LP takes 0.26 s (~38 MB/s), against 0.40 s for the writer
-that padded each field of each line in Python (one quiet 2-core x86-64
-host).  Its bytes are pinned to the line-at-a-time reference writer in
+The writer runs no Python code per line or per field, and it writes each
+section in blocks of ``_BLOCK`` items: the row-name tables are laid out
+once, each block's column heads and distinct values with the block, and a
+line is a row of pieces taken from those tables.  Beyond the LP an export
+holds the name tables, the order of the entries by column (8 bytes a
+nonzero) and one block, so its memory is O(n + m + block).  The
+``export-19bus`` LP (an 8.2 MB file) exports in about 0.36 s, as it did
+when whole sections were built, with a traced peak of 15.6 MB against
+44.5 MB.  The paper-scale comp MIR (4.44 M nonzeros, a 108 MB file) raises
+the process's RSS from 243 to 313 MB, against 829 MB, in 1.3-1.6 s against
+2.4-2.6 s (one 2-core x86-64 host shared with other tenants).  The bytes
+are pinned to the line-at-a-time reference writer in
 ``tests/mps_oracle.py``.
 """
 
@@ -24,7 +32,7 @@ from dataclasses import dataclass, field
 from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -57,14 +65,15 @@ def mangle_names(names: Sequence[str],
                  reserved: Iterable[str] = ()) -> tuple[list[str], dict[str, str]]:
     """Shorten names to at most eight characters, deterministically.
 
-    Short unique names pass through; long or colliding names become
-    ``<first 3 chars>~<4-char hash>``, probing the hash salt until unique.
-    Returns the final names and a map from mangled name to original for
-    every name that changed.
+    Short unique names pass through.  Long, empty or colliding names, and
+    names holding whitespace (which would split their field), become
+    ``<first 3 non-space chars>~<4-char hash>``, probing the hash salt
+    until unique.  Returns the final names and a map from mangled name to
+    original for every name that changed.
 
     No name keeps or takes one of ``reserved``: the rows are mangled around
-    the final column names, so that each key of the joint table names one
-    column or row of the file.
+    the final column names and the objective row, so that each key of the
+    joint table names one column or row of the file.
 
     First come, first served: each name gets the first of its candidates
     (the name itself or its salt-0 form, then its forms at the next salts)
@@ -75,10 +84,14 @@ def mangle_names(names: Sequence[str],
     """
     n = len(names)
     given = np.fromiter(names, dtype=object, count=n)
-    long = np.fromiter(map(len, names), dtype=np.int64, count=n) > 8
+    lengths = np.fromiter(map(len, names), dtype=np.int64, count=n)
+    unfit = (lengths > 8) | (lengths == 0)
+    fits = given[~unfit]  # kept unless one holds whitespace, which would split its field
+    unfit[~unfit] = np.fromiter(map(str.__ne__, map("".join, map(str.split, fits)), fits), bool,
+                                fits.size)
     out = given.copy()
-    out[long] = _short_forms(given[long], 0)
-    salt = long - 1  # of out[i]; -1: the name itself
+    out[unfit] = _short_forms(given[unfit], 0)
+    salt = unfit - 1  # of out[i]; -1: the name itself
     reserved, candidates = set(reserved), out.tolist()
     holder = dict.fromkeys(reserved.intersection(candidates), -1)  # who holds each; -1: reserved
     probing = np.array([i for i, candidate in enumerate(candidates)  # repeats, collisions
@@ -99,17 +112,21 @@ def mangle_names(names: Sequence[str],
     return out.tolist(), dict(zip(out[changed].tolist(), given[changed].tolist()))
 
 
-def _table(texts: Iterable[str], suffix: str = "") -> np.ndarray:
-    """The texts, each followed by ``suffix``, as an object array whose
-    entry -1, an absent field, is empty."""
-    out = np.fromiter(chain(texts, ("",)), dtype=object)
-    out[:-1] += suffix
-    return out
+def _table(texts: Iterable[str]) -> np.ndarray:
+    """The texts as an object array whose entry -1, an absent field, is empty."""
+    return np.fromiter(chain(texts, ("",)), dtype=object)
 
 
-def _line_ends(lead: np.ndarray | str, table: np.ndarray) -> np.ndarray:
-    """``lead`` and each text of a table ending a line, trailing whitespace cut."""
-    return _table(map(str.rstrip, lead + table[:-1]), "\n")
+def _heads(names: np.ndarray) -> np.ndarray:
+    """The start of a data line under each name: the name in its slot."""
+    return "    " + np.fromiter(map(str.ljust, names, repeat(10)), dtype=object, count=len(names))
+
+
+def _texts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The .12g text of each distinct bit pattern of ``values`` (which keeps
+    -0.0, "-0", apart) as a table, and each value's index into it."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    return _table(map(format, bits.view(np.float64).tolist(), repeat(".12g"))), inverse.ravel()
 
 
 _FILLS = np.array([*(" " * k for k in range(16)), "\n"], dtype=object)  # [-1] ends a line
@@ -117,86 +134,142 @@ _FILLS = np.array([*(" " * k for k in range(16)), "\n"], dtype=object)  # [-1] e
 _SENSES = np.array([" N  ", " L  ", " E  ", " G  "], dtype=object)
 _BOUNDS = np.array([" FX BND   ", " FR BND", " MI BND", " LO BND   ", " PL BND", " UP BND   "],
                    dtype=object)
+# Items a section lays out at once: (row, value) pairs of COLUMNS and RHS,
+# two a line; lines of ROWS and BOUNDS (a column has at most two bounds);
+# keys of the names table.
+_BLOCK = 1 << 13
 
 
-def _pair_pieces(heads: np.ndarray, runs: np.ndarray, rows: np.ndarray, values: np.ndarray,
-                names: np.ndarray, texts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pieces of the lines ``head row value [row value]``, eight a line,
-    pairing up the items ``(names[rows[k]], texts[values[k]])`` in runs of
-    ``runs[j]`` under ``heads[j]``; and each run's first line.
+def _pair_pieces(heads: np.ndarray, rows: np.ndarray, values: np.ndarray,
+                 names: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Pieces of the lines ``head row value [row value]``, eight a line: line
+    k pairs the items ``(rows[0, k], values[0, k])`` and ``(rows[1, k],
+    values[1, k])``, the second absent where its row is -1.  ``names`` holds
+    the tables of the rows (the objective row first): the names, the names
+    padded to their slot and their lengths.
 
-    Names (at most eight characters) fit their slots.  A value running past
-    its slot shifts the second name right; a name then reaching the last
-    value's column is followed by a space unless it ends in whitespace.
+    Names (at most eight characters, none holding whitespace) fit their
+    slots.  A value running past its slot shifts the second name right; a
+    name then reaching the last value's column is followed by a space.
     """
-    # an odd run ends in an absent item (-1), so a line is a pair of items
-    items = np.insert(np.stack((rows, values)), np.cumsum(runs)[runs % 2 == 1], -1, axis=1)
-    (row1, row2), (value1, value2) = items.reshape(2, -1, 2).transpose(0, 2, 1)
-    per_run = (runs + 1) // 2
-    pair, length = value2 >= 0, np.fromiter(map(len, texts), dtype=np.int64)[value1]
-    gap = np.minimum(24 - length, 10) - np.fromiter(map(len, names), dtype=np.int64)[row2]
-    space_end = np.fromiter(map(str.isspace, map(itemgetter(slice(-1, None)), names)), bool)
-    lines = np.column_stack((
-        np.repeat(heads, per_run), _table(map(str.ljust, names[:-1], repeat(10)))[row1],
-        texts[value1], _FILLS[np.where(pair, np.maximum(15 - length, 1), -1)],
-        names[row2], _FILLS[np.where(gap > 0, gap, ~space_end[row2]) * pair],
+    table, padded, name_lengths = names
+    present = rows >= 0
+    texts, index = _texts(values[present])
+    value = np.full(rows.shape, -1, dtype=np.int64)
+    value[present] = index
+    (row1, row2), (value1, value2), pair = rows, value, present[1]
+    length = np.fromiter(map(len, texts), dtype=np.int64)[value1]
+    gap = np.minimum(24 - length, 10) - name_lengths[row2]
+    return np.column_stack((
+        heads, padded[row1], texts[value1], _FILLS[np.where(pair, np.maximum(15 - length, 1), -1)],
+        table[row2], _FILLS[np.maximum(gap, 1) * pair],
         texts[value2], _FILLS[np.where(pair, -1, 0)]))
-    return lines, np.cumsum(per_run) - per_run
+
+
+def _write_runs(out: TextIO, run_names: np.ndarray, runs: np.ndarray,
+                items: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
+                names: tuple[np.ndarray, ...], markers: tuple[np.ndarray, np.ndarray]) -> None:
+    """Write runs of (row, value) items, two a line: run j, under
+    ``run_names[j]``, holds the items ``items(j, k)`` for k < ``runs[j]``.
+    Each marker line goes before the run it names (``len(runs)``: after the
+    last).
+
+    The lines go out ``_BLOCK`` items at a time.  A run splits only at an
+    even item, so each line keeps its pair and the bytes do not depend on
+    the block.
+    """
+    per_run = (runs + 1) // 2
+    first = np.cumsum(per_run) - per_run
+    total = int(per_run.sum())
+    before, texts = markers
+    at = np.append(first, total)[before]  # the line each marker precedes
+    step = max(_BLOCK // 2, 1)
+    for start in range(0, total, step):
+        line = np.arange(start, min(start + step, total))
+        run = np.searchsorted(first, line, "right") - 1
+        k = 2 * (line - first[run])
+        second = k + 1 < runs[run]
+        rows = np.full((2, line.size), -1, dtype=np.int64)
+        values = np.zeros((2, line.size))
+        rows[0], values[0] = items(run, k)
+        rows[1, second], values[1, second] = items(run[second], k[second] + 1)
+        heads = _heads(run_names[run[0]:run[-1] + 1])[run - run[0]]
+        lines = _pair_pieces(heads, rows, values, names)
+        lo, hi = np.searchsorted(at, (start, start + line.size))
+        marks = np.full((hi - lo, lines.shape[1]), "", dtype=object)
+        marks[:, 0] = texts[lo:hi]
+        out.write("".join(np.insert(lines, at[lo:hi] - start, marks, axis=0).ravel().tolist()))
+    out.write("".join(texts[np.searchsorted(at, total):]))
 
 
 def _write_mps(out: TextIO, lp: CanonicalLp, var_names: list[str], row_names: list[str],
                comments: Sequence[str]) -> None:
-    """Write the MPS text of ``lp`` under its short names, a section at a
-    time.  Each distinct name and value is laid out once, in a table; a line
-    is a row of pieces taken from the tables, and a section is joined from a
-    list of its pieces once the array that gathered them is dropped."""
+    """Write the MPS text of ``lp`` under its short names, each section a
+    block of items at a time.  The row-name tables are laid out once, each
+    block's column heads and distinct values with the block, and a line is
+    a row of pieces taken from those tables.  Beyond the LP this holds
+    O(n + m) name tables, the order of the entries by column and one
+    block."""
     n, m = lp.n_vars, lp.n_rows
-    names = _table([_OBJECTIVE_ROW, *row_names])  # row i is names[i + 1]
-    # .12g text once per distinct bit pattern, which keeps -0.0 ("-0") apart
-    bits, inverse = np.unique(np.concatenate((lp.objective, lp.entry_vals, lp.rhs, lp.lower,
-                                              lp.upper)).view(np.int64), return_inverse=True)
-    texts = _table(map(format, bits.view(np.float64).tolist(), repeat(".12g")))
+    table = _table([_OBJECTIVE_ROW, *row_names])  # row i is table[i + 1]
+    names = (table, _table(map(str.ljust, table[:-1], repeat(10))),
+             np.fromiter(map(len, table), dtype=np.int64, count=m + 2))
     out.write("".join(f"* {comment}\n" for comment in comments))
     out.write(f"NAME          {lp.name[:60]}\nROWS\n")
-    senses = np.fromiter(map("N<=>".index, ["N", *lp.senses]), dtype=np.int64, count=m + 1)
-    out.write("".join(_line_ends(_SENSES[senses], names).tolist()))
+    senses = "N" + "".join(lp.senses)
+    for start in range(0, m + 1, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        sense = np.fromiter(map("N<=>".index, senses[block]), dtype=np.int64)
+        out.write("".join((_SENSES[sense] + table[:-1][block] + "\n").tolist()))
 
-    # COLUMNS, and RHS as a last column: a run per column, by row, its
-    # objective entry (row 0) first
-    nonzero, end = np.flatnonzero(lp.rhs != 0.0), n + lp.entry_vals.size
-    rows = np.concatenate((np.zeros(n, dtype=np.int64), lp.entry_rows + 1, nonzero + 1))
-    cols = np.concatenate((np.arange(n), lp.entry_cols, np.full(nonzero.size, n)))
-    order = np.lexsort((rows, cols))
-    heads = "    " + _table(map(str.ljust, [*var_names, "RHS"], repeat(10)))[:-1]
-    lines, first_line = _pair_pieces(
-        heads, np.bincount(cols, minlength=n + 1), rows[order],
-        np.append(inverse[:end], inverse[end:end + m][nonzero])[order], names, texts)
-    del rows, cols, order
-    # INTORG before each integer run, INTEND after it, then the RHS header
-    flips = first_line[np.diff(lp.integer, prepend=False, append=False)]
-    markers = np.full((flips.size + 1, lines.shape[1]), "", dtype=object)
-    markers[:, 0] = [*(f"    MK{k:06d}  'MARKER'{' ' * 17}'{('INTEND', 'INTORG')[k % 2]}'\n"
-                       for k in range(1, flips.size + 1)), "RHS\n"]
-    lines = np.insert(lines, np.append(flips, first_line[n]), markers, axis=0)
-    lines = lines.ravel().tolist()
+    # COLUMNS: a run per column, its objective entry (row 0) first, then its
+    # entries by row; INTORG before each integer run, INTEND after it
+    order = np.lexsort((lp.entry_rows, lp.entry_cols))
+    counts = np.bincount(lp.entry_cols, minlength=n)
+    entry_start = np.cumsum(counts) - counts
+
+    def column_items(col: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        entry = k > 0
+        e = order[(entry_start[col] + k - 1)[entry]]
+        rows, values = np.zeros(k.size, dtype=np.int64), lp.objective[col]
+        rows[entry], values[entry] = lp.entry_rows[e] + 1, lp.entry_vals[e]
+        return rows, values
+
+    columns = np.fromiter(var_names, dtype=object, count=n)
+    flips = np.flatnonzero(np.diff(lp.integer, prepend=False, append=False))
+    marks = np.fromiter((f"    MK{k:06d}  'MARKER'{' ' * 17}'{('INTEND', 'INTORG')[k % 2]}'\n"
+                         for k in range(1, flips.size + 1)), dtype=object, count=flips.size)
     out.write("COLUMNS\n")
-    out.write("".join(lines))
-    del lines
+    _write_runs(out, columns, counts + 1, column_items, names, (flips, marks))
+
+    # RHS: its header, then one run of the nonzero right-hand sides by row
+    nonzero = np.flatnonzero(lp.rhs != 0.0)
+    _write_runs(out, np.array(["RHS"], dtype=object), np.array([nonzero.size]),
+                lambda _, k: (nonzero[k] + 1, lp.rhs[nonzero[k]]), names,
+                (np.zeros(1, dtype=np.int64), np.array(["RHS\n"], dtype=object)))
     out.write("RANGES\n")  # for completeness; this writer produces none
 
     # BOUNDS: FX or FR alone, else MI or LO followed by PL or UP
-    fixed, inf_lo, inf_up = lp.lower == lp.upper, np.isinf(lp.lower), np.isinf(lp.upper)
-    free = ~fixed & inf_lo & inf_up
-    kinds = np.column_stack((np.select([fixed, free, inf_lo], [0, 1, 2], 3),
-                             np.where(inf_up, 4, 5)))
-    keep = np.column_stack((np.ones_like(fixed), ~(fixed | free)))
-    kind, var = kinds[keep], np.repeat(np.arange(n), 2)[keep.ravel()]
-    valued = np.isin(kind, (0, 3, 5))  # FX, LO and UP
-    value = np.where(valued, inverse[end + m:].reshape(2, n).T[keep], -1)
-    tails = np.where(valued, heads[var], _line_ends("       ", _table(var_names))[var])
-    lines = np.column_stack((_BOUNDS[kind], tails, texts[value],
-                             _FILLS[np.where(valued, -1, 0)])).ravel().tolist()
-    out.write("".join(["BOUNDS\n", *lines, "ENDATA\n"]))
+    out.write("BOUNDS\n")
+    step = max(_BLOCK // 2, 1)
+    for start in range(0, n, step):
+        block = slice(start, start + step)
+        lower, upper = lp.lower[block], lp.upper[block]
+        fixed, inf_lo, inf_up = lower == upper, np.isinf(lower), np.isinf(upper)
+        free = ~fixed & inf_lo & inf_up
+        kinds = np.column_stack((np.select([fixed, free, inf_lo], [0, 1, 2], 3),
+                                 np.where(inf_up, 4, 5)))
+        keep = np.column_stack((np.ones_like(fixed), ~(fixed | free)))
+        kind, var = kinds[keep], np.repeat(np.arange(start, start + fixed.size), 2)[keep.ravel()]
+        valued = np.isin(kind, (0, 3, 5))  # FX, LO and UP
+        texts, index = _texts(np.column_stack((lower, upper))[keep][valued])
+        value = np.full(kind.size, -1, dtype=np.int64)
+        value[valued] = index
+        tails = np.where(valued, _heads(columns[block])[var - start],
+                         "       " + columns[var] + "\n")
+        out.write("".join(np.column_stack((_BOUNDS[kind], tails, texts[value],
+                                           _FILLS[np.where(valued, -1, 0)])).ravel().tolist()))
+    out.write("ENDATA\n")
 
 
 def export_mps(lp: CanonicalLp, path: str | Path, comments: Sequence[str] = ()) -> Path:
@@ -207,22 +280,27 @@ def export_mps(lp: CanonicalLp, path: str | Path, comments: Sequence[str] = ()) 
     written explicitly, so importing the file reproduces the LP exactly up
     to the 12-significant-digit decimal representation of values.  A
     mangling table is emitted as ``<path>.names.json`` when any name had to
-    be shortened, and one left by an earlier export is removed otherwise.
+    be changed, and one left by an earlier export is removed otherwise.
     """
     path = Path(path)
     var_names, var_table = mangle_names(lp.var_names)
-    row_names, row_table = mangle_names(lp.row_names, reserved=var_names)
+    row_names, row_table = mangle_names(lp.row_names, reserved=[*var_names, _OBJECTIVE_ROW])
     with path.open("w", encoding="utf-8") as out:
         _write_mps(out, lp, var_names, row_names, comments)
 
     table = {**var_table, **row_table}
     side = path.with_name(path.name + ".names.json")
-    if table:  # the bytes of json.dumps(table, indent=2, sort_keys=True)
-        quote = json.encoder.encode_basestring_ascii
-        items = ",\n".join(f"  {quote(key)}: {quote(table[key])}" for key in sorted(table))
-        side.write_text("{\n" + items + "\n}", encoding="utf-8")
-    else:
+    if not table:
         side.unlink(missing_ok=True)
+        return path
+    # the bytes of json.dumps(table, indent=2, sort_keys=True), _BLOCK keys at a time
+    quote, keys = json.encoder.encode_basestring_ascii, sorted(table)
+    with side.open("w", encoding="utf-8") as out:
+        for start in range(0, len(keys), _BLOCK):
+            block = keys[start:start + _BLOCK]
+            out.write(("{\n" if start == 0 else ",\n") + ",\n".join(map(
+                "  {}: {}".format, map(quote, block), map(quote, map(table.__getitem__, block)))))
+        out.write("\n}")
     return path
 
 

@@ -538,6 +538,8 @@ class AnnealParams:
             raise ValueError("radius must be >= 1")
         if not self.t0 > 0:
             raise ValueError("initial temperature must be positive")
+        if not self.decay >= 0:  # a negative decay heats the schedule until exp overflows
+            raise ValueError("decay must be >= 0")
         if self.return_mode not in ("best_visited", "final_incumbent"):
             raise ValueError(f"unknown return mode {self.return_mode!r}")
 

@@ -56,17 +56,18 @@ def mangle_names(names: Sequence[str],
                  reserved: Sequence[str] = ()) -> tuple[list[str], dict[str, str]]:
     """Shorten names to at most eight characters, deterministically.
 
-    Short unique names pass through; long or colliding names become
-    ``<first 3 chars>~<4-char hash>``, probing the hash salt until unique.
-    Returns the final names and a map from mangled name to original for
-    every name that changed.  No name keeps or takes one of ``reserved``.
+    Short unique names pass through; long, empty or colliding names, and
+    names holding whitespace, become ``<first 3 non-space chars>~<4-char
+    hash>``, probing the hash salt until unique.  Returns the final names
+    and a map from mangled name to original for every name that changed.
+    No name keeps or takes one of ``reserved``.
     """
     used: set[str] = set(reserved)
     out: list[str] = []
     table: dict[str, str] = {}
     for name in names:
         candidate = name
-        if len(candidate) > 8 or candidate in used:
+        if len(candidate) > 8 or candidate.split() != [candidate] or candidate in used:
             prefix = "".join(ch for ch in name if not ch.isspace())[:3]
             salt = 0
             candidate = f"{prefix}~{_hash36(name, salt)}"
@@ -91,7 +92,7 @@ def export_mps(lp: CanonicalLp, path: str | Path, comments: Sequence[str] = ()) 
     """
     path = Path(path)
     var_names, var_table = mangle_names(lp.var_names)
-    row_names, row_table = mangle_names(lp.row_names, reserved=var_names)
+    row_names, row_table = mangle_names(lp.row_names, reserved=[*var_names, _OBJECTIVE_ROW])
     lines = [f"* {comment}" for comment in comments]
     lines.append(f"NAME          {lp.name[:60]}")
     lines.append("ROWS")

@@ -288,8 +288,11 @@ def test_cep_records_and_resolved_values(tmp_path):
     ({"paths": {}, "cep": {"lines": [{"id": "L", "from_bus": "A", "to_bus": "B",
                                       "lenght_km": 3.0}]}},
      "unknown cep.lines[0] fields: ['lenght_km']"),
+    ({"paths": {}, "siting": {"anneal": {"iterations": 15, "decay": -1000.0}}},
+     "siting.anneal: decay must be >= 0"),
 ], ids=["string-bool", "fraction-without-baseline", "prod-with-bad-anneal", "string-target",
-        "bad-credit", "nan", "no-paths", "not-an-object", "placement-typo", "line-typo"])
+        "bad-credit", "nan", "no-paths", "not-an-object", "placement-typo", "line-typo",
+        "negative-decay"])
 def test_load_config_rejects(tmp_path, doc, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         _load(tmp_path, doc)

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import mps_oracle
 from helpers import build_catalog, plan_for, random_matrix
-from windplan import cli
+from windplan import cli, mps
 from windplan.cli import main as cli_main
 from windplan.lp import SENSES, CanonicalLp, LpBuilder, solve
 from windplan.mps import (
@@ -93,6 +93,22 @@ def test_long_names_are_mangled_with_table(tmp_path):
     table = json.loads(table_path.read_text())
     restored = tuple(table.get(name, name) for name in back.var_names)
     assert restored == lp.var_names
+
+
+@pytest.mark.parametrize("column, row", [("x", "COST"), ("", "r"), ("a b", "r"), ("x", "r 1")],
+                         ids=["row-named-like-the-objective", "empty-column", "spaced-column",
+                              "spaced-row"])
+def test_names_the_file_cannot_hold_are_mangled(tmp_path, column, row):
+    """A row named like the objective row, an empty name and a name holding
+    whitespace would each break the file; mangled, they round-trip."""
+    lp = CanonicalLp(objective=[1.0], entry_rows=[0], entry_cols=[0], entry_vals=[2.0],
+                     senses=["<"], rhs=[3.0], lower=[0.0], upper=[4.0], integer=[False],
+                     var_names=[column], row_names=[row])
+    back = import_mps(export_mps(lp, tmp_path / "one.mps"))
+    assert_same_lp(lp, back, names=False)
+    table = json.loads((tmp_path / "one.mps.names.json").read_text(encoding="utf-8"))
+    assert [table.get(name, name) for name in back.var_names + back.row_names] == [column, row]
+    assert_same_files(lp, tmp_path)
 
 
 def test_mangle_is_deterministic_and_unique():
@@ -265,7 +281,7 @@ def assert_same_files(lp, tmp):
 
 @settings(max_examples=200, deadline=None)
 @given(canonical_lps())
-# a value overrunning its slot, then a row name ending in a space
+# a value overrunning its slot, then a row name ending in a space (so mangled)
 @example(CanonicalLp(objective=[-5e-324], entry_rows=[0], entry_cols=[0], entry_vals=[1.0],
                      senses=["<"], rhs=[0.0], lower=[0.0], upper=[1.0], integer=[False],
                      var_names=["x"], row_names=["abcdefg "]))
@@ -284,6 +300,50 @@ def test_integer_runs_match_oracle(tmp_path, integer):
                      upper=np.full(n, 3.0), integer=integer, var_names=[f"x{j}" for j in range(n)],
                      row_names=["r"])
     assert_same_files(lp, tmp_path)
+
+
+def _one_entry_columns(integer):
+    n = len(integer)
+    return CanonicalLp(objective=np.arange(n) - 1.5, entry_rows=[0] * n, entry_cols=range(n),
+                       entry_vals=np.arange(n) + 0.25, senses=["<"], rhs=[4.0],
+                       lower=np.zeros(n), upper=np.full(n, 3.0), integer=integer,
+                       var_names=[f"x{j}" for j in range(n)], row_names=["r"])
+
+
+# Blocks of 2, 3 and 7 items hold 1, 1 and 3 lines of COLUMNS or RHS.
+BLOCK_LPS = {
+    # runs of 3, 1, 4 and 3 items: an odd run's lone item ends a block
+    "odd-runs": CanonicalLp(
+        objective=[1.0, -2.0, 0.0, 3.5], entry_rows=[0, 2, 0, 1, 2, 0, 1],
+        entry_cols=[0, 0, 2, 2, 2, 3, 3], entry_vals=[1.0, -1e-5, 2.0, 123456789012345.0, -0.0,
+                                                      0.1, 7.0],
+        senses=["<", ">", "="], rhs=[1.0, 0.0, -2.0], lower=[0.0, -math.inf, 1.0, -math.inf],
+        upper=[1.0, math.inf, 1.0, 5.0], integer=[False] * 4,
+        var_names=["a", "b", "c", "d"], row_names=["r0", "r1", "r2"]),
+    # integer runs over columns 1-4, across an edge, and 6-7, ending the section
+    "integer-across": _one_entry_columns([0, 1, 1, 1, 1, 0, 1, 1]),
+    # nine right-hand sides: five lines
+    "long-rhs": CanonicalLp(
+        objective=[1.0], entry_rows=range(9), entry_cols=[0] * 9, entry_vals=np.arange(9) + 1.0,
+        senses=["<"] * 9, rhs=np.arange(9) - 4.5, lower=[0.0], upper=[1.0], integer=[True],
+        var_names=["x"], row_names=[f"r{i}" for i in range(9)]),
+    "empty": LpBuilder(name="empty").build(),
+}
+
+
+@pytest.mark.parametrize("block", [2, 3, 7])
+@pytest.mark.parametrize("name", list(BLOCK_LPS))
+def test_blocks_match_oracle_bytes(tmp_path, monkeypatch, name, block):
+    monkeypatch.setattr(mps, "_BLOCK", block)
+    assert_same_files(BLOCK_LPS[name], tmp_path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3, 7]), canonical_lps())
+def test_blocks_match_oracle_bytes_on_random_lps(block, lp):
+    with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as tmp:
+        patch.setattr(mps, "_BLOCK", block)
+        assert_same_files(lp, tmp)
 
 
 @pytest.mark.parametrize("names", [
@@ -500,6 +560,39 @@ def test_export_memory_is_bounded(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 4.9 * (tmp_path / "mid.mps").stat().st_size
+
+
+def _traced_export_peak(lp, path):
+    tracemalloc.start()
+    try:
+        export_mps(lp, path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_export_memory_per_nonzero_is_bounded(tmp_path):
+    """An export holds one block of lines, so on a comp-MIR-shaped LP (600
+    columns, 3,000 rows) going from 50 to 400 entries a column adds little
+    beyond the order of the entries by column (8 bytes a nonzero): at most
+    24 bytes a nonzero, where a writer holding whole sections added 136."""
+
+    def lp_of(per_column):
+        n, m = 600, 3000
+        cols = np.repeat(np.arange(n), per_column)
+        rows = (np.arange(per_column) * 7 + np.arange(n)[:, None] * 13).ravel() % m
+        return CanonicalLp(
+            objective=np.where(np.arange(n) % 2 == 0, 0.0, -1.0), entry_rows=rows,
+            entry_cols=cols, entry_vals=np.resize([1.0, -1.0, 0.5, -2.0], cols.size),
+            senses=[">"] * m, rhs=np.where(np.arange(m) % 3 == 0, 1.0, 0.0), lower=np.zeros(n),
+            upper=np.ones(n), integer=np.arange(n) < n // 2,
+            var_names=[f"x|site{j:04d}" for j in range(n)],
+            row_names=[f"cover|w{i:05d}" for i in range(m)])
+
+    small, large = lp_of(50), lp_of(400)
+    added = _traced_export_peak(large, tmp_path / "large.mps") \
+        - _traced_export_peak(small, tmp_path / "small.mps")
+    assert added <= 24 * (large.entry_vals.size - small.entry_vals.size)
 
 
 def test_reexport_removes_a_stale_names_table(tmp_path):

@@ -375,6 +375,14 @@ def test_zero_temperature_accepts_a_zero_gain_and_rejects_a_loss():
     assert rng.calls == 2   # one draw per non-positive gain, as at T > 0
 
 
+@pytest.mark.parametrize("decay", [-1000.0, -1e-300, float("nan")])
+def test_anneal_rejects_a_negative_decay(decay):
+    # exp(-decay * i / iterations) would grow with i: -1000 overflows from i = 12 of 15
+    with pytest.raises(ValueError, match="decay must be >= 0"):
+        AnnealParams(iterations=15, decay=decay)
+    assert AnnealParams(iterations=15, decay=0.0).temperature(12) == 100.0
+
+
 def test_local_search_on_a_schedule_cooled_to_zero(swap_setup):
     # decay 1000 over 15 iterations: the temperature underflows to 0.0 from i = 12
     catalog, m, plan, init = swap_setup

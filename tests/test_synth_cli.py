@@ -299,8 +299,9 @@ def test_exit_data_on_infeasible_plan(dataset, capsys):
     ({"coverage_threshold": 0}, "threshold must satisfy"),
     ({"delta": 1000}, "exceeds series length"),
     ({"varsigma": "0.3"}, "siting.varsigma must be a number"),
+    ({"anneal": {"iterations": 15, "decay": -1000.0}}, "decay must be >= 0"),
 ], ids=["unknown-anneal-key", "radius-zero", "threshold-above-sites", "threshold-zero",
-        "delta-beyond-horizon", "string-varsigma"])
+        "delta-beyond-horizon", "string-varsigma", "negative-decay"])
 def test_exit_data_on_bad_comp_settings(dataset, capsys, siting, message):
     tmp_path, data_dir = dataset
     config = write_config(tmp_path, data_dir, siting=siting)
