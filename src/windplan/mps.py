@@ -281,7 +281,12 @@ def export_mps(lp: CanonicalLp, path: str | Path, comments: Sequence[str] = ()) 
     to the 12-significant-digit decimal representation of values.  A
     mangling table is emitted as ``<path>.names.json`` when any name had to
     be changed, and one left by an earlier export is removed otherwise.
+    ``lp.name`` and each comment must fit on one line: a line break in
+    either raises ``ValueError``.
     """
+    for text in (lp.name, *comments):
+        if "".join(text.splitlines()) != text:
+            raise ValueError(f"MPS NAME and comment lines cannot hold a line break: {text!r}")
     path = Path(path)
     var_names, var_table = mangle_names(lp.var_names)
     row_names, row_table = mangle_names(lp.row_names, reserved=[*var_names, _OBJECTIVE_ROW])
@@ -325,7 +330,9 @@ def _pairs(tokens: list[str]) -> Iterator[tuple[str, float]]:
 def import_mps(path: str | Path) -> CanonicalLp:
     """Read an MPS file written by :func:`export_mps` (or any file using
     the same section vocabulary).  RANGES entries are rejected; split the
-    ranged row into two rows instead."""
+    ranged row into two rows instead.  The name is the whole rest of the
+    NAME line, and a COLUMNS line is an integer marker only when it reads
+    ``<id> 'MARKER' 'INTORG'`` or ``<id> 'MARKER' 'INTEND'``."""
     path = Path(path)
     name = "lp"
     section = None
@@ -358,7 +365,7 @@ def import_mps(path: str | Path) -> CanonicalLp:
             if not raw[0].isspace():
                 keyword = tokens[0].upper()
                 if keyword == "NAME":
-                    name = tokens[1] if len(tokens) > 1 else "lp"
+                    name = raw.split(None, 1)[1].strip() if len(tokens) > 1 else "lp"
                 elif keyword in ("ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS"):
                     section = keyword
                 elif keyword == "ENDATA":
@@ -382,7 +389,8 @@ def import_mps(path: str | Path) -> CanonicalLp:
                 row_sense[row] = letter
                 row_order.append(row)
             elif section == "COLUMNS":
-                if len(tokens) >= 3 and tokens[1] == "'MARKER'":
+                if (len(tokens) == 3 and tokens[1] == "'MARKER'"
+                        and tokens[2] in ("'INTORG'", "'INTEND'")):
                     in_integer = tokens[2] == "'INTORG'"
                     continue
                 var = tokens[0]

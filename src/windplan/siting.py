@@ -23,7 +23,8 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from itertools import combinations_with_replacement
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -393,7 +394,8 @@ class _SearchSpace:
 
     Selected and unselected non-legacy sites are kept in flat arrays grouped
     by partition; per-partition segment sizes are invariant under swaps, so
-    the feasible allocation set of a radius is fixed for the whole search.
+    :meth:`sampler` lays out a radius's allocations once for the search and
+    :meth:`draw`, the one swap sampler of every radius, draws batches.
     """
 
     def __init__(self, matrix: CriticalityMatrix, catalog: SiteCatalog,
@@ -419,17 +421,6 @@ class _SearchSpace:
             out += [idx, np.bincount(self._pool_of[idx], minlength=len(self.plan.quotas))]
         return tuple(out)
 
-    def allocations(self, r: int) -> tuple[list[tuple[int, ...]], int]:
-        """Feasible per-partition swap allocations for radius ``r``.
-
-        Returns the lexicographically ordered allocation vectors and the
-        effective radius (reduced when the pools cannot host ``r`` swaps).
-        """
-        r_eff = int(min(r, int(self.caps.sum())))
-        if r_eff == 0:
-            raise ValueError("no feasible swap anywhere: every partition pool is empty")
-        return _compositions(r_eff, [int(cap) for cap in self.caps]), r_eff
-
     def pool_indices(self, ids: Iterable[str]) -> np.ndarray:
         """Matrix indices of a scripted non-legacy selection.  It may name
         each swappable site once; a legacy site, a site outside every quota
@@ -453,41 +444,42 @@ class _SearchSpace:
         ids += [self.matrix.site_ids[i] for i in self.legacy_idx]
         return frozenset(ids)
 
-    def draw(self, alloc: Sequence[int], rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        """Flat pool positions of a uniform swap with ``alloc[p]`` exchanges
-        in partition ``p``: selected positions leaving, unselected entering."""
-        sel_at, uns_at = [], []
-        for partition, s in enumerate(alloc):
-            if s:
-                out_pos = rng.choice(int(self.sel_sizes[partition]), size=s, replace=False)
-                in_pos = rng.choice(int(self.uns_sizes[partition]), size=s, replace=False)
-                sel_at.append(self.sel_off[partition] + np.asarray(out_pos))
-                uns_at.append(self.uns_off[partition] + np.asarray(in_pos))
-        return np.concatenate(sel_at), np.concatenate(uns_at)
+    def sampler(self, r: int) -> None:
+        """Lay out the swaps of radius ``r`` for :meth:`draw`, reduced to
+        ``caps.sum()`` swaps when the pools cannot host ``r``.  An
+        allocation is a row of slot partitions (a multiset, descending);
+        a slot keeps, for both pools, its segment's offset and Floyd's bound:
+        the segment size less the later slots of its partition."""
+        r_eff = min(r, int(self.caps.sum()))
+        if r_eff == 0:
+            raise ValueError("no feasible swap anywhere: every partition pool is empty")
+        rows = np.array(list(combinations_with_replacement(np.flatnonzero(self.caps)[::-1], r_eff)))
+        same = rows[:, :, None] == rows[:, None, :]  # slots j and l share a partition
+        keep = (same.sum(axis=2) <= self.caps[rows]).all(axis=1)
+        rows, later = rows[keep], np.triu(same[keep], 1).sum(axis=2)
+        self._slots = [(off[rows], size[rows] - later) for off, size in
+                       ((self.sel_off, self.sel_sizes), (self.uns_off, self.uns_sizes))]
+
+    def draw(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """``(n, r)`` flat positions of ``n`` swaps, selected leaving and
+        unselected entering: a uniform allocation each, then Floyd's sample
+        per partition (a draw that an earlier slot of the partition holds
+        becomes the slot's last position; partitions' positions never meet)."""
+        alloc = rng.integers(0, len(self._slots[0][0]), size=n)
+        out = []
+        for base, high in self._slots:
+            base, high = base.take(alloc, axis=0), high.take(alloc, axis=0)
+            at = base + rng.integers(0, high)
+            for j in range(1, at.shape[1]):
+                hit = (at[:, :j] == at[:, j, None]).any(axis=1)
+                at[hit, j] = base[hit, j] + high[hit, j] - 1
+            out.append(at)
+        return out[0], out[1]
 
     def swap(self, sel_at: np.ndarray, uns_at: np.ndarray) -> None:
         out_sites = self.sel_flat[sel_at]
         self.sel_flat[sel_at] = self.uns_flat[uns_at]
         self.uns_flat[uns_at] = out_sites
-
-
-def _compositions(total: int, caps: Sequence[int]) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-    vec = [0] * len(caps)
-
-    def rec(i: int, remaining: int) -> None:
-        if i == len(caps) - 1:
-            if remaining <= caps[i]:
-                vec[i] = remaining
-                out.append(tuple(vec))
-            return
-        for v in range(min(caps[i], remaining) + 1):
-            vec[i] = v
-            rec(i + 1, remaining - v)
-
-    if caps:
-        rec(0, total)
-    return out
 
 
 def sample_neighbor(
@@ -503,14 +495,15 @@ def sample_neighbor(
     The number of swaps per partition is drawn uniformly over the feasible
     allocations of the radius (partitions without swappable sites always
     receive zero), then that many selected/unselected non-legacy sites are
-    exchanged uniformly within each partition.  The result meets the same
-    per-partition quotas and shares ``k - r`` members with the input
-    whenever the pools can host ``r`` swaps.
+    exchanged within each partition, Floyd's uniform subset of each pool,
+    as :func:`local_search` draws.  The result meets the same per-partition
+    quotas and shares ``k - r`` members with the input whenever the pools
+    can host ``r`` swaps.
     """
     solution = _finish_solution(catalog, plan, selected, 0.0, "probe")
     space = _SearchSpace(matrix, catalog, plan, solution.selected)
-    allocations, _ = space.allocations(r)
-    space.swap(*space.draw(allocations[int(rng.integers(0, len(allocations)))], rng))
+    space.sampler(r)
+    space.swap(*space.draw(1, rng))
     return space.selection_ids()
 
 
@@ -560,11 +553,12 @@ def local_search(
 ) -> SitingSolution:
     """Simulated-annealing style local search over fixed-cardinality swaps.
 
-    Each iteration draws ``params.neighbors`` candidates, keeps the best
-    coverage gain, accepts it outright when strictly positive and otherwise
-    with Bernoulli probability ``exp(gain / temperature(i))`` (a zero gain
-    is therefore always accepted).  Legacy sites never move and are
-    re-attached to the returned selection.
+    Each iteration draws a batch of ``params.neighbors`` candidates as
+    :func:`sample_neighbor` draws one, keeps the best coverage gain,
+    accepts it outright when strictly positive and otherwise with Bernoulli
+    probability ``exp(gain / temperature(i))`` (a zero gain is therefore
+    always accepted).  Legacy sites never move and are re-attached to the
+    returned selection.
 
     ``neighbor_sampler(current_non_legacy_ids, i, j, rng)`` may be supplied
     to script the neighbour sequence (it must return the full non-legacy
@@ -601,10 +595,7 @@ def local_search(
     cover = _Coverage(matrix, np.concatenate([space.sel_flat, space.legacy_idx]))
     best_f, best_sel = cover.f, space.sel_flat.copy()
 
-    allocations, r_eff = space.allocations(params.radius)
-    # With radius one an allocation is just a choice of partition.
-    feas_parts = np.array([a.index(1) for a in allocations], dtype=np.intp) if r_eff == 1 else None
-
+    space.sampler(params.radius)
     n = params.neighbors
     for i in range(params.iterations):
         # Every sampler yields, per neighbour, the sites entering and leaving.
@@ -616,14 +607,7 @@ def local_search(
             outs = [space.sel_flat[~np.isin(space.sel_flat, cand)] for cand in scripted]
             gains = [int(cover.gains(a[None], b[None])[0]) for a, b in zip(ins, outs)]
         else:
-            if feas_parts is not None:
-                part = feas_parts[rng.integers(0, len(feas_parts), size=n)]
-                sel_at = (space.sel_off[part] + rng.integers(0, space.sel_sizes[part]))[:, None]
-                uns_at = (space.uns_off[part] + rng.integers(0, space.uns_sizes[part]))[:, None]
-            else:
-                draws = [space.draw(allocations[int(rng.integers(0, len(allocations)))], rng)
-                         for _ in range(n)]
-                sel_at, uns_at = map(np.array, zip(*draws))
+            sel_at, uns_at = space.draw(n, rng)
             ins, outs = space.uns_flat[uns_at], space.sel_flat[sel_at]
             gains = cover.gains(ins, outs)
         j = int(np.argmax(gains))  # ties to the lowest draw index

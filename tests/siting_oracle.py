@@ -6,7 +6,7 @@ windows.  Both consume random draws in exactly the order of the library
 implementations, so the incremental, boundary-window versions in
 ``windplan.siting`` must reproduce their selections, objectives and
 ``on_iteration`` traces bit for bit.  Pool bookkeeping (segment layout,
-allocations, quota checks, acceptance test) is shared with the library;
+swap draws, quota checks, acceptance test) is shared with the library;
 coverage scoring is not.
 """
 
@@ -94,11 +94,7 @@ def local_search(init, matrix, catalog, plan, params, rng, neighbor_sampler=None
     f_cur = _objective(counts, c)
     best_f = f_cur
     best_sel = space.sel_flat.copy()
-    allocations, r_eff = space.allocations(params.radius)
-    single_swap = r_eff == 1 and neighbor_sampler is None
-    if single_swap:
-        feas_parts = np.array([next(p for p, s in enumerate(a) if s) for a in allocations],
-                              dtype=np.intp)
+    space.sampler(params.radius)
     n = params.neighbors
     for i in range(params.iterations):
         if neighbor_sampler is not None:
@@ -120,14 +116,10 @@ def local_search(init, matrix, catalog, plan, params, rng, neighbor_sampler=None
             if accepted:
                 _replace_selection(space, chosen_sel)
                 counts, f_cur = best_counts, f_cur + int(delta_best)
-        elif single_swap:
-            part = feas_parts[rng.integers(0, len(feas_parts), size=n)]
-            out_pos = rng.integers(0, space.sel_sizes[part])
-            in_pos = rng.integers(0, space.uns_sizes[part])
-            sel_at = space.sel_off[part] + out_pos
-            uns_at = space.uns_off[part] + in_pos
-            trial = (counts[None, :] + dense[space.uns_flat[uns_at]].astype(np.int32)
-                     - dense[space.sel_flat[sel_at]])
+        else:
+            sel_at, uns_at = space.draw(n, rng)
+            trial = (counts[None, :] + dense[space.uns_flat[uns_at]].sum(axis=1, dtype=np.int32)
+                     - dense[space.sel_flat[sel_at]].sum(axis=1, dtype=np.int32))
             f_new = (trial >= c).sum(axis=1)
             j = int(np.argmax(f_new))
             delta_best = int(f_new[j]) - f_cur
@@ -137,37 +129,9 @@ def local_search(init, matrix, catalog, plan, params, rng, neighbor_sampler=None
                 best_sel[sel_at[j]] = space.uns_flat[uns_at[j]]
             accepted = _accept(delta_best, params.temperature(i), rng)
             if accepted:
-                _swap(space, sel_at[j:j + 1], uns_at[j:j + 1])
+                _swap(space, sel_at[j], uns_at[j])
                 counts = trial[j]
                 f_cur += delta_best
-        else:
-            delta_best = -math.inf
-            best_counts = counts
-            pending: tuple[np.ndarray, np.ndarray] | None = None
-            for j in range(n):
-                alloc = allocations[int(rng.integers(0, len(allocations)))]
-                sel_at, uns_at = [], []
-                for partition, s in enumerate(alloc):
-                    if s == 0:
-                        continue
-                    out_pos = rng.choice(int(space.sel_sizes[partition]), size=s, replace=False)
-                    in_pos = rng.choice(int(space.uns_sizes[partition]), size=s, replace=False)
-                    sel_at.append(space.sel_off[partition] + np.asarray(out_pos))
-                    uns_at.append(space.uns_off[partition] + np.asarray(in_pos))
-                sel_at, uns_at = np.concatenate(sel_at), np.concatenate(uns_at)
-                cand_counts = (counts + dense[space.uns_flat[uns_at]].sum(axis=0, dtype=np.int32)
-                               - dense[space.sel_flat[sel_at]].sum(axis=0, dtype=np.int32))
-                delta = _objective(cand_counts, c) - f_cur
-                if delta > delta_best:
-                    delta_best, best_counts, pending = delta, cand_counts, (sel_at, uns_at)
-            if _objective(best_counts, c) > best_f:
-                best_f = _objective(best_counts, c)
-                best_sel = space.sel_flat.copy()
-                best_sel[pending[0]] = space.uns_flat[pending[1]]
-            accepted = _accept(delta_best, params.temperature(i), rng)
-            if accepted:
-                _swap(space, *pending)
-                counts, f_cur = best_counts, f_cur + int(delta_best)
         if on_iteration is not None:
             on_iteration(i, float(delta_best), bool(accepted), int(f_cur))
 

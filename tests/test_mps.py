@@ -266,7 +266,8 @@ def canonical_lps(draw):
         senses=sized(st.sampled_from(SENSES), m), rhs=sized(rhs, m),
         lower=[low for low, _ in box], upper=[high for _, high in box],
         integer=sized(st.booleans(), n), var_names=sized(st.sampled_from(pool), n),
-        row_names=sized(st.sampled_from(pool), m), name=draw(st.text(max_size=70)))
+        row_names=sized(st.sampled_from(pool), m),  # a name with a line break is refused
+        name=draw(st.text(max_size=70).filter(lambda text: "".join(text.splitlines()) == text)))
 
 
 def assert_same_files(lp, tmp):
@@ -608,6 +609,36 @@ def test_reexport_removes_a_stale_names_table(tmp_path):
     export_mps(one_column("x"), path)
     assert not side.exists()
     assert import_mps(path).var_names == ("x",)
+
+
+def test_a_row_named_marker_keeps_its_entries(tmp_path):
+    builder = LpBuilder(name="marker")
+    x = builder.add_var("x", 0.0, 1.0, 1.0, integer=True)
+    builder.add_entry(builder.add_row("r0", "<", 1.0), x, 2.0)
+    builder.add_entry(builder.add_row("'MARKER'", "<", 1.0), x, 5.0)
+    lp = builder.build()
+    path = export_mps(lp, tmp_path / "marker.mps")
+    assert "    x         'MARKER'  5\n" in path.read_text(encoding="utf-8")
+    assert_same_lp(lp, import_mps(path))
+
+
+def test_name_with_spaces_round_trips(tmp_path):
+    path = export_mps(LpBuilder(name="a b  c").build(), tmp_path / "spaces.mps")
+    assert import_mps(path).name == "a b  c"
+
+
+@pytest.mark.parametrize("name, comments, bad", [
+    ("a\nb", (), "a\nb"), ("a\rb", (), "a\rb"), ("a\u2028b", (), "a\u2028b"),
+    ("lp", ("fine", "a\nb"), "a\nb"), ("lp", ("a\x0bb",), "a\x0bb"),
+    ("lp", ("a\r\n",), "a\r\n"),
+], ids=["name-newline", "name-return", "name-line-separator", "comment-newline",
+        "comment-vertical-tab", "comment-trailing-crlf"])
+def test_line_breaks_in_name_or_comments_are_rejected(tmp_path, name, comments, bad):
+    path = tmp_path / "broken.mps"
+    with pytest.raises(ValueError, match="line break") as info:
+        export_mps(LpBuilder(name=name).build(), path, comments=comments)
+    assert repr(bad) in str(info.value)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("text, line, message", [

@@ -246,6 +246,19 @@ def test_sample_neighbor_single_swap(swap_setup):
     assert "s00" in neighbor  # legacy never swapped
 
 
+@pytest.mark.parametrize("r", [2, 3])
+def test_sample_neighbor_multi_swap_keeps_quotas(swap_setup, r):
+    catalog, m, plan, init = swap_setup
+    rng = np.random.default_rng(r)
+    for _ in range(20):
+        neighbor = sample_neighbor(init.selected, m, catalog, plan, r, rng)
+        assert len(neighbor & init.selected) == plan.k - r
+        assert "s00" in neighbor
+        for quota in plan.quotas:
+            members = set(catalog.partitions[quota.partition_id])
+            assert len(neighbor & members) == quota.final_k
+
+
 def test_sample_neighbor_deterministic(swap_setup):
     catalog, m, plan, init = swap_setup
     a = sample_neighbor(init.selected, m, catalog, plan, 1, np.random.default_rng(3))
