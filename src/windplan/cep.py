@@ -7,6 +7,10 @@ chosen together with the full dispatch so that demand is met at minimum
 annualised cost, subject to a system-wide CO2 budget and a per-bus
 planning-reserve adequacy requirement.
 
+The LP holds the capacity columns, then every bus's balance rows, then, in
+one pass per component kind, each component's dispatch columns, balance
+entries and own rows together; the CO2 and adequacy rows come last.
+
 Conventions
 -----------
 * Capacity variables are *additions*; operational limits apply to
@@ -31,6 +35,7 @@ Conventions
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -240,8 +245,12 @@ class Line:
     def __post_init__(self) -> None:
         if self.from_bus == self.to_bus:
             raise ValueError(f"line {self.id}: endpoints coincide")
+        if self.legacy_MW < 0 or (self.length_km or 0.0) < 0:
+            raise ValueError(f"line {self.id}: legacy capacity and length must be non-negative")
         if self.potential_MW is not None and self.potential_MW < self.legacy_MW:
             raise ValueError(f"line {self.id}: potential below legacy capacity")
+        if not 0 < self.efficiency_per_1000km <= 1:
+            raise ValueError(f"line {self.id}: efficiency_per_1000km must lie in (0, 1]")
 
     def power_annuity(self, discount_rate: float) -> float | None:
         return _annuity(self.annuity, self.capex, self.lifetime_years, discount_rate,
@@ -303,12 +312,16 @@ class CepInstance:
             raise ValueError("CO2 budget must be non-negative")
         if self.weight_hours <= 0:
             raise ValueError("period weight must be positive")
+        for what, ids in (("bus id", [b.id for b in self.buses]),
+                          ("technology id", [t.id for t in self.technologies]),
+                          ("placement", [(pl.bus, pl.tech) for pl in self.placements]),
+                          ("line id", [line.id for line in self.lines]),
+                          ("site id", [asset.id for asset in self.sited])):
+            repeats = [item for item, count in Counter(ids).items() if count > 1]
+            if repeats:
+                raise ValueError(f"duplicate {what} {repeats[0]!r}")
         bus_ids = {b.id for b in self.buses}
-        if len(bus_ids) != len(self.buses):
-            raise ValueError("duplicate bus id")
         tech_ids = {t.id for t in self.technologies}
-        if len(tech_ids) != len(self.technologies):
-            raise ValueError("duplicate technology id")
         t = self.n_periods
         for bus in self.buses:
             if len(bus.demand) != t:
@@ -399,12 +412,16 @@ def _add_by_period(builder: LpBuilder, t_len: int, sense: str, *families) -> Non
 def build_lp(instance: CepInstance) -> tuple[CanonicalLp, CepIndex]:
     """Compile an instance into the canonical LP.
 
-    The emission accounting variables are eliminated by substituting the
-    per-period definition straight into the budget row.  Rows that are
-    vacuous by construction (unit ramp rates, zero must-run levels, zero
-    minimum states of charge, non-positive adequacy requirements) are not
-    emitted, nor are a fixed fleet's limits, which are bounds computed as
-    the rows' right-hand sides.  Each per-period row family is one block.
+    The capacity columns come first, then every bus's energy-balance rows.
+    One pass each over sited assets, placements, lines and buses adds a
+    component's dispatch columns, their balance entries and its own rows;
+    the CO2 and adequacy rows, whose terms those passes collect, come last.
+    Emissions enter the budget row directly, with no accounting variables.
+    Rows that are vacuous by construction (unit ramp rates, zero must-run
+    levels, zero minimum states of charge, non-positive adequacy
+    requirements) are not emitted, nor are a fixed fleet's limits, which
+    are bounds computed as the rows' right-hand sides.  Each per-period
+    row family is one block.
     """
     t_len = instance.n_periods
     periods = range(t_len)
@@ -413,7 +430,6 @@ def build_lp(instance: CepInstance) -> tuple[CanonicalLp, CepIndex]:
     ix = CepIndex()
 
     fixed: set[int] = set()   # capacity columns pinned at [0, 0]
-    floored = set()           # fixed dispatchable fleets with must-run as p's lower bound
 
     def capacity_var(name: str, legacy: float, potential: float | None,
                      annuity: float | None, objective: float) -> int:
@@ -431,19 +447,20 @@ def build_lp(instance: CepInstance) -> tuple[CanonicalLp, CepIndex]:
         """Upper bound on p: the fixed fleet's output, and zero where cf is."""
         return np.where((cf == 0.0) | (k_var in fixed), cf * legacy, math.inf)
 
-    sited_tech = (
-        instance.technology(instance.sited_technology) if instance.sited_technology else None
-    )
+    def availability_rows(prefix: str, cf: np.ndarray, legacy: float,
+                          p_vars: np.ndarray, k_var: int) -> None:
+        t = np.flatnonzero(np.isinf(output_cap(cf, legacy, k_var)))   # limits not made bounds
+        builder.add_rows(_series_names(prefix, t), "<", cf[t] * legacy,
+                         (p_vars[t], 1.0), (k_var, -cf[t]))
 
-    # -- capacity variables -------------------------------------------------
+    sited_tech = instance.technology(instance.sited_technology) if instance.sited else None
+
+    # -- capacity variables ---------------------------------------------------
     for asset in instance.sited:
         annuity = sited_tech.power_annuity(instance.discount_rate)
         ix.site_K[asset.id] = capacity_var(f"K|site|{asset.id}", asset.legacy_MW,
                                            asset.potential_MW, annuity,
                                            (annuity or 0.0) + sited_tech.fixed_om)
-        ix.site_credit[asset.id] = _resolve_credit(
-            sited_tech, asset.cf, instance.bus(asset.bus), t_len
-        )
     for pl in instance.placements:
         tech = instance.technology(pl.tech)
         annuity = tech.power_annuity(instance.discount_rate)
@@ -455,112 +472,65 @@ def build_lp(instance: CepInstance) -> tuple[CanonicalLp, CepIndex]:
             ix.storage_S[(pl.bus, pl.tech)] = capacity_var(
                 f"S|{pl.bus}|{pl.tech}", pl.legacy_energy_MWh, pl.potential_energy_MWh,
                 energy_annuity, energy_annuity or 0.0)
-        if tech.kind == RES:
-            ix.res_credit[(pl.bus, pl.tech)] = _resolve_credit(
-                tech, pl.availability, instance.bus(pl.bus), t_len
-            )
     for line in instance.lines:
         annuity = line.power_annuity(instance.discount_rate)
         ix.line_K[line.id] = capacity_var(f"K|line|{line.id}", line.legacy_MW,
                                           line.potential_MW, annuity,
                                           (annuity or 0.0) + line.fixed_om)
 
-    # -- dispatch variables --------------------------------------------------
+    # -- energy balance rows, filled by the component passes ------------------
+    balance = {bus.id: builder.add_rows(_series_names(f"bal|{bus.id}", periods), "=",
+                                        bus.demand.values)
+               for bus in instance.buses}
+
+    def to_balance(bus_id: str, *terms) -> None:
+        for cols, val in terms:
+            builder.add_entries(balance[bus_id], cols, val)
+
+    co2_terms = []
+    # (capacity column, credit, firm legacy MW) per bus; the adequacy row sums
+    # the placements' legacy before the sited assets', so its value is unchanged
+    firm_placed = {bus.id: [] for bus in instance.buses}
+    firm_sited = {bus.id: [] for bus in instance.buses}
+
+    # -- sited RES ------------------------------------------------------------
     for asset in instance.sited:
-        ix.site_p[asset.id] = series_vars(
+        k_var, cf = ix.site_K[asset.id], asset.cf.values
+        p_vars = ix.site_p[asset.id] = series_vars(
             f"p|site|{asset.id}", omega * sited_tech.marginal_cost,
-            upper=output_cap(asset.cf.values, asset.legacy_MW, ix.site_K[asset.id]))
-    for pl in instance.placements:
-        tech = instance.technology(pl.tech)
-        key = (pl.bus, pl.tech)
-        tag = f"{pl.bus}|{pl.tech}"
-        cost, fixed_k = omega * tech.marginal_cost, ix.tech_K[key] in fixed
-        if tech.kind in (RES, DISPATCHABLE):
-            cf = pl.availability.values if pl.availability is not None else np.ones(t_len)
-            upper = output_cap(cf, pl.legacy_MW, ix.tech_K[key])
-            floor = tech.must_run * pl.legacy_MW
-            # a floor above the cap stays in rows, where the LP reads infeasible
-            if tech.kind == DISPATCHABLE and fixed_k and np.all(floor <= upper):
-                floored.add(key)
-            ix.gen_p[key] = series_vars(f"p|{tag}", cost, floor if key in floored else 0.0, upper)
-        else:
-            charge_cap = tech.charge_ratio * pl.legacy_MW
-            ix.charge[key] = series_vars(f"pc|{tag}", cost, upper=charge_cap
-                                         if fixed_k or tech.charge_ratio == 0.0 else math.inf)
-            ix.discharge[key] = series_vars(f"pd|{tag}", cost,
-                                            upper=pl.legacy_MW if fixed_k else math.inf)
-            energy = pl.legacy_energy_MWh
-            ix.soc[key] = (series_vars(f"e|{tag}", lower=tech.min_soc * energy, upper=energy)
-                           if ix.storage_S[key] in fixed else series_vars(f"e|{tag}"))
-            if pl.inflow is not None:
-                ix.spill[key] = series_vars(f"spill|{tag}")
-    for line in instance.lines:
-        ix.flow_fw[line.id] = series_vars(f"f+|{line.id}", omega * line.variable_om)
-        ix.flow_bw[line.id] = series_vars(f"f-|{line.id}", omega * line.variable_om)
-    for bus in instance.buses:
-        ix.ens[bus.id] = series_vars(f"ens|{bus.id}", omega * instance.shed_penalty)
+            upper=output_cap(cf, asset.legacy_MW, k_var))
+        to_balance(asset.bus, (p_vars, 1.0))
+        availability_rows(f"avail|site|{asset.id}", cf, asset.legacy_MW, p_vars, k_var)
+        credit = ix.site_credit[asset.id] = _resolve_credit(
+            sited_tech, asset.cf, instance.bus(asset.bus), t_len)
+        if credit > 0.0:
+            firm_sited[asset.bus].append((k_var, credit, credit * asset.legacy_MW))
 
-    # -- energy balance -------------------------------------------------------
-    for bus in instance.buses:
-        terms = [(ix.site_p[a.id], 1.0) for a in instance.sited if a.bus == bus.id]
-        terms += [(p_vars, 1.0) for key, p_vars in ix.gen_p.items() if key[0] == bus.id]
-        for key in ix.discharge:
-            if key[0] == bus.id:
-                terms += [(ix.discharge[key], 1.0), (ix.charge[key], -1.0)]
-        for line in instance.lines:
-            eff = line.delivery_efficiency(instance.apply_line_losses)
-            if line.from_bus == bus.id:
-                terms += [(ix.flow_fw[line.id], -1.0), (ix.flow_bw[line.id], eff)]
-            elif line.to_bus == bus.id:
-                terms += [(ix.flow_fw[line.id], eff), (ix.flow_bw[line.id], -1.0)]
-        terms.append((ix.ens[bus.id], 1.0))
-        builder.add_rows(_series_names(f"bal|{bus.id}", periods), "=", bus.demand.values, *terms)
-
-    def availability_rows(prefix: str, cf: np.ndarray, legacy: float,
-                          p_vars: np.ndarray, k_var: int) -> None:
-        t = np.flatnonzero(np.isinf(output_cap(cf, legacy, k_var)))   # limits not made bounds
-        builder.add_rows(_series_names(prefix, t), "<", cf[t] * legacy,
-                         (p_vars[t], 1.0), (k_var, -cf[t]))
-
-    # -- sited RES operation ---------------------------------------------------
-    for asset in instance.sited:
-        availability_rows(f"avail|site|{asset.id}", asset.cf.values, asset.legacy_MW,
-                          ix.site_p[asset.id], ix.site_K[asset.id])
-
-    # -- bus technology operation ----------------------------------------------
+    # -- bus technologies -----------------------------------------------------
     for pl in instance.placements:
         tech = instance.technology(pl.tech)
         key = (pl.bus, pl.tech)
         tag = f"{pl.bus}|{pl.tech}"
         k_var = ix.tech_K[key]
-        if tech.kind in (RES, DISPATCHABLE):
-            p_vars = ix.gen_p[key]
-            cf = pl.availability.values if pl.availability is not None else np.ones(t_len)
-            availability_rows(f"avail|{tag}", cf, pl.legacy_MW, p_vars, k_var)
-            if tech.kind == DISPATCHABLE:
-                later = range(1, t_len)
-                if tech.ramp_up < 1.0:
-                    builder.add_rows(_series_names(f"rampu|{tag}", later), "<",
-                                     tech.ramp_up * pl.legacy_MW,
-                                     (p_vars[1:], 1.0), (p_vars[:-1], -1.0),
-                                     (k_var, -tech.ramp_up))
-                if tech.ramp_down < 1.0:
-                    builder.add_rows(_series_names(f"rampd|{tag}", later), "<",
-                                     tech.ramp_down * pl.legacy_MW,
-                                     (p_vars[1:], -1.0), (p_vars[:-1], 1.0),
-                                     (k_var, -tech.ramp_down))
-                if tech.must_run > 0.0 and key not in floored:
-                    builder.add_rows(_series_names(f"mustrun|{tag}", periods), "<",
-                                     -tech.must_run * pl.legacy_MW,
-                                     (k_var, tech.must_run), (p_vars, -1.0))
-        else:
-            charge, discharge, soc = ix.charge[key], ix.discharge[key], ix.soc[key]
+        cost, fixed_k = omega * tech.marginal_cost, k_var in fixed
+        if tech.kind == STORAGE:
             s_var = ix.storage_S[key]
+            charge = ix.charge[key] = series_vars(
+                f"pc|{tag}", cost, upper=tech.charge_ratio * pl.legacy_MW
+                if fixed_k or tech.charge_ratio == 0.0 else math.inf)
+            discharge = ix.discharge[key] = series_vars(
+                f"pd|{tag}", cost, upper=pl.legacy_MW if fixed_k else math.inf)
+            energy = pl.legacy_energy_MWh
+            soc = ix.soc[key] = (series_vars(f"e|{tag}", lower=tech.min_soc * energy, upper=energy)
+                                 if s_var in fixed else series_vars(f"e|{tag}"))
+            if pl.inflow is not None:
+                ix.spill[key] = series_vars(f"spill|{tag}")
+            to_balance(pl.bus, (discharge, 1.0), (charge, -1.0))
             families = [(f"dis|{tag}", pl.legacy_MW, [(discharge, 1.0), (k_var, -1.0)])]
             if tech.charge_ratio != 0.0:
                 families.append((f"chg|{tag}", tech.charge_ratio * pl.legacy_MW,
                                  [(charge, 1.0), (k_var, -tech.charge_ratio)]))
-            if k_var not in fixed:
+            if not fixed_k:
                 _add_by_period(builder, t_len, "<", *families)
             # the cyclic recursion links period 0 to the last period; without
             # it the initial state is free inside its bounds
@@ -573,57 +543,69 @@ def build_lp(instance: CepInstance) -> tuple[CanonicalLp, CepIndex]:
                 terms.append((ix.spill[key][now], 1.0))
             builder.add_rows(_series_names(f"soc|{tag}", range(first, t_len)), "=",
                              pl.inflow.values[now] if pl.inflow is not None else 0.0, *terms)
-            families = [(f"socmax|{tag}", pl.legacy_energy_MWh, [(soc, 1.0), (s_var, -1.0)])]
+            families = [(f"socmax|{tag}", energy, [(soc, 1.0), (s_var, -1.0)])]
             if tech.min_soc > 0.0:
-                families.append((f"socmin|{tag}", -tech.min_soc * pl.legacy_energy_MWh,
+                families.append((f"socmin|{tag}", -tech.min_soc * energy,
                                  [(s_var, tech.min_soc), (soc, -1.0)]))
             if s_var not in fixed:
                 _add_by_period(builder, t_len, "<", *families)
+        else:
+            cf = pl.availability.values if pl.availability is not None else np.ones(t_len)
+            upper = output_cap(cf, pl.legacy_MW, k_var)
+            floor = tech.must_run * pl.legacy_MW
+            # a floor above the cap stays in rows, where the LP reads infeasible
+            floored = tech.kind == DISPATCHABLE and fixed_k and np.all(floor <= upper)
+            p_vars = ix.gen_p[key] = series_vars(f"p|{tag}", cost, floor if floored else 0.0,
+                                                 upper)
+            to_balance(pl.bus, (p_vars, 1.0))
+            availability_rows(f"avail|{tag}", cf, pl.legacy_MW, p_vars, k_var)
+            if tech.co2_per_mwh_elec > 0.0:
+                co2_terms.append((p_vars, omega * tech.co2_per_mwh_elec))
+            if tech.kind == DISPATCHABLE:
+                for prefix, ramp, sign in (("rampu", tech.ramp_up, 1.0),
+                                           ("rampd", tech.ramp_down, -1.0)):
+                    if ramp < 1.0:
+                        builder.add_rows(_series_names(f"{prefix}|{tag}", range(1, t_len)), "<",
+                                         ramp * pl.legacy_MW, (p_vars[1:], sign),
+                                         (p_vars[:-1], -sign), (k_var, -ramp))
+                if tech.must_run > 0.0 and not floored:
+                    builder.add_rows(_series_names(f"mustrun|{tag}", periods), "<",
+                                     -tech.must_run * pl.legacy_MW,
+                                     (k_var, tech.must_run), (p_vars, -1.0))
+        if tech.kind == RES:
+            credit = ix.res_credit[key] = _resolve_credit(
+                tech, pl.availability, instance.bus(pl.bus), t_len)
+            if credit > 0.0:
+                firm_placed[pl.bus].append((k_var, credit, credit * pl.legacy_MW))
+        elif tech.id in instance.firm_technologies:
+            firm_placed[pl.bus].append((k_var, 1.0, pl.legacy_MW))
 
-    # -- transmission capacity ---------------------------------------------------
+    # -- transmission ---------------------------------------------------------
     for line in instance.lines:
+        eff = line.delivery_efficiency(instance.apply_line_losses)
+        fw = ix.flow_fw[line.id] = series_vars(f"f+|{line.id}", omega * line.variable_om)
+        bw = ix.flow_bw[line.id] = series_vars(f"f-|{line.id}", omega * line.variable_om)
+        to_balance(line.from_bus, (fw, -1.0), (bw, eff))
+        to_balance(line.to_bus, (fw, eff), (bw, -1.0))
         builder.add_rows(_series_names(f"cap|{line.id}", periods), "<", line.legacy_MW,
-                         (ix.flow_fw[line.id], 1.0), (ix.flow_bw[line.id], 1.0),
-                         (ix.line_K[line.id], -1.0))
+                         (fw, 1.0), (bw, 1.0), (ix.line_K[line.id], -1.0))
 
-    # -- CO2 budget ---------------------------------------------------------------
+    # -- load shedding --------------------------------------------------------
+    for bus in instance.buses:
+        ix.ens[bus.id] = series_vars(f"ens|{bus.id}", omega * instance.shed_penalty)
+        to_balance(bus.id, (ix.ens[bus.id], 1.0))
+
+    # -- CO2 budget and adequacy ----------------------------------------------
     if instance.co2_budget is not None:
-        row = builder.add_row("co2", "<", instance.co2_budget)
-        for pl in instance.placements:
-            tech = instance.technology(pl.tech)
-            if tech.kind in (RES, DISPATCHABLE) and tech.co2_per_mwh_elec > 0.0:
-                builder.add_entries(row, ix.gen_p[(pl.bus, pl.tech)],
-                                    omega * tech.co2_per_mwh_elec)
-
-    # -- adequacy -------------------------------------------------------------------
+        builder.add_rows(["co2"], "<", instance.co2_budget, *co2_terms)
     for bus in instance.buses:
         if bus.reserve_margin is None:
             continue
-        firm_legacy = 0.0
-        terms = []
-        for pl in instance.placements:
-            if pl.bus != bus.id:
-                continue
-            tech = instance.technology(pl.tech)
-            if tech.kind == RES:
-                credit = ix.res_credit[(pl.bus, pl.tech)]
-                if credit > 0.0:
-                    firm_legacy += credit * pl.legacy_MW
-                    terms.append((ix.tech_K[(pl.bus, pl.tech)], credit))
-            elif tech.id in instance.firm_technologies:
-                firm_legacy += pl.legacy_MW
-                terms.append((ix.tech_K[(pl.bus, pl.tech)], 1.0))
-        for asset in instance.sited:
-            if asset.bus != bus.id:
-                continue
-            credit = ix.site_credit[asset.id]
-            if credit > 0.0:
-                firm_legacy += credit * asset.legacy_MW
-                terms.append((ix.site_K[asset.id], credit))
-        required = (1.0 + bus.reserve_margin) * bus.peak_demand - firm_legacy
-        if required <= 0.0:
-            continue  # legacy firm capacity already meets the requirement
-        builder.add_rows([f"adequacy|{bus.id}"], ">", required, *terms)
+        firm = firm_placed[bus.id] + firm_sited[bus.id]
+        required = (1.0 + bus.reserve_margin) * bus.peak_demand - sum(mw for _, _, mw in firm)
+        if required > 0.0:   # else legacy firm capacity already meets the requirement
+            builder.add_rows([f"adequacy|{bus.id}"], ">", required,
+                             *((col, credit) for col, credit, _ in firm))
 
     return builder.build(), ix
 
@@ -667,75 +649,58 @@ def decode_solution(solution: LpSolution, index: CepIndex, instance: CepInstance
     Recomputes the annualised system cost from the decoded quantities and
     checks it against the solver objective (1e-6 relative), raising
     :class:`CostCheckError` on a mismatch; any other status is rejected
-    with the solver status preserved.
+    with the solver status preserved.  Each component kind is read in one
+    pass that also adds its cost terms.
     """
     if solution.status != "optimal":
         raise SolverStatusError(solution.status)
     x = solution.x
     omega = instance.weight_hours
-    sited_tech = (
-        instance.technology(instance.sited_technology) if instance.sited_technology else None
-    )
+    rate = instance.discount_rate
+    invest = op_generation = emissions = op_storage = op_lines = 0.0
 
-    site_new = {sid: float(x[var]) for sid, var in index.site_K.items()}
-    site_total = {a.id: a.legacy_MW + site_new[a.id] for a in instance.sited}
-    tech_new = {key: float(x[var]) for key, var in index.tech_K.items()}
-    tech_total = {}
-    storage_new = {key: float(x[var]) for key, var in index.storage_S.items()}
-    storage_total = {}
-    for pl in instance.placements:
-        key = (pl.bus, pl.tech)
-        tech_total[key] = pl.legacy_MW + tech_new[key]
-        if key in storage_new:
-            storage_total[key] = pl.legacy_energy_MWh + storage_new[key]
-    line_new = {lid: float(x[var]) for lid, var in index.line_K.items()}
-    line_total = {ln.id: ln.legacy_MW + line_new[ln.id] for ln in instance.lines}
-
-    site_gen = {sid: x[vars_] for sid, vars_ in index.site_p.items()}
-    generation = {key: x[vars_] for key, vars_ in index.gen_p.items()}
-    charge = {key: x[vars_] for key, vars_ in index.charge.items()}
-    discharge = {key: x[vars_] for key, vars_ in index.discharge.items()}
-    soc = {key: x[vars_] for key, vars_ in index.soc.items()}
-    spill = {key: x[vars_] for key, vars_ in index.spill.items()}
-    flow_fw = {lid: x[vars_] for lid, vars_ in index.flow_fw.items()}
-    flow_bw = {lid: x[vars_] for lid, vars_ in index.flow_bw.items()}
-    ens = {bid: x[vars_] for bid, vars_ in index.ens.items()}
-
-    curtailment = {}
+    sited_tech = instance.technology(instance.sited_technology) if instance.sited else None
+    site_new, site_total, site_gen, curtailment = {}, {}, {}, {}
     for asset in instance.sited:
-        ceiling = asset.cf.values * site_total[asset.id]
-        curtailment[asset.id] = ceiling - site_gen[asset.id]
+        new = site_new[asset.id] = float(x[index.site_K[asset.id]])
+        site_total[asset.id] = asset.legacy_MW + new
+        series = site_gen[asset.id] = x[index.site_p[asset.id]]
+        curtailment[asset.id] = asset.cf.values * site_total[asset.id] - series
+        invest += ((sited_tech.power_annuity(rate) or 0.0) + sited_tech.fixed_om) * new
+        op_generation += omega * sited_tech.marginal_cost * float(series.sum())
 
-    invest = 0.0
-    for asset in instance.sited:
-        annuity = sited_tech.power_annuity(instance.discount_rate) or 0.0
-        invest += (annuity + sited_tech.fixed_om) * site_new[asset.id]
+    tech_new, tech_total, storage_new, storage_total = {}, {}, {}, {}
+    generation, charge, discharge, soc, spill = {}, {}, {}, {}, {}
     for pl in instance.placements:
         tech = instance.technology(pl.tech)
         key = (pl.bus, pl.tech)
-        annuity = tech.power_annuity(instance.discount_rate) or 0.0
-        invest += (annuity + tech.fixed_om) * tech_new[key]
+        new = tech_new[key] = float(x[index.tech_K[key]])
+        tech_total[key] = pl.legacy_MW + new
+        invest += ((tech.power_annuity(rate) or 0.0) + tech.fixed_om) * new
         if tech.kind == STORAGE:
-            invest += (tech.storage_energy_annuity(instance.discount_rate) or 0.0) * storage_new[key]
-    for line in instance.lines:
-        annuity = line.power_annuity(instance.discount_rate) or 0.0
-        invest += (annuity + line.fixed_om) * line_new[line.id]
+            energy = storage_new[key] = float(x[index.storage_S[key]])
+            storage_total[key] = pl.legacy_energy_MWh + energy
+            invest += (tech.storage_energy_annuity(rate) or 0.0) * energy
+            pc, pd = charge[key], discharge[key] = x[index.charge[key]], x[index.discharge[key]]
+            soc[key] = x[index.soc[key]]
+            if key in index.spill:
+                spill[key] = x[index.spill[key]]
+            op_storage += omega * tech.marginal_cost * float(pc.sum() + pd.sum())
+        else:
+            series = generation[key] = x[index.gen_p[key]]
+            op_generation += omega * tech.marginal_cost * float(series.sum())
+            emissions += omega * tech.co2_per_mwh_elec * float(series.sum())
 
-    op_generation = 0.0
-    emissions = 0.0
-    for asset in instance.sited:
-        op_generation += omega * sited_tech.marginal_cost * float(site_gen[asset.id].sum())
-    for key, series in generation.items():
-        tech = instance.technology(key[1])
-        op_generation += omega * tech.marginal_cost * float(series.sum())
-        emissions += omega * tech.co2_per_mwh_elec * float(series.sum())
-    op_storage = 0.0
-    for key in charge:
-        tech = instance.technology(key[1])
-        op_storage += omega * tech.marginal_cost * float(charge[key].sum() + discharge[key].sum())
-    op_lines = 0.0
+    line_new, line_total, flow_fw, flow_bw = {}, {}, {}, {}
     for line in instance.lines:
-        op_lines += omega * line.variable_om * float(flow_fw[line.id].sum() + flow_bw[line.id].sum())
+        new = line_new[line.id] = float(x[index.line_K[line.id]])
+        line_total[line.id] = line.legacy_MW + new
+        fw = flow_fw[line.id] = x[index.flow_fw[line.id]]
+        bw = flow_bw[line.id] = x[index.flow_bw[line.id]]
+        invest += ((line.power_annuity(rate) or 0.0) + line.fixed_om) * new
+        op_lines += omega * line.variable_om * float(fw.sum() + bw.sum())
+
+    ens = {bus.id: x[index.ens[bus.id]] for bus in instance.buses}
     shed_energy = omega * float(sum(series.sum() for series in ens.values()))
     op_shed = instance.shed_penalty * shed_energy
 

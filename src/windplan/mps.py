@@ -215,7 +215,7 @@ def _write_mps(out: TextIO, lp: CanonicalLp, var_names: list[str], row_names: li
     names = (table, _table(map(str.ljust, table[:-1], repeat(10))),
              np.fromiter(map(len, table), dtype=np.int64, count=m + 2))
     out.write("".join(f"* {comment}\n" for comment in comments))
-    out.write(f"NAME          {lp.name[:60]}\nROWS\n")
+    out.write(f"NAME          {lp.name}\nROWS\n")
     senses = "N" + "".join(lp.senses)
     for start in range(0, m + 1, _BLOCK):
         block = slice(start, start + _BLOCK)
@@ -282,11 +282,16 @@ def export_mps(lp: CanonicalLp, path: str | Path, comments: Sequence[str] = ()) 
     mangling table is emitted as ``<path>.names.json`` when any name had to
     be changed, and one left by an earlier export is removed otherwise.
     ``lp.name`` and each comment must fit on one line: a line break in
-    either raises ``ValueError``.
+    either raises ``ValueError``.  So does a name that would read back
+    changed: an empty one, one longer than 60 characters, or one with
+    whitespace at either end.
     """
     for text in (lp.name, *comments):
         if "".join(text.splitlines()) != text:
             raise ValueError(f"MPS NAME and comment lines cannot hold a line break: {text!r}")
+    if not 0 < len(lp.name) <= 60 or lp.name.strip() != lp.name:
+        raise ValueError("MPS NAME must be 1 to 60 characters with no whitespace at either "
+                         f"end: {lp.name!r}")
     path = Path(path)
     var_names, var_table = mangle_names(lp.var_names)
     row_names, row_table = mangle_names(lp.row_names, reserved=[*var_names, _OBJECTIVE_ROW])

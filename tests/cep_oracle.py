@@ -8,6 +8,9 @@ in ``windplan.cep``, ``windplan.siting`` and ``windplan.mps`` must produce
 the same ``CanonicalLp`` (every field and dtype) and, for the CEP, the
 same ``CepIndex``.  ``build_lp_rows`` is the CEP as first written, with
 every limit a row; it is the same model as ``build_lp``.
+``decode_solution`` is the decoder as first written, one loop per output
+family over the index and the instance; :func:`windplan.cep.decode_solution`
+must return a bit-equal ``CepSolution``.
 """
 
 from __future__ import annotations
@@ -17,9 +20,10 @@ import math
 import numpy as np
 
 from windplan.cep import (
-    DISPATCHABLE, RES, STORAGE, CepIndex, CepInstance, _resolve_credit,
+    DISPATCHABLE, RES, STORAGE, CepIndex, CepInstance, CepSolution, CostCheckError,
+    SolverStatusError, _resolve_credit,
 )
-from windplan.lp import CanonicalLp
+from windplan.lp import CanonicalLp, LpSolution
 from windplan.siting import _partition_members
 
 
@@ -413,6 +417,125 @@ def _build_lp(instance: CepInstance, bounds: bool) -> tuple[CanonicalLp, CepInde
             builder.add_entry(row, var, coeff)
 
     return builder.build(), ix
+
+
+def decode_solution(solution: LpSolution, index: CepIndex, instance: CepInstance) -> CepSolution:
+    """Map an optimal LP solution back onto the data model.
+
+    Recomputes the annualised system cost from the decoded quantities and
+    checks it against the solver objective (1e-6 relative), raising
+    :class:`CostCheckError` on a mismatch; any other status is rejected
+    with the solver status preserved.
+    """
+    if solution.status != "optimal":
+        raise SolverStatusError(solution.status)
+    x = solution.x
+    omega = instance.weight_hours
+    sited_tech = (
+        instance.technology(instance.sited_technology) if instance.sited_technology else None
+    )
+
+    site_new = {sid: float(x[var]) for sid, var in index.site_K.items()}
+    site_total = {a.id: a.legacy_MW + site_new[a.id] for a in instance.sited}
+    tech_new = {key: float(x[var]) for key, var in index.tech_K.items()}
+    tech_total = {}
+    storage_new = {key: float(x[var]) for key, var in index.storage_S.items()}
+    storage_total = {}
+    for pl in instance.placements:
+        key = (pl.bus, pl.tech)
+        tech_total[key] = pl.legacy_MW + tech_new[key]
+        if key in storage_new:
+            storage_total[key] = pl.legacy_energy_MWh + storage_new[key]
+    line_new = {lid: float(x[var]) for lid, var in index.line_K.items()}
+    line_total = {ln.id: ln.legacy_MW + line_new[ln.id] for ln in instance.lines}
+
+    site_gen = {sid: x[vars_] for sid, vars_ in index.site_p.items()}
+    generation = {key: x[vars_] for key, vars_ in index.gen_p.items()}
+    charge = {key: x[vars_] for key, vars_ in index.charge.items()}
+    discharge = {key: x[vars_] for key, vars_ in index.discharge.items()}
+    soc = {key: x[vars_] for key, vars_ in index.soc.items()}
+    spill = {key: x[vars_] for key, vars_ in index.spill.items()}
+    flow_fw = {lid: x[vars_] for lid, vars_ in index.flow_fw.items()}
+    flow_bw = {lid: x[vars_] for lid, vars_ in index.flow_bw.items()}
+    ens = {bid: x[vars_] for bid, vars_ in index.ens.items()}
+
+    curtailment = {}
+    for asset in instance.sited:
+        ceiling = asset.cf.values * site_total[asset.id]
+        curtailment[asset.id] = ceiling - site_gen[asset.id]
+
+    invest = 0.0
+    for asset in instance.sited:
+        annuity = sited_tech.power_annuity(instance.discount_rate) or 0.0
+        invest += (annuity + sited_tech.fixed_om) * site_new[asset.id]
+    for pl in instance.placements:
+        tech = instance.technology(pl.tech)
+        key = (pl.bus, pl.tech)
+        annuity = tech.power_annuity(instance.discount_rate) or 0.0
+        invest += (annuity + tech.fixed_om) * tech_new[key]
+        if tech.kind == STORAGE:
+            invest += (tech.storage_energy_annuity(instance.discount_rate) or 0.0) * storage_new[key]
+    for line in instance.lines:
+        annuity = line.power_annuity(instance.discount_rate) or 0.0
+        invest += (annuity + line.fixed_om) * line_new[line.id]
+
+    op_generation = 0.0
+    emissions = 0.0
+    for asset in instance.sited:
+        op_generation += omega * sited_tech.marginal_cost * float(site_gen[asset.id].sum())
+    for key, series in generation.items():
+        tech = instance.technology(key[1])
+        op_generation += omega * tech.marginal_cost * float(series.sum())
+        emissions += omega * tech.co2_per_mwh_elec * float(series.sum())
+    op_storage = 0.0
+    for key in charge:
+        tech = instance.technology(key[1])
+        op_storage += omega * tech.marginal_cost * float(charge[key].sum() + discharge[key].sum())
+    op_lines = 0.0
+    for line in instance.lines:
+        op_lines += omega * line.variable_om * float(flow_fw[line.id].sum() + flow_bw[line.id].sum())
+    shed_energy = omega * float(sum(series.sum() for series in ens.values()))
+    op_shed = instance.shed_penalty * shed_energy
+
+    recomputed = invest + op_generation + op_storage + op_lines + op_shed
+    scale = max(1.0, abs(solution.objective))
+    if abs(recomputed - solution.objective) > 1e-6 * scale:
+        raise CostCheckError(
+            f"decoded cost {recomputed} disagrees with solver objective {solution.objective}"
+        )
+
+    total_demand = omega * float(sum(b.demand.values.sum() for b in instance.buses))
+    return CepSolution(
+        objective=float(solution.objective),
+        site_capacity_new=site_new,
+        site_capacity_total=site_total,
+        tech_capacity_new=tech_new,
+        tech_capacity_total=tech_total,
+        storage_energy_new=storage_new,
+        storage_energy_total=storage_total,
+        line_capacity_new=line_new,
+        line_capacity_total=line_total,
+        site_generation=site_gen,
+        generation=generation,
+        charge=charge,
+        discharge=discharge,
+        soc=soc,
+        spill=spill,
+        flow_fw=flow_fw,
+        flow_bw=flow_bw,
+        ens=ens,
+        curtailment=curtailment,
+        cost_breakdown={
+            "invest_and_fixed": invest,
+            "variable_generation": op_generation,
+            "variable_storage": op_storage,
+            "variable_transmission": op_lines,
+            "shedding": op_shed,
+        },
+        emissions_t=emissions,
+        served_MWh=total_demand - shed_energy,
+        shed_MWh=shed_energy,
+    )
 
 
 def build_comp_mir(matrix, catalog, plan) -> CanonicalLp:

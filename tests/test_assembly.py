@@ -17,7 +17,7 @@ import windplan.mps as mps
 from helpers import build_catalog, limit_rows_with_one_free_entry, plan_for
 from lp_oracle import dual_objective
 from windplan.cep import (
-    Bus, CepIndex, CepInstance, Line, Placement, SitedAsset, Technology, build_lp,
+    Bus, CepIndex, CepInstance, CepSolution, Line, Placement, SitedAsset, Technology, build_lp,
     decode_solution,
 )
 from windplan.lp import LpBuilder, solve
@@ -178,7 +178,8 @@ def cep_instances(draw):
     """Small instances covering every row family and its special cases:
     storage with and without inflow, zero charge ratio, cyclic or not,
     minimum state of charge, ramps below 1, must-run, zero availability,
-    lossy lines, reserve margins of None or 0, and optional CO2 budgets."""
+    lossy lines in either direction, parallel lines, reserve margins of None
+    or 0, and optional CO2 budgets."""
     t_len = draw(st.integers(2, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
@@ -230,11 +231,17 @@ def cep_instances(draw):
                              legacy_MW=draw(st.sampled_from([0.0, 10.0])), potential_MW=50.0,
                              cf=series(zeros=True))
                   for i in range(draw(st.integers(0, 3))))
-    lines = tuple(Line(id=f"L{b}", from_bus=f"B{b}", to_bus=f"B{b + 1}", legacy_MW=10.0,
-                       potential_MW=draw(st.sampled_from([None, 40.0])), annuity=money(),
-                       variable_om=0.001, length_km=draw(st.sampled_from([None, 600.0])),
-                       efficiency_per_1000km=0.95)
-                  for b in range(n_bus - 1))
+    # each corridor runs either way and sometimes carries a second, parallel
+    # line, so a bus can take balance entries from lines in both directions
+    lines = []
+    for b in range(n_bus - 1):
+        for suffix in ("", "p")[:draw(st.integers(1, 2))]:
+            ends = draw(st.sampled_from([(f"B{b}", f"B{b + 1}"), (f"B{b + 1}", f"B{b}")]))
+            lines.append(Line(id=f"L{b}{suffix}", from_bus=ends[0], to_bus=ends[1],
+                              legacy_MW=10.0, potential_MW=draw(st.sampled_from([None, 40.0])),
+                              annuity=money(), variable_om=0.001,
+                              length_km=draw(st.sampled_from([None, 600.0])),
+                              efficiency_per_1000km=0.95))
     return CepInstance(
         buses=buses, technologies=tuple(techs), placements=tuple(placements), lines=lines,
         sited=sited, sited_technology="offshore",
@@ -260,6 +267,30 @@ def test_build_lp_matches_loop_oracle(instance):
         imported = mps.import_mps(got)
         with mock.patch.object(mps, "LpBuilder", oracle.DictLpBuilder):
             assert_identical_lp(imported, mps.import_mps(got))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cep_instances())
+def test_decode_matches_loop_oracle(instance):
+    lp, index = build_lp(instance)
+    out = solve(lp)
+    if out.status != "optimal":
+        return
+    got = decode_solution(out, index, instance)
+    want = oracle.decode_solution(out, index, instance)
+    for f in dataclasses.fields(CepSolution):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, dict):
+            assert list(a) == list(b), f.name
+            pairs = [(a[key], b[key]) for key in b]
+        else:
+            pairs = [(a, b)]
+        for x, y in pairs:
+            assert type(x) is type(y), f.name
+            if isinstance(y, np.ndarray):
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), f.name
+            else:
+                assert x == y, f.name
 
 
 @settings(max_examples=200, deadline=None)

@@ -428,3 +428,26 @@ def test_annuity_precedence_and_missing_lifetime():
         with pytest.raises(ValueError) as info:
             annuity()
         assert str(info.value) == message
+
+
+@pytest.mark.parametrize("extra, message", [
+    ({"placements": (Placement(bus="A", tech="gas"), Placement(bus="B", tech="gas"),
+                     Placement(bus="A", tech="gas", legacy_MW=5.0))},
+     "duplicate placement ('A', 'gas')"),
+    ({"lines": (Line(id="L", from_bus="A", to_bus="B"), Line(id="L", from_bus="B", to_bus="A"))},
+     "duplicate line id 'L'"),
+    ({"sited": tuple(SitedAsset(id="s", bus=bus, legacy_MW=0.0, potential_MW=1.0,
+                                cf=TimeSeries([0.5, 0.5])) for bus in "AB"),
+      "sited_technology": "wind"},
+     "duplicate site id 's'"),
+    ({"buses": (Bus(id="A", demand=TimeSeries([1.0, 1.0])),) * 2}, "duplicate bus id 'A'"),
+    ({"technologies": (GAS, GAS)}, "duplicate technology id 'gas'"),
+], ids=["placement", "line", "site", "bus", "technology"])
+def test_instance_names_a_repeated_id(extra, message):
+    base = dict(buses=(Bus(id="A", demand=TimeSeries([1.0, 1.0])),
+                       Bus(id="B", demand=TimeSeries([1.0, 1.0]))),
+                technologies=(GAS, Technology(id="wind", kind="res")), placements=())
+    with pytest.raises(ValueError) as info:
+        CepInstance(**{**base, **extra})
+    assert str(info.value) == message
+

@@ -366,3 +366,50 @@ def test_mutated_config_exits_cleanly(small_dataset, path, mutation):
     if code:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict)
+
+
+# ---------------------------------------------------------------------------
+# Components a sizing problem cannot hold
+# ---------------------------------------------------------------------------
+
+def _pipeline_error(dataset, doc):
+    """Exit code and stderr document of ``windplan pipeline`` on ``doc``."""
+    run = Path(tempfile.mkdtemp(dir=dataset))
+    (run / "data").symlink_to(dataset / "data")
+    (run / "config.json").write_text(json.dumps(doc), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["pipeline", str(run / "config.json")])
+    return code, json.loads(err.getvalue())
+
+
+@pytest.mark.parametrize("solver", ["embedded", "mps-export"])
+@pytest.mark.parametrize("key, items, message", [
+    ("placements", [*PLACEMENTS, PLACEMENTS[0]], "duplicate placement ('P1', 'gas')"),
+    ("lines", [LINES[0], {**LINES[0], "from_bus": "P2", "to_bus": "P1"}],
+     "duplicate line id 'north'"),
+], ids=["placement", "line"])
+def test_repeated_components_exit_2_naming_the_repeat(small_dataset, key, items, message,
+                                                      solver):
+    # with no firm technology and no CO2 budget no row held both copies of a
+    # repeated placement: it passed the LP and failed the cost check (exit 3),
+    # or was exported without a word
+    cep = {name: value for name, value in FULL_CONFIG["cep"].items()
+           if not name.startswith("co2_")}
+    doc = {**FULL_CONFIG, "cep": {**cep, key: items, "solver": solver, "firm_technologies": []}}
+    code, err = _pipeline_error(small_dataset, doc)
+    assert code == 2 and err["exit_code"] == 2
+    assert message in err["message"]
+
+
+@pytest.mark.parametrize("line, message", [
+    ({"efficiency_per_1000km": 1.5}, "efficiency_per_1000km must lie in (0, 1]"),
+    ({"efficiency_per_1000km": 0.0}, "efficiency_per_1000km must lie in (0, 1]"),
+    ({"legacy_MW": -1.0}, "legacy capacity and length must be non-negative"),
+    ({"length_km": -400.0}, "legacy capacity and length must be non-negative"),
+], ids=["gaining", "lossy-to-nothing", "negative-legacy", "negative-length"])
+def test_lines_that_create_energy_exit_2(small_dataset, line, message):
+    doc = {**FULL_CONFIG, "cep": {**FULL_CONFIG["cep"], "lines": [{**LINES[0], **line}]}}
+    code, err = _pipeline_error(small_dataset, doc)
+    assert code == 2
+    assert err["message"] == f"cep.lines[0]: line north: {message}"

@@ -266,8 +266,10 @@ def canonical_lps(draw):
         senses=sized(st.sampled_from(SENSES), m), rhs=sized(rhs, m),
         lower=[low for low, _ in box], upper=[high for _, high in box],
         integer=sized(st.booleans(), n), var_names=sized(st.sampled_from(pool), n),
-        row_names=sized(st.sampled_from(pool), m),  # a name with a line break is refused
-        name=draw(st.text(max_size=70).filter(lambda text: "".join(text.splitlines()) == text)))
+        row_names=sized(st.sampled_from(pool), m),
+        # a name that would not read back as written is refused
+        name=draw(st.text(min_size=1, max_size=60).filter(
+            lambda text: "".join(text.splitlines()) == text == text.strip())))
 
 
 def assert_same_files(lp, tmp):
@@ -639,6 +641,23 @@ def test_line_breaks_in_name_or_comments_are_rejected(tmp_path, name, comments, 
         export_mps(LpBuilder(name=name).build(), path, comments=comments)
     assert repr(bad) in str(info.value)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("name", ["n" * 70, "n" * 61, " lead", "trail ", "\tboth\u3000", "", "   "],
+                         ids=["70-chars", "61-chars", "leading-space", "trailing-space",
+                              "unicode-spaces", "empty", "blank"])
+def test_names_that_would_read_back_changed_are_rejected(tmp_path, name):
+    path = tmp_path / "name.mps"
+    with pytest.raises(ValueError, match="MPS NAME must be 1 to 60 characters") as info:
+        export_mps(LpBuilder(name=name).build(), path)
+    assert repr(name) in str(info.value)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("name", ["n" * 60, "x", "ünïcödé"])
+def test_names_up_to_60_characters_round_trip(tmp_path, name):
+    path = export_mps(LpBuilder(name=name).build(), tmp_path / "name.mps")
+    assert import_mps(path).name == name
 
 
 @pytest.mark.parametrize("text, line, message", [
