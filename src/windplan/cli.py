@@ -73,6 +73,16 @@ def _at_least(low: int):
 # Stage one
 # ---------------------------------------------------------------------------
 
+def _stamp(config: PipelineConfig) -> dict:
+    """The provenance every JSON output carries."""
+    return {"config_hash": config.config_hash, "tool_version": __version__}
+
+
+def _comments(config: PipelineConfig) -> list[str]:
+    """The provenance every CSV and MPS output carries."""
+    return [f"config_hash={config.config_hash}"]
+
+
 def _resampled(series: dict, factor: int) -> dict:
     try:
         return {k: resample_mean(v, factor) for k, v in series.items()}
@@ -116,7 +126,7 @@ def run_siting(config: PipelineConfig, out_dir: Path, catalog, demand, threads: 
     except ValueError as exc:
         raise DataError(f"infeasible deployment plan: {exc}") from exc
     total_demand = _system_demand(demand)
-    stamp = {"config_hash": config.config_hash, "tool_version": __version__}
+    stamp = _stamp(config)
 
     matrix = None
     if siting.scheme == "prod":
@@ -139,25 +149,16 @@ def run_siting(config: PipelineConfig, out_dir: Path, catalog, demand, threads: 
 
     deploy = siting.power_density_MW_km2 * siting.site_area_km2 * siting.utilization
     residual = residual_demand(total_demand, catalog, solution.selected, deploy)
-    stats = {"deploy_MW_per_site": deploy, **residual_summary(residual), **stamp}
-    (out_dir / "residual_stats.json").write_text(
-        json.dumps(stats, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    _write_plot_csvs(out_dir, residual, config.config_hash)
+    fileio.write_json(out_dir / "residual_stats.json",
+                      {"deploy_MW_per_site": deploy, **residual_summary(residual), **stamp})
+    comments = _comments(config)
+    fileio.write_series_csv(out_dir / "residual_series.csv", {"residual_MW": residual}, comments)
+    fileio.write_table(out_dir / "residual_spreads.csv", ("block_hours", "block_index", "spread_MW"),
+                       [(hours, str(idx), spread) for hours in (12.0, 24.0)
+                        for idx, spread in enumerate(block_spread(residual, hours))], comments)
     fileio.write_solution_json(out_dir / "siting_solution.json", solution, extra=stamp)
     fileio.write_solution_geojson(out_dir / "siting_solution.geojson", solution, catalog, extra=stamp)
     return plan, solution, matrix
-
-
-def _write_plot_csvs(out_dir: Path, residual: TimeSeries, config_hash: str) -> None:
-    """Plot-ready data: the residual series plus its block spreads in long
-    format (one row per disjoint block)."""
-    fileio.write_series_csv(out_dir / "residual_series.csv", {"residual_MW": residual},
-                            comments=[f"config_hash={config_hash}"])
-    rows = [f"# config_hash={config_hash}", "block_hours,block_index,spread_MW"]
-    rows += [f"{hours!r},{idx},{spread!r}" for hours in (12.0, 24.0)
-             for idx, spread in enumerate(block_spread(residual, hours))]
-    (out_dir / "residual_spreads.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +277,7 @@ def _build_instance(config: PipelineConfig, catalog, demand, selected_ids) -> Ce
 def _export_cep(config: PipelineConfig, out_dir: Path, catalog, demand, selected_ids) -> Path:
     """Build the sizing problem for a selection and write it as ``cep.mps``."""
     lp, _ = build_lp(_build_instance(config, catalog, demand, selected_ids))
-    return mps_io.export_mps(lp, out_dir / "cep.mps",
-                             comments=[f"config_hash={config.config_hash}"])
+    return mps_io.export_mps(lp, out_dir / "cep.mps", comments=_comments(config))
 
 
 def run_cep(config: PipelineConfig, out_dir: Path, catalog, demand, selected_ids):
@@ -287,7 +287,6 @@ def run_cep(config: PipelineConfig, out_dir: Path, catalog, demand, selected_ids
         return None
     instance = _build_instance(config, catalog, demand, selected_ids)
     lp, index = build_lp(instance)
-    stamp = {"config_hash": config.config_hash, "tool_version": __version__}
     solution = solve(lp, iteration_limit=config.cep.iteration_limit)
     if solution.status != "optimal":
         raise SolverFailure(solution.status)
@@ -295,22 +294,8 @@ def run_cep(config: PipelineConfig, out_dir: Path, catalog, demand, selected_ids
         decoded = decode_solution(solution, index, instance)
     except CostCheckError as exc:
         raise SolverFailure("cost_mismatch", str(exc)) from exc
-    fileio.write_cep_report_csv(out_dir / "cep_report.csv", decoded, instance,
-                                comments=[f"config_hash={config.config_hash}"])
-    doc = {
-        "objective": decoded.objective,
-        "emissions_t": decoded.emissions_t,
-        "shed_MWh": decoded.shed_MWh,
-        "site_capacity_total": {k: v for k, v in sorted(decoded.site_capacity_total.items())},
-        "tech_capacity_total": {f"{b}|{t}": v for (b, t), v in sorted(decoded.tech_capacity_total.items())},
-        "storage_energy_total": {f"{b}|{t}": v for (b, t), v in sorted(decoded.storage_energy_total.items())},
-        "line_capacity_total": {k: v for k, v in sorted(decoded.line_capacity_total.items())},
-        "cost_breakdown": decoded.cost_breakdown,
-        **stamp,
-    }
-    (out_dir / "cep_solution.json").write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    fileio.write_cep_report_csv(out_dir / "cep_report.csv", decoded, instance, _comments(config))
+    fileio.write_cep_solution_json(out_dir / "cep_solution.json", decoded, extra=_stamp(config))
     return decoded
 
 
@@ -399,25 +384,22 @@ def main(argv=None) -> int:
                 if matrix is None:
                     raise DataError("comp-mir export requires siting.scheme == 'comp'")
                 mir = build_comp_mir(matrix, catalog, plan)
-                mps_io.export_mps(mir, out_dir / "comp_mir.mps",
-                                  comments=[f"config_hash={config.config_hash}"])
+                mps_io.export_mps(mir, out_dir / "comp_mir.mps", comments=_comments(config))
             else:
                 _export_cep(config, out_dir, catalog, demand, solution.selected)
         return EXIT_OK
     except UsageError as exc:
-        _emit_error("usage", str(exc), EXIT_USAGE)
-        return EXIT_USAGE
+        return _emit_error("usage", str(exc), EXIT_USAGE)
     except ValueError as exc:
-        _emit_error("data", str(exc), EXIT_DATA)
-        return EXIT_DATA
+        return _emit_error("data", str(exc), EXIT_DATA)
     except SolverFailure as exc:
-        _emit_error("solver", str(exc), EXIT_SOLVER, status=exc.status)
-        return EXIT_SOLVER
+        return _emit_error("solver", str(exc), EXIT_SOLVER, status=exc.status)
 
 
-def _emit_error(kind: str, message: str, code: int, **extra) -> None:
+def _emit_error(kind: str, message: str, code: int, **extra) -> int:
     doc = {"error": kind, "message": message, "exit_code": code, **extra}
     print(json.dumps(doc, sort_keys=True), file=sys.stderr)
+    return code
 
 
 def entrypoint() -> None:

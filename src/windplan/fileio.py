@@ -1,9 +1,15 @@
 """Documented on-disk formats (schema version 1).
 
+Every CSV goes through :func:`write_table` (``# `` comment lines, a header,
+one unquoted row per line, numbers as ``repr(float(x))``) and every JSON
+document through :func:`write_json` (two-space indent, sorted keys, a final
+newline).  The pipeline's JSON outputs carry ``config_hash`` and
+``tool_version``, its CSVs a ``# config_hash=`` comment.
+
 Time-series CSV
-    Optional ``#`` comment lines, then a header of distinct series ids (one
-    column per site/bus/cell) and one row per period.  Resolution is
-    supplied by the caller, not stored in the file.
+    A header of distinct series ids (one column per site/bus/cell) and one
+    row per period, such as ``residual_series.csv`` (``residual_MW``).
+    Resolution is supplied by the caller, not stored in the file.
 
 Site catalog CSV
     Columns ``id, lon, lat, partition, legacy_MW, potential_MW``.  The
@@ -18,7 +24,7 @@ Hydro country CSV
     in order, one row per country; a field whose default is ``None`` may
     be blank (unknown).
 
-Runoff manifest CSV
+Runoff manifest CSV (``runoff.csv`` of ``windplan synth``)
     Columns ``cell_id, country, area_km2, series_path`` where the series
     path points at a time-series CSV (relative to the manifest) whose
     column header equals the cell id.
@@ -26,12 +32,22 @@ Runoff manifest CSV
 Criticality matrix
     Packed binary: see :meth:`windplan.resource.CriticalityMatrix.to_bytes`.
 
-Siting solution
-    JSON object plus a GeoJSON point collection for mapping.
+Siting outputs
+    The solution as JSON and as a GeoJSON point collection for mapping;
+    ``residual_stats.json`` (``deploy_MW_per_site`` and the
+    :func:`windplan.siting.residual_summary` statistics) and
+    ``residual_spreads.csv`` (``block_hours, block_index, spread_MW``).
 
-Every reader raises ``ValueError`` naming the file, and the line where
-there is one, for an unreadable or non-UTF-8 file, a value that does not
-parse, a row with the wrong number of fields or a repeated id.
+CEP outputs
+    ``cep_solution.json`` (objective, emissions, shed energy, capacity
+    totals with ``bus|tech`` keys, cost breakdown) and ``cep_report.csv``
+    (``row, capacity, production``, per technology group and in total).
+
+A writer refuses a header or text cell holding a comma, a quote or a line
+break, and a comment holding a line break.  Every reader raises
+``ValueError`` naming the file, and the line where there is one, for an
+unreadable or non-UTF-8 file, a value that does not parse, a row with the
+wrong number of fields or a repeated id.
 """
 
 from __future__ import annotations
@@ -41,6 +57,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -57,8 +74,38 @@ from windplan.siting import SitingSolution
 from windplan.timeseries import TimeSeries
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+# the line ends of str.splitlines, which the readers split at, and the
+# characters that end or quote a field
+_LINE_BREAK = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_IN_COMMENT, _IN_CELL = re.compile(f"[{_LINE_BREAK}]"), re.compile(f'[,"{_LINE_BREAK}]')
+
+
+def _cell(text: str, refused=_IN_CELL) -> str:
+    if refused.search(text):
+        raise ValueError(f"cannot write {text!r}: it holds a comma, a quote or a line break")
+    return text
+
+
+def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence],
+                comments: Sequence[str] = ()) -> Path:
+    """Write a CSV table.  A string cell is written as it is, any other as
+    ``repr(float(cell))``; a numpy row is converted with one ``tolist``."""
+    path = Path(path)
+    out = [f"# {_cell(c, _IN_COMMENT)}" for c in comments]
+    out.append(",".join(map(_cell, header)))
+    for row in rows:
+        if isinstance(row, np.ndarray):
+            row = row.tolist()
+        out.append(",".join([_cell(c) if isinstance(c, str) else repr(float(c)) for c in row]))
+    path.write_text("\n".join(out) + "\n", encoding="utf-8")
+    return path
+
+
+def write_json(path: str | Path, doc) -> Path:
+    """Write a JSON document: two-space indent, sorted keys, final newline."""
+    path = Path(path)
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return path
 
 
 def _read(path: Path, binary: bool = False):
@@ -110,26 +157,16 @@ def _check_unique(path: Path, ids, what: str) -> None:
 # Time-series CSV
 # ---------------------------------------------------------------------------
 
-def write_series_csv(
-    path: str | Path,
-    series: Mapping[str, TimeSeries],
-    comments: Sequence[str] = (),
-) -> Path:
-    path = Path(path)
+def write_series_csv(path: str | Path, series: Mapping[str, TimeSeries],
+                     comments: Sequence[str] = ()) -> Path:
     ids = list(series)
     if not ids:
         raise ValueError("no series to write")
-    length = len(series[ids[0]])
-    for sid in ids:
-        if len(series[sid]) != length:
+    for sid in ids[1:]:
+        if len(series[sid]) != len(series[ids[0]]):
             raise ValueError(f"series {sid!r} length differs")
-    rows = ["# " + c for c in comments]
-    rows.append(",".join(ids))
-    values = np.column_stack([series[sid].values for sid in ids])
-    for row in values:
-        rows.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    return path
+    return write_table(path, ids, np.column_stack([series[sid].values for sid in ids]),
+                       comments)
 
 
 def read_series_csv(path: str | Path, resolution_hours: float = 1.0) -> dict[str, TimeSeries]:
@@ -153,16 +190,9 @@ CATALOG_HEADER = ("id", "lon", "lat", "partition", "legacy_MW", "potential_MW")
 
 
 def write_catalog_csv(path: str | Path, rows: Iterable[Mapping], comments: Sequence[str] = ()) -> Path:
-    path = Path(path)
-    out = ["# " + c for c in comments]
-    out.append(",".join(CATALOG_HEADER))
-    for row in rows:
-        out.append(",".join([
-            str(row["id"]), _fmt(row["lon"]), _fmt(row["lat"]), str(row["partition"]),
-            _fmt(row["legacy_MW"]), _fmt(row["potential_MW"]),
-        ]))
-    path.write_text("\n".join(out) + "\n", encoding="utf-8")
-    return path
+    return write_table(path, CATALOG_HEADER, (
+        [str(row[key]) if key in ("id", "partition") else row[key] for key in CATALOG_HEADER]
+        for row in rows), comments)
 
 
 def _read_table(path: Path, columns, what: str, parse) -> list:
@@ -210,18 +240,10 @@ def load_catalog(
 # ---------------------------------------------------------------------------
 
 def write_power_curve_csv(path: str | Path, curve: PowerCurve) -> Path:
-    path = Path(path)
-    out = [
-        f"# cut_in={_fmt(curve.cut_in)}",
-        f"# rated_speed={_fmt(curve.rated_speed)}",
-        f"# cut_out={_fmt(curve.cut_out)}",
-        f"# smoothed={int(curve.smoothed)}",
-        "wind_speed_ms,power_pu",
-    ]
-    for speed, power in zip(curve.speeds, curve.powers):
-        out.append(f"{_fmt(speed)},{_fmt(power)}")
-    path.write_text("\n".join(out) + "\n", encoding="utf-8")
-    return path
+    meta = [f"{key}={float(getattr(curve, key))!r}" for key in ("cut_in", "rated_speed", "cut_out")]
+    return write_table(path, ("wind_speed_ms", "power_pu"),
+                       np.column_stack([curve.speeds, curve.powers]),
+                       [*meta, f"smoothed={int(curve.smoothed)}"])
 
 
 def read_power_curve_csv(path: str | Path) -> PowerCurve:
@@ -260,9 +282,7 @@ def load_default_curves() -> dict[str, PowerCurve]:
 
 def load_curves_dir(directory: str | Path) -> dict[str, PowerCurve]:
     directory = Path(directory)
-    curves = {}
-    for entry in sorted(directory.glob("*.csv")):
-        curves[entry.stem] = read_power_curve_csv(entry)
+    curves = {entry.stem: read_power_curve_csv(entry) for entry in sorted(directory.glob("*.csv"))}
     if not curves:
         raise ValueError(f"no curve CSVs found in {directory}")
     return curves
@@ -275,19 +295,12 @@ def load_curves_dir(directory: str | Path) -> dict[str, PowerCurve]:
 HYDRO_HEADER = tuple(f.name for f in dataclasses.fields(HydroCountryParams))
 
 
-def write_hydro_params_csv(
-    path: str | Path,
-    params: Mapping[str, HydroCountryParams],
-    comments: Sequence[str] = (),
-) -> Path:
-    path = Path(path)
-    out = ["# " + c for c in comments]
-    out.append(",".join(HYDRO_HEADER))
-    for country in sorted(params):
-        name, *values = (getattr(params[country], key) for key in HYDRO_HEADER)
-        out.append(",".join([name] + ["" if v is None else _fmt(v) for v in values]))
-    path.write_text("\n".join(out) + "\n", encoding="utf-8")
-    return path
+def write_hydro_params_csv(path: str | Path, params: Mapping[str, HydroCountryParams],
+                           comments: Sequence[str] = ()) -> Path:
+    return write_table(path, HYDRO_HEADER, (
+        ["" if value is None else value
+         for value in (getattr(params[country], key) for key in HYDRO_HEADER)]
+        for country in sorted(params)), comments)
 
 
 def read_hydro_params_csv(path: str | Path) -> dict[str, HydroCountryParams]:
@@ -339,49 +352,34 @@ def load_criticality(path: str | Path, site_ids: tuple[str, ...] = ()) -> Critic
 # Siting solution outputs
 # ---------------------------------------------------------------------------
 
-def write_solution_json(
-    path: str | Path,
-    solution: SitingSolution,
-    extra: Mapping | None = None,
-) -> Path:
-    path = Path(path)
-    doc = {
+def write_solution_json(path: str | Path, solution: SitingSolution,
+                        extra: Mapping | None = None) -> Path:
+    return write_json(path, {
         "scheme": solution.scheme,
         "seed": solution.rng_seed,
         "objective": solution.objective,
         "per_partition_counts": dict(sorted(solution.per_partition_counts.items())),
         "site_ids": sorted(solution.selected),
-    }
-    if extra:
-        doc.update(extra)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path
+        **(extra or {}),
+    })
 
 
-def write_solution_geojson(
-    path: str | Path,
-    solution: SitingSolution,
-    catalog: SiteCatalog,
-    extra: Mapping | None = None,
-) -> Path:
-    path = Path(path)
-    features = []
-    for site in catalog.sites:
-        features.append({
-            "type": "Feature",
-            "geometry": {"type": "Point", "coordinates": [site.longitude, site.latitude]},
-            "properties": {
-                "id": site.id,
-                "partition": site.partition_id,
-                "selected": site.id in solution.selected,
-                "legacy": site.is_legacy,
-            },
-        })
+def write_solution_geojson(path: str | Path, solution: SitingSolution, catalog: SiteCatalog,
+                           extra: Mapping | None = None) -> Path:
+    features = [{
+        "type": "Feature",
+        "geometry": {"type": "Point", "coordinates": [site.longitude, site.latitude]},
+        "properties": {
+            "id": site.id,
+            "partition": site.partition_id,
+            "selected": site.id in solution.selected,
+            "legacy": site.is_legacy,
+        },
+    } for site in catalog.sites]
     doc = {"type": "FeatureCollection", "features": features}
     if extra:
         doc["properties"] = dict(extra)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path
+    return write_json(path, doc)
 
 
 # ---------------------------------------------------------------------------
@@ -483,41 +481,44 @@ def technology_from_dict(doc, where: str = "technology") -> Technology:
 
 
 # ---------------------------------------------------------------------------
-# CEP report CSV
+# CEP outputs
 # ---------------------------------------------------------------------------
 
-def write_cep_report_csv(
-    path: str | Path,
-    solution: CepSolution,
-    instance: CepInstance,
-    comments: Sequence[str] = (),
-) -> Path:
+def write_cep_report_csv(path: str | Path, solution: CepSolution, instance: CepInstance,
+                         comments: Sequence[str] = ()) -> Path:
     """Capacity/production table: one row per technology group plus the
     total system cost (capacities in MW or MWh, production in MWh)."""
-    path = Path(path)
     omega = instance.weight_hours
-    rows = ["# " + c for c in comments]
-    rows.append("row,capacity,production")
-    offshore_k = sum(solution.site_capacity_total.values())
     offshore_p = omega * sum(float(v.sum()) for v in solution.site_generation.values())
-    rows.append(f"W_off,{_fmt(offshore_k)},{_fmt(offshore_p)}")
-    tech_ids = sorted({pl.tech for pl in instance.placements})
-    for tech_id in tech_ids:
-        tech = instance.technology(tech_id)
+    rows = [("W_off", sum(solution.site_capacity_total.values()), offshore_p)]
+    for tech_id in sorted({pl.tech for pl in instance.placements}):
         keys = [k for k in solution.tech_capacity_total if k[1] == tech_id]
-        cap = sum(solution.tech_capacity_total[k] for k in keys)
-        if tech.kind == "storage":
-            prod = omega * sum(float(solution.discharge[k].sum()) for k in keys)
-        else:
-            prod = omega * sum(float(solution.generation[k].sum()) for k in keys)
-        rows.append(f"{tech_id},{_fmt(cap)},{_fmt(prod)}")
-    line_cap = sum(solution.line_capacity_total.values())
+        storage = instance.technology(tech_id).kind == "storage"
+        output = solution.discharge if storage else solution.generation
+        rows.append((tech_id, sum(solution.tech_capacity_total[k] for k in keys),
+                     omega * sum(float(output[k].sum()) for k in keys)))
     line_p = omega * sum(
         float(solution.flow_fw[l].sum() + solution.flow_bw[l].sum()) for l in solution.flow_fw
     )
-    rows.append(f"transmission,{_fmt(line_cap)},{_fmt(line_p)}")
-    rows.append(f"shed_energy,,{_fmt(solution.shed_MWh)}")
-    rows.append(f"emissions_t,,{_fmt(solution.emissions_t)}")
-    rows.append(f"total_cost,{_fmt(solution.objective)},")
-    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    return path
+    rows += [("transmission", sum(solution.line_capacity_total.values()), line_p),
+             ("shed_energy", "", solution.shed_MWh), ("emissions_t", "", solution.emissions_t),
+             ("total_cost", solution.objective, "")]
+    return write_table(path, ("row", "capacity", "production"), rows, comments)
+
+
+def write_cep_solution_json(path: str | Path, solution: CepSolution,
+                            extra: Mapping | None = None) -> Path:
+    """The sizing result; keys ``bus|tech`` name technology and storage totals."""
+    def by_key(totals):
+        return {k if isinstance(k, str) else "|".join(k): v for k, v in sorted(totals.items())}
+    return write_json(path, {
+        "objective": solution.objective,
+        "emissions_t": solution.emissions_t,
+        "shed_MWh": solution.shed_MWh,
+        "site_capacity_total": by_key(solution.site_capacity_total),
+        "tech_capacity_total": by_key(solution.tech_capacity_total),
+        "storage_energy_total": by_key(solution.storage_energy_total),
+        "line_capacity_total": by_key(solution.line_capacity_total),
+        "cost_breakdown": solution.cost_breakdown,
+        **(extra or {}),
+    })

@@ -13,7 +13,8 @@ rows), sets up its working matrix, bounds and starting basis with array
 expressions, and LU-factorises only the kernel of each basis.  Every LP
 with rows, including one whose rows have no columns, goes through the
 same path: a crash, phase one unless no artificial is left basic, then
-phase two; only an LP without rows takes a closed form.
+phase two with every artificial pinned at zero; only an LP without rows
+takes a closed form.
 """
 
 from __future__ import annotations
@@ -266,10 +267,10 @@ class _Simplex:
     """Bounded-variable two-phase revised simplex.
 
     Columns beyond the structural block are row slacks (one per inequality)
-    and, during phase one, artificials: a row starts with its slack basic
-    when the slack can absorb the residual at the starting point, otherwise
-    with a fresh artificial.  The set-up is whole-array work; rows without
-    columns need no special case.  Dantzig pricing with a permanent switch
+    and artificials, pinned at zero after phase one: a row starts with its
+    slack basic when the slack can absorb the residual at the starting
+    point, otherwise with a fresh artificial.  The set-up is whole-array
+    work; rows without columns need no special case.  Dantzig pricing with a permanent switch
     to Bland's rule after a stall.
     """
 
@@ -351,8 +352,7 @@ class _Simplex:
             if self.iterations >= self.iteration_limit:
                 return "iteration_limit"
             self.iterations += 1
-            y = self.factor.btran(cost[self.basis])
-            d = cost - self.AT @ y
+            y, d = self._prices(cost)
             if self.on_iteration is not None and phase == 2:
                 self.on_iteration({
                     "phase": phase,
@@ -415,26 +415,25 @@ class _Simplex:
         order = np.lexsort((self.basis[ties], -np.abs(delta[ties])))
         return t_star, int(ties[order[0]])
 
+    def _prices(self, cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The basis's duals under ``cost`` and every column's reduced cost."""
+        y = self.factor.btran(cost[self.basis])
+        return y, cost - self.AT @ y
+
+    def _to_bound(self, j: int, upper: bool) -> None:
+        """Make column ``j`` nonbasic at its upper or its lower bound."""
+        self.x[j] = self.upper[j] if upper else self.lower[j]
+        self.vstatus[j] = _AT_UPPER if upper else _AT_LOWER
+
     def _pivot(self, j: int, direction: float, delta: np.ndarray,
                t: float, leave_row: int, w: np.ndarray) -> None:
         self.x[self.basis] += t * delta
         if leave_row < 0:  # bound flip
-            if direction > 0:
-                self.x[j] = self.upper[j]
-                self.vstatus[j] = _AT_UPPER
-            else:
-                self.x[j] = self.lower[j]
-                self.vstatus[j] = _AT_LOWER
+            self._to_bound(j, direction > 0)
             return
         entering_value = self.x[j] + direction * t
-        leaving = self.basis[leave_row]
-        # Snap the leaving variable onto the bound it reached.
-        if delta[leave_row] > 0:
-            self.x[leaving] = self.upper[leaving]
-            self.vstatus[leaving] = _AT_UPPER
-        else:
-            self.x[leaving] = self.lower[leaving]
-            self.vstatus[leaving] = _AT_LOWER
+        # the leaving variable snaps onto the bound it reached
+        self._to_bound(self.basis[leave_row], delta[leave_row] > 0)
         self.basis[leave_row] = j
         self.vstatus[j] = _BASIC
         self.x[j] = entering_value
@@ -498,41 +497,16 @@ class _Simplex:
             infeasibility = float(self.x[self.n_real:].sum())
             if infeasibility > self.feas_tol * (1.0 + float(np.abs(self.b).sum())):
                 return self._finish("infeasible")
-            self._expel_artificials()
-            # Artificials are pinned at zero for phase two.
-            self.lower[self.n_real:] = 0.0
-            self.upper[self.n_real:] = 0.0
-            self.x[self.n_real:] = 0.0
-            self.x[self.basis[self.basis >= self.n_real]] = 0.0
+            # Every artificial is pinned at zero for phase two; one still
+            # basic leaves by a degenerate pivot once a column needs its row.
+            self.lower[self.n_real:] = self.upper[self.n_real:] = self.x[self.n_real:] = 0.0
         return self._finish(self.run_phase(self.cost, phase=2))
-
-    def _expel_artificials(self) -> None:
-        # A pivot changes only its own row's basic, so the rows are known up front.
-        for row in np.flatnonzero(self.basis >= self.n_real):
-            j = self.basis[row]
-            unit = np.zeros(self.lp.n_rows)
-            unit[row] = 1.0
-            pivot_row = self.AT[: self.n_real] @ self.factor.btran(unit)
-            candidates = np.flatnonzero((np.abs(pivot_row) > 1e-9)
-                                        & (self.vstatus[: self.n_real] != _BASIC))
-            if not candidates.size:
-                continue  # redundant row; artificial stays basic at zero
-            enter = int(candidates[0])
-            w = self.factor.ftran(self._column(enter))
-            self.basis[row] = enter
-            self.vstatus[enter] = _BASIC
-            self.vstatus[j] = _AT_LOWER
-            self.x[j] = 0.0
-            if abs(w[row]) < 1e-11 or not self.factor.push_eta(row, w):
-                self.factor.refactor(self.basis)
-            self._recompute_basics()
 
     def _finish(self, status: str) -> LpSolution:
         x = np.array(self.x[: self.n_struct])
         if status in ("optimal", "iteration_limit"):
             objective = float(self.lp.objective @ x)
-            y = self.factor.btran(self.cost[self.basis])
-            d = self.cost - self.AT @ y
+            y, d = self._prices(self.cost)
         else:
             objective = math.nan
             y = np.zeros(self.lp.n_rows)
@@ -571,12 +545,12 @@ def solve(
     An LP without rows takes a closed form.  Any other goes, as built, to
     a two-phase bounded-variable revised simplex: a triangular crash hands
     the rows whose artificials start at zero to structural columns, phase
-    one (skipped when no artificial is left basic) drives the rest out, and
-    phase two optimises, with Dantzig pricing and a permanent fallback to
-    Bland's rule after 1000 non-improving pivots.  Optimal solutions
-    satisfy primal feasibility and strong duality within the given
-    tolerances.  Exceeding the iteration limit returns the best iterate
-    with status ``iteration_limit``.
+    one (skipped when no artificial is left basic) drives the rest to zero,
+    and phase two, with every artificial pinned there, optimises with
+    Dantzig pricing and a permanent fallback to Bland's rule after 1000
+    non-improving pivots.  Optimal solutions satisfy primal feasibility and
+    strong duality within the given tolerances.  Exceeding the iteration
+    limit returns the best iterate with status ``iteration_limit``.
     """
     if np.any(lp.integer):
         raise ValueError("the reference solver handles continuous LPs only; "

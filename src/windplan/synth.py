@@ -102,7 +102,8 @@ def gen_synthetic(
             seasonal = 0.5 * base_ro * np.sin(2 * np.pi * hours / (24 * 365) + float(rng.uniform(0, 6.28)))
             noise = _ar1(rng, n_periods, 0.9, 0.1 * base_ro)
             runoff[cell_id] = TimeSeries(np.maximum(base_ro + seasonal + noise, 0.0), resolution_hours)
-            manifest_rows.append((cell_id, partition, round(float(rng.uniform(800, 1500)), 1)))
+            manifest_rows.append((cell_id, partition, round(float(rng.uniform(800, 1500)), 1),
+                                  "runoff_series.csv"))
 
     hydro_params = {}
     for partition in partitions:
@@ -121,17 +122,13 @@ def gen_synthetic(
             phs_power_MW=round(float(rng.uniform(100, 400)), 1),
         )
 
-    paths = {
+    return {
         "catalog": fileio.write_catalog_csv(out_dir / "sites.csv", catalog_rows),
         "wind_speeds": fileio.write_series_csv(out_dir / "wind_speeds.csv", speeds),
         "demand": fileio.write_series_csv(out_dir / "demand.csv", demand),
         "runoff_series": fileio.write_series_csv(out_dir / "runoff_series.csv", runoff),
         "hydro_params": fileio.write_hydro_params_csv(out_dir / "hydro_params.csv", hydro_params),
+        "runoff": fileio.write_table(out_dir / "runoff.csv",
+                                     ("cell_id", "country", "area_km2", "series_path"),
+                                     manifest_rows),
     }
-    manifest_lines = ["cell_id,country,area_km2,series_path"]
-    for cell_id, country, area in manifest_rows:
-        manifest_lines.append(f"{cell_id},{country},{area!r},runoff_series.csv")
-    manifest = out_dir / "runoff.csv"
-    manifest.write_text("\n".join(manifest_lines) + "\n", encoding="utf-8")
-    paths["runoff"] = manifest
-    return paths

@@ -179,7 +179,8 @@ def cep_instances(draw):
     storage with and without inflow, zero charge ratio, cyclic or not,
     minimum state of charge, ramps below 1, must-run, zero availability,
     lossy lines in either direction, parallel lines, reserve margins of None
-    or 0, and optional CO2 budgets."""
+    or 0, and optional CO2 budgets.  Every bus with a reserve margin has an
+    expandable firm peaker, so most draws are feasible."""
     t_len = draw(st.integers(2, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
@@ -211,6 +212,8 @@ def cep_instances(draw):
                    min_soc=draw(st.sampled_from([0.0, 0.1]))),
         Technology(id="offshore", kind="res", capex=money(), lifetime_years=25.0,
                    fixed_om=40.0, capacity_credit=draw(st.sampled_from(["computed", 0.2]))),
+        Technology(id="peaker", kind="dispatchable", capex=60.0, lifetime_years=20.0,
+                   fuel_cost=0.05, efficiency=0.35),
     ]
     placements = []
     for bus in buses:
@@ -227,6 +230,8 @@ def cep_instances(draw):
                          "inflow": draw(st.sampled_from([None, series()]))}
             placements.append(Placement(bus=bus.id, tech=tech, legacy_MW=legacy,
                                         potential_MW=potential, **extra))
+        if bus.reserve_margin is not None:
+            placements.append(Placement(bus=bus.id, tech="peaker"))
     sited = tuple(SitedAsset(id=f"s{i}", bus=f"B{int(rng.integers(n_bus))}",
                              legacy_MW=draw(st.sampled_from([0.0, 10.0])), potential_MW=50.0,
                              cf=series(zeros=True))
@@ -247,7 +252,8 @@ def cep_instances(draw):
         sited=sited, sited_technology="offshore",
         co2_budget=draw(st.sampled_from([None, 0.0, 50.0])),
         weight_hours=draw(st.sampled_from([1.0, 3.0])),
-        firm_technologies=frozenset(draw(st.sampled_from([(), ("gas",), ("gas", "sto")]))),
+        firm_technologies=frozenset(draw(st.sampled_from([(), ("gas",), ("gas", "sto")]))
+                                    + ("peaker",)),
         storage_cyclic=draw(st.booleans()),
         apply_line_losses=draw(st.booleans()),
     )

@@ -245,3 +245,22 @@ def test_power_curve_row_field_count_names_line(tmp_path):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match=f"{re.escape(str(path))}: line 7: expected 2 fields, got 3"):
         fileio.read_power_curve_csv(path)
+
+
+@pytest.mark.parametrize("site_id", ["a,b", 'a"b', "a\nb", "a\rb", "a\u2028b"])
+def test_writers_refuse_a_cell_their_readers_would_split(tmp_path, site_id):
+    row = {"id": site_id, "lon": 0.0, "lat": 0.0, "partition": "A",
+           "legacy_MW": 0.0, "potential_MW": 1.0}
+    with pytest.raises(ValueError, match=re.escape(repr(site_id))):
+        fileio.write_catalog_csv(tmp_path / "cat.csv", [row])
+    with pytest.raises(ValueError, match=re.escape(repr(site_id))):
+        fileio.write_series_csv(tmp_path / "s.csv", {site_id: TimeSeries([1.0, 2.0])})
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("comment", ["a\nb", "a\rb", "line\n"])
+def test_writers_refuse_a_comment_with_a_line_break(tmp_path, comment):
+    with pytest.raises(ValueError, match=re.escape(repr(comment))):
+        fileio.write_series_csv(tmp_path / "s.csv", {"a": TimeSeries([1.0])}, [comment])
+    fileio.write_series_csv(tmp_path / "s.csv", {"a": TimeSeries([1.0])}, ["a, \"b\""])
+    assert fileio.read_series_csv(tmp_path / "s.csv")["a"].values.tolist() == [1.0]

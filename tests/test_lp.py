@@ -620,6 +620,68 @@ def test_removed_row_of_a_column_off_its_bound_gets_no_dual():
     np.testing.assert_array_equal(out.reduced_costs, lp.objective - lp.dense_matrix().T @ out.duals)
 
 
+# ---------------------------------------------------------------------------
+# Artificials left basic after phase one
+# ---------------------------------------------------------------------------
+
+def _lp_of(A, senses, b, c, lower, upper):
+    rows, cols = np.nonzero(A)
+    return CanonicalLp(objective=c, entry_rows=rows, entry_cols=cols, entry_vals=A[rows, cols],
+                       senses=senses, rhs=b, lower=lower, upper=upper,
+                       integer=[False] * len(c), var_names=[f"x{j}" for j in range(len(c))],
+                       row_names=[f"r{i}" for i in range(len(b))])
+
+
+def _with_repeated_equalities(rng):
+    """A feasible, bounded LP with one to four equality rows, and the same LP
+    with each equality row repeated once or twice (some copies scaled by 2)
+    and its rows shuffled.  The copies are redundant, so phase one cannot
+    drive out every artificial of a repeated row."""
+    n = int(rng.integers(2, 6))
+    n_eq, n_in = int(rng.integers(1, min(n - 1, 4) + 1)), int(rng.integers(0, 4))
+    lower = rng.uniform(-2.0, 0.0, n)
+    upper = lower + rng.uniform(0.5, 4.0, n)
+    x0 = lower + rng.uniform(0.2, 0.8, n) * (upper - lower)
+    A = np.where(rng.random((n_eq + n_in, n)) < 0.8, rng.normal(0, 1.5, (n_eq + n_in, n)), 0.0)
+    senses = ["="] * n_eq + [str(s) for s in rng.choice(["<", ">"], n_in)]
+    side = np.array([{"=": 0.0, "<": 1.0, ">": -1.0}[s] for s in senses])
+    b = A @ x0 + side * rng.uniform(0.05, 1.0, n_eq + n_in)
+    c = rng.normal(0, 1, n)
+    copies = [i for i in range(n_eq) for _ in range(int(rng.integers(1, 3)))]
+    scale = rng.choice([1.0, 2.0], len(copies))
+    order = rng.permutation(n_eq + n_in + len(copies))
+    repeated = _lp_of(np.vstack([A, scale[:, None] * A[copies]])[order],
+                      [(senses + ["="] * len(copies))[i] for i in order],
+                      np.concatenate([b, scale * b[copies]])[order], c, lower, upper)
+    return _lp_of(A, senses, b, c, lower, upper), repeated
+
+
+def test_repeated_equality_rows_keep_the_optimum_and_valid_duals(monkeypatch):
+    artificial_basic = []   # per phase two: whether it starts with an artificial basic
+    real = _Simplex.run_phase
+
+    def recording(self, cost, phase):
+        if phase == 2:
+            artificial_basic.append(bool(np.any(self.basis >= self.n_real)))
+        return real(self, cost, phase)
+
+    monkeypatch.setattr(_Simplex, "run_phase", recording)
+    rng = np.random.default_rng(7)
+    started_with_one = 0
+    for _ in range(300):
+        lp, repeated = _with_repeated_equalities(rng)
+        want = solve(lp)
+        got = solve(repeated)
+        started_with_one += artificial_basic[-1]
+        assert want.status == got.status == "optimal"
+        assert got.objective == pytest.approx(want.objective, rel=1e-9, abs=1e-9)
+        np.testing.assert_allclose(
+            got.reduced_costs, repeated.objective - repeated.dense_matrix().T @ got.duals,
+            rtol=0.0, atol=1e-9)
+        assert dual_objective(repeated, got) == pytest.approx(got.objective, abs=1e-7)
+    assert started_with_one >= 100
+
+
 def _sizing_lp(tmp_path, monkeypatch):
     """The instance and LP of a small ``synth`` pipeline run with hydro on
     and a CO2 budget at 60 % of an all-gas supply."""

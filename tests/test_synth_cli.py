@@ -185,6 +185,22 @@ def test_cli_pipeline_and_reports(dataset):
     assert cep_doc["shed_MWh"] == pytest.approx(0.0, abs=1e-6)
 
 
+def test_cli_pipeline_csvs_hold_numbers(dataset):
+    tmp_path, data_dir = dataset
+    assert main(["pipeline", str(write_config(tmp_path, data_dir))]) == 0
+    out = tmp_path / "out"
+
+    def data_rows(name):
+        lines = (out / name).read_text(encoding="utf-8").splitlines()
+        assert lines[0].startswith("# config_hash=")
+        return [line.split(",") for line in lines[2:]]
+    for name in ("residual_series.csv", "residual_spreads.csv"):
+        rows = data_rows(name)
+        assert rows and [float(field) for row in rows for field in row]
+    report = data_rows("cep_report.csv")
+    assert [float(field) for row in report for field in row[1:] if field]
+
+
 def test_cli_pipeline_with_hydro(dataset):
     tmp_path, data_dir = dataset
     config = write_config(tmp_path, data_dir)
