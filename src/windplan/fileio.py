@@ -1,10 +1,21 @@
 """Documented on-disk formats (schema version 1).
 
-Every CSV goes through :func:`write_table` (``# `` comment lines, a header,
-one unquoted row per line, numbers as ``repr(float(x))``) and every JSON
-document through :func:`write_json` (two-space indent, sorted keys, a final
+Every CSV is written by :func:`write_table` (``# `` comment lines, a header,
+one unquoted row per line, numbers as ``repr(float(x))``) and every CSV
+input is read by its inverse :func:`read_table`; every JSON document is
+written by :func:`write_json` (two-space indent, sorted keys, a final
 newline).  The pipeline's JSON outputs carry ``config_hash`` and
 ``tool_version``, its CSVs a ``# config_hash=`` comment.
+
+How a CSV is read
+    A line whose first non-blank character is ``#`` is a comment (its text
+    after the ``#``) and a blank line is skipped.  The first other line is
+    the header and every later one a row with as many cells, split at each
+    comma; there is no quoting, and a line holding ``"`` is refused.
+    Comments and text cells (the header, ids, partitions, countries, paths)
+    are stripped of whitespace at both ends, and numbers parse with
+    ``float``.  A reader requires its documented columns; a power curve
+    requires the header ``wind_speed_ms,power_pu``.
 
 Time-series CSV
     A header of distinct series ids (one column per site/bus/cell) and one
@@ -16,8 +27,9 @@ Site catalog CSV
     legacy flag is derived from the configured capacity threshold.
 
 Power curve CSV
-    ``# key=value`` comment lines carrying ``cut_in``, ``rated_speed`` and
-    ``cut_out``, then ``wind_speed_ms, power_pu`` breakpoints.
+    ``# key=value`` comment lines carrying ``cut_in``, ``rated_speed``,
+    ``cut_out`` and optionally ``smoothed`` (other comments are ignored),
+    then ``wind_speed_ms, power_pu`` breakpoints.
 
 Hydro country CSV
     Columns are the fields of :class:`windplan.hydro.HydroCountryParams`,
@@ -43,16 +55,18 @@ CEP outputs
     totals with ``bus|tech`` keys, cost breakdown) and ``cep_report.csv``
     (``row, capacity, production``, per technology group and in total).
 
-A writer refuses a header or text cell holding a comma, a quote or a line
-break, and a comment holding a line break.  Every reader raises
-``ValueError`` naming the file, and the line where there is one, for an
-unreadable or non-UTF-8 file, a value that does not parse, a row with the
-wrong number of fields or a repeated id.
+A writer refuses what would not read back as it was written: a header or
+text cell holding a comma, a quote or a line break, a comment holding a
+line break, either with whitespace at an end, a line whose first cell
+starts with ``#`` or that would be blank, and a row whose width differs
+from the header's.  Every reader raises ``ValueError`` naming the file, and
+the line where there is one, for an unreadable or non-UTF-8 file, a quote,
+a value that does not parse, a row with the wrong number of fields, a
+missing column or a repeated id.
 """
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import functools
 import json
@@ -60,7 +74,7 @@ import math
 import re
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -74,29 +88,42 @@ from windplan.siting import SitingSolution
 from windplan.timeseries import TimeSeries
 
 
-# the line ends of str.splitlines, which the readers split at, and the
+# the line ends of str.splitlines, which read_table splits at, and the
 # characters that end or quote a field
 _LINE_BREAK = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 _IN_COMMENT, _IN_CELL = re.compile(f"[{_LINE_BREAK}]"), re.compile(f'[,"{_LINE_BREAK}]')
 
 
 def _cell(text: str, refused=_IN_CELL) -> str:
-    if refused.search(text):
-        raise ValueError(f"cannot write {text!r}: it holds a comma, a quote or a line break")
+    if refused.search(text) or text != text.strip():
+        raise ValueError(f"cannot write {text!r}: it holds a comma, a quote or a line break, "
+                         "or whitespace at an end")
     return text
+
+
+def _line(cells: list[str], width: int) -> str:
+    line = ",".join(cells)
+    if len(cells) != width:
+        raise ValueError(f"cannot write {line!r}: {len(cells)} cells under a header of {width}")
+    if not line or line.startswith("#"):
+        raise ValueError(f"cannot write a line starting with {line.partition(',')[0]!r}: "
+                         "it would read back as a blank line or a comment")
+    return line
 
 
 def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence],
                 comments: Sequence[str] = ()) -> Path:
-    """Write a CSV table.  A string cell is written as it is, any other as
-    ``repr(float(cell))``; a numpy row is converted with one ``tolist``."""
+    """Write a CSV table that :func:`read_table` reads back exactly.  A
+    string cell is written as it is, any other as ``repr(float(cell))``; a
+    numpy row is converted with one ``tolist``."""
     path = Path(path)
     out = [f"# {_cell(c, _IN_COMMENT)}" for c in comments]
-    out.append(",".join(map(_cell, header)))
+    out.append(_line([_cell(c) for c in header], len(header)))
     for row in rows:
         if isinstance(row, np.ndarray):
             row = row.tolist()
-        out.append(",".join([_cell(c) if isinstance(c, str) else repr(float(c)) for c in row]))
+        out.append(_line([_cell(c) if isinstance(c, str) else repr(float(c)) for c in row],
+                         len(header)))
     path.write_text("\n".join(out) + "\n", encoding="utf-8")
     return path
 
@@ -117,14 +144,29 @@ def _read(path: Path, binary: bool = False):
         raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
-def _lines(path: Path) -> list[tuple[int, str]]:
-    """A file's lines with their 1-based numbers."""
-    return list(enumerate(_read(path).splitlines(), start=1))
-
-
-def _data_lines(lines: list[tuple[int, str]]) -> list[tuple[int, str]]:
-    """The lines that are neither blank nor ``#`` comments."""
-    return [(n, line) for n, line in lines if line.strip() and not line.lstrip().startswith("#")]
+def read_table(path: str | Path) -> tuple[list[str], list[str], Iterator[tuple[int, list[str]]]]:
+    """The stripped comments and header and the ``(line number, cells)`` rows
+    of a CSV table, the inverse of :func:`write_table` by the module's rules.
+    Every line is checked before this returns; the rows are split as they
+    are iterated.  A file of no table has an empty header."""
+    path = Path(path)
+    comments, header, lines = [], [], []
+    for n, line in enumerate(_read(path).splitlines(), start=1):
+        start = line.lstrip()
+        if start.startswith("#"):
+            comments.append(start[1:].strip())
+        elif not start:
+            continue
+        elif '"' in line:
+            raise ValueError(f"{path}: line {n}: a quote cannot be read")
+        elif not header:
+            header = [cell.strip() for cell in line.split(",")]
+        elif line.count(",") != len(header) - 1:
+            raise ValueError(f"{path}: line {n}: expected {len(header)} fields, "
+                             f"got {line.count(',') + 1}")
+        else:
+            lines.append((n, line))
+    return comments, header, ((n, line.split(",")) for n, line in lines)
 
 
 def _parse_rows(path: Path, numbered, parse) -> list:
@@ -139,10 +181,15 @@ def _parse_rows(path: Path, numbered, parse) -> list:
     return parsed
 
 
-def _floats(fields: list[str], count: int) -> list[float]:
-    if len(fields) != count:
-        raise ValueError(f"expected {count} fields, got {len(fields)}")
-    return [float(v) for v in fields]
+def _records(path: Path, columns, what: str, parse) -> list:
+    """``parse`` of each row, a dict of stripped cells by column name, of a
+    table that has ``columns``."""
+    _, header, rows = read_table(path)
+    missing = set(columns) - set(header)
+    if missing:
+        raise ValueError(f"{path}: {what} columns missing: {sorted(missing)}")
+    _check_unique(path, header, "column")
+    return _parse_rows(path, ((n, dict(zip(header, map(str.strip, c)))) for n, c in rows), parse)
 
 
 def _check_unique(path: Path, ids, what: str) -> None:
@@ -171,12 +218,9 @@ def write_series_csv(path: str | Path, series: Mapping[str, TimeSeries],
 
 def read_series_csv(path: str | Path, resolution_hours: float = 1.0) -> dict[str, TimeSeries]:
     path = Path(path)
-    lines = _data_lines(_lines(path))
-    if not lines:
-        raise ValueError(f"{path}: empty series file")
-    header = [h.strip() for h in lines[0][1].split(",")]
+    _, header, rows = read_table(path)
     _check_unique(path, header, "series id")
-    data = np.array(_parse_rows(path, lines[1:], lambda line: _floats(line.split(","), len(header))))
+    data = np.array(_parse_rows(path, rows, lambda cells: list(map(float, cells))), dtype=float)
     if data.ndim != 2:
         raise ValueError(f"{path}: no data rows")
     return {name: TimeSeries(data[:, j], resolution_hours) for j, name in enumerate(header)}
@@ -195,25 +239,8 @@ def write_catalog_csv(path: str | Path, rows: Iterable[Mapping], comments: Seque
         for row in rows), comments)
 
 
-def _read_table(path: Path, columns, what: str, parse) -> list:
-    """``parse`` of each record, a dict by column name, of a CSV table."""
-    lines = _data_lines(_lines(path))
-    reader = csv.reader(line for _, line in lines)
-    header = next(reader, [])
-    missing = set(columns) - set(header)
-    if missing:
-        raise ValueError(f"{path}: {what} columns missing: {sorted(missing)}")
-    _check_unique(path, header, "column")
-
-    def record(fields):
-        if len(fields) != len(header):
-            raise ValueError(f"expected {len(header)} fields, got {len(fields)}")
-        return parse(dict(zip(header, fields)))
-    return _parse_rows(path, zip((n for n, _ in lines[1:]), reader), record)
-
-
 def read_catalog_csv(path: str | Path) -> list[dict]:
-    return _read_table(Path(path), CATALOG_HEADER, "catalog", lambda row: {
+    return _records(Path(path), CATALOG_HEADER, "catalog", lambda row: {
         key: row[key] if key in ("id", "partition") else float(row[key])
         for key in CATALOG_HEADER})
 
@@ -247,24 +274,22 @@ def write_power_curve_csv(path: str | Path, curve: PowerCurve) -> Path:
 
 
 def read_power_curve_csv(path: str | Path) -> PowerCurve:
+    """Only the ``cut_in``, ``rated_speed``, ``cut_out`` and ``smoothed``
+    comments are read; other comments are free text."""
     path = Path(path)
-    lines = _lines(path)
-
-    def meta_item(stripped):
-        key, _, value = stripped.lstrip("# ").partition("=")
-        return key.strip(), float(value)
-    meta = dict(_parse_rows(path, [(n, line.strip()) for n, line in lines
-                                   if line.strip().startswith("#") and "=" in line], meta_item))
-    required = {"cut_in", "rated_speed", "cut_out"}
-    if not required <= set(meta):
-        raise ValueError(f"{path}: missing curve metadata {sorted(required - set(meta))}")
-    points = _parse_rows(path, _data_lines(lines)[1:], lambda line: _floats(line.split(","), 2))
-    speeds, powers = np.array(points).reshape(-1, 2).T.copy()
-    return PowerCurve(
-        speeds, powers,
-        cut_in=meta["cut_in"], rated_speed=meta["rated_speed"], cut_out=meta["cut_out"],
-        smoothed=bool(meta.get("smoothed", 0)),
-    )
+    comments, header, rows = read_table(path)
+    if header != ["wind_speed_ms", "power_pu"]:
+        raise ValueError(f"{path}: expected the header wind_speed_ms,power_pu, "
+                         f"got {','.join(header)!r}")
+    meta = {key.strip(): value for key, _, value in (c.partition("=") for c in comments)}
+    try:
+        speeds_ms = {key: float(meta[key]) for key in ("cut_in", "rated_speed", "cut_out")}
+        smoothed = bool(float(meta.get("smoothed", 0)))
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"{path}: missing or unreadable curve metadata: {exc}") from exc
+    points = np.array(_parse_rows(path, rows, lambda cells: list(map(float, cells))))
+    speeds, powers = points.reshape(-1, 2).T.copy()
+    return PowerCurve(speeds, powers, smoothed=smoothed, **speeds_ms)
 
 
 def load_default_curves() -> dict[str, PowerCurve]:
@@ -307,10 +332,9 @@ def read_hydro_params_csv(path: str | Path) -> dict[str, HydroCountryParams]:
     """A blank field whose default is ``None`` is unknown."""
     path = Path(path)
     fields = dataclasses.fields(HydroCountryParams)[1:]
-    params = _read_table(path, HYDRO_HEADER, "hydro", lambda record: HydroCountryParams(
-        country=record["country"], **{
-            f.name: None if f.default is None and not record[f.name].strip()
-            else float(record[f.name]) for f in fields}))
+    params = _records(path, HYDRO_HEADER, "hydro", lambda record: HydroCountryParams(
+        country=record["country"], **{f.name: None if f.default is None and not record[f.name]
+                                      else float(record[f.name]) for f in fields}))
     _check_unique(path, [p.country for p in params], "country")
     return {p.country: p for p in params}
 
@@ -328,8 +352,8 @@ def read_runoff_manifest(path: str | Path, resolution_hours: float = 1.0) -> Run
             raise ValueError(f"{series_path}: no column for cell {record['cell_id']!r}")
         return RunoffCell(record["cell_id"], record["country"],
                           float(record["area_km2"]), table[record["cell_id"]])
-    cells = _read_table(path, ("cell_id", "country", "area_km2", "series_path"),
-                        "runoff manifest", cell)
+    cells = _records(path, ("cell_id", "country", "area_km2", "series_path"), "runoff manifest",
+                     cell)
     _check_unique(path, [c.cell_id for c in cells], "cell_id")
     return RunoffGrid(tuple(cells))
 

@@ -485,9 +485,19 @@ class SolutionImportReport:
 
 
 def write_solution(path: str | Path, var_names: Sequence[str], values) -> Path:
-    """Write primal values as UTF-8 ``name value`` lines (full precision)."""
+    """Write primal values as UTF-8 ``name value`` lines (full precision).
+    A name :func:`import_solution` would not read back (empty, holding
+    whitespace or starting with ``#``), a value that is not finite and a
+    count of values that differs from the count of names raise ValueError."""
     path = Path(path)
-    lines = [f"{name} {value:.17g}" for name, value in zip(var_names, np.asarray(values))]
+    lines = []
+    for name, value in zip(var_names, np.asarray(values, dtype=float).tolist(), strict=True):
+        if name.split() != [name] or name.startswith("#"):
+            raise ValueError(f"cannot write the name {name!r}: it is empty, holds whitespace "
+                             "or starts with '#'")
+        if not math.isfinite(value):
+            raise ValueError(f"cannot write {value!r} for {name!r}: it is not finite")
+        lines.append(f"{name} {value:.17g}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 

@@ -1,9 +1,11 @@
 import json
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from windplan import fileio
 from windplan.cep import build_lp, decode_solution
@@ -264,3 +266,129 @@ def test_writers_refuse_a_comment_with_a_line_break(tmp_path, comment):
         fileio.write_series_csv(tmp_path / "s.csv", {"a": TimeSeries([1.0])}, [comment])
     fileio.write_series_csv(tmp_path / "s.csv", {"a": TimeSeries([1.0])}, ["a, \"b\""])
     assert fileio.read_series_csv(tmp_path / "s.csv")["a"].values.tolist() == [1.0]
+
+
+# ---------------------------------------------------------------------------
+# read_table is the inverse of write_table
+# ---------------------------------------------------------------------------
+
+# stripped text of the characters the format gives a meaning to, drawn
+# often, and of any other but a comma, a quote and a line break
+_TEXT = st.text(st.one_of(st.sampled_from("# \t\u00a0x1.-"), st.characters(
+    codec="utf-8", exclude_characters=',"' + fileio._LINE_BREAK)), max_size=6).map(str.strip)
+_CELL = st.one_of(_TEXT, st.floats(), st.integers(-10 ** 6, 10 ** 6))
+
+
+@st.composite
+def _tables(draw):
+    header = draw(st.lists(_TEXT, min_size=1, max_size=4))
+    rows = draw(st.lists(st.lists(_CELL, min_size=len(header), max_size=len(header)),
+                         max_size=5))
+    comments = draw(st.lists(st.one_of(_TEXT, st.text(st.characters(
+        codec="utf-8", exclude_characters=fileio._LINE_BREAK), max_size=8)), max_size=3))
+    return header, rows, comments
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables())
+def test_read_table_inverts_write_table(table):
+    header, rows, comments = table
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        try:
+            fileio.write_table(path, header, rows, comments)
+        except ValueError:
+            assume(False)
+        back_comments, back_header, back_rows = fileio.read_table(path)
+        back_rows = list(back_rows)
+    assert back_comments == comments
+    assert back_header == header
+    first = len(comments) + 2
+    assert [n for n, _ in back_rows] == list(range(first, first + len(rows)))
+    for (_, cells), row in zip(back_rows, rows, strict=True):
+        assert cells == [c if isinstance(c, str) else repr(float(c)) for c in row]
+
+
+@pytest.mark.parametrize("header, rows, comments", [
+    (["#x", "y"], [[1.0, 2.0]], []),     # the header would read as a comment
+    (["id", "v"], [["#a", 1.0]], []),    # and so would the row
+    ([" a", "b"], [[1.0, 2.0]], []),     # would read back as 'a'
+    (["a", "b "], [[1.0, 2.0]], []),
+    (["a"], [[1.0]], ["note "]),
+    (["id"], [["a"], [""]], []),         # a blank line, which reads back as no row
+    ([""], [[1.0]], []),
+    (["a", "b"], [[1.0]], []),           # a row the reader would refuse
+], ids=["hash-header", "hash-row", "leading-space", "trailing-space", "comment-space",
+        "blank-row", "blank-header", "short-row"])
+def test_write_table_refuses_what_read_table_cannot_read_back(tmp_path, header, rows, comments):
+    with pytest.raises(ValueError, match="cannot write"):
+        fileio.write_table(tmp_path / "t.csv", header, rows, comments)
+    assert not list(tmp_path.iterdir())
+
+
+def test_writers_refuse_ids_that_would_not_read_back(tmp_path):
+    row = {"id": "#a", "lon": 0.0, "lat": 0.0, "partition": "A",
+           "legacy_MW": 0.0, "potential_MW": 1.0}
+    with pytest.raises(ValueError, match="'#a'"):
+        fileio.write_catalog_csv(tmp_path / "cat.csv", [row])
+    with pytest.raises(ValueError, match="'#x'"):
+        fileio.write_series_csv(tmp_path / "s.csv", {"#x": TimeSeries([1.0]),
+                                                     "y": TimeSeries([2.0])})
+    with pytest.raises(ValueError, match="' a'"):
+        fileio.write_series_csv(tmp_path / "s.csv", {" a": TimeSeries([1.0])})
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("reader, text", [
+    (fileio.read_series_csv, 'a,b\n1.0,2.0\n"3.0",4.0\n'),
+    (fileio.read_catalog_csv, 'id,lon,lat,partition,legacy_MW,potential_MW\n'
+                              's1,0.0,0.0,A,0.0,1.0\n"s,2",0.0,0.0,A,0.0,1.0\n'),
+    (fileio.read_hydro_params_csv,
+     ",".join(fileio.HYDRO_HEADER) + '\n\n"N"' + "," * (len(fileio.HYDRO_HEADER) - 1) + "\n"),
+], ids=["series", "catalog", "hydro"])
+def test_readers_refuse_a_quote_naming_the_line(tmp_path, reader, text):
+    path = tmp_path / "t.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 3: a quote cannot be read$"):
+        reader(path)
+
+
+def test_readers_strip_every_text_cell(tmp_path):
+    path = tmp_path / "sites.csv"
+    path.write_text(" id , lon,lat,partition,legacy_MW,potential_MW\n"
+                    " s1 , 1.5,2.0, A ,0.0, 3.0 \n", encoding="utf-8")
+    assert fileio.read_catalog_csv(path) == [{"id": "s1", "lon": 1.5, "lat": 2.0,
+                                             "partition": "A", "legacy_MW": 0.0,
+                                             "potential_MW": 3.0}]
+    params = {"NO": HydroCountryParams("NO", 0.9, phs_power_MW=5.0)}
+    path = fileio.write_hydro_params_csv(tmp_path / "h.csv", params)
+    header, row = path.read_text(encoding="utf-8").splitlines()
+    path.write_text(f"{header}\n{','.join(f' {cell} ' for cell in row.split(','))}\n",
+                    encoding="utf-8")
+    assert fileio.read_hydro_params_csv(path) == params
+
+
+def _curve_text(tmp_path):
+    return fileio.write_power_curve_csv(tmp_path / "c.csv", fileio.load_default_curves()[
+        "low_wind"]).read_text(encoding="utf-8")
+
+
+def test_power_curve_reads_only_its_own_comments(tmp_path):
+    path = tmp_path / "curve.csv"
+    path.write_text("# config_hash=abc\n# note: made by hand\n" + _curve_text(tmp_path),
+                    encoding="utf-8")
+    curve = fileio.read_power_curve_csv(path)
+    assert np.array_equal(curve.speeds, fileio.load_default_curves()["low_wind"].speeds)
+
+
+@pytest.mark.parametrize("edit, got", [
+    (lambda lines: [line for line in lines if not line.startswith("wind_speed_ms")], "0.0,0.0"),
+    (lambda lines: [line.replace("power_pu", "power") for line in lines], "wind_speed_ms,power"),
+], ids=["headerless", "renamed-column"])
+def test_power_curve_requires_its_header(tmp_path, edit, got):
+    path = tmp_path / "curve.csv"
+    path.write_text("\n".join(edit(_curve_text(tmp_path).splitlines())) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: expected the header "
+                                         f"wind_speed_ms,power_pu, got '{got}'$"):
+        fileio.read_power_curve_csv(path)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -150,6 +151,27 @@ def test_solution_round_trip(tmp_path):
     assert np.array_equal(sol.x, x)
     assert report.missing == [] and report.unknown == []
     assert sol.objective == pytest.approx(float(lp.objective @ x))
+
+
+@pytest.mark.parametrize("names, values, refused", [
+    (["a", "a b"], [1.0, 2.0], "'a b'"),
+    (["a", "#c"], [1.0, 2.0], "'#c'"),
+    (["", "b"], [1.0, 2.0], "''"),
+    (["a", "b\u2028"], [1.0, 2.0], repr("b\u2028")),
+    (["a", "b"], [1.0, math.nan], "nan"),
+    (["a", "b"], [-math.inf, 1.0], "-inf"),
+], ids=["space", "hash", "empty", "line-separator", "nan", "minus-inf"])
+def test_write_solution_refuses_what_import_cannot_read_back(tmp_path, names, values, refused):
+    with pytest.raises(ValueError, match=f"cannot write .*{re.escape(refused)}"):
+        write_solution(tmp_path / "sol.txt", names, values)
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("values", [[1.0], [1.0, 2.0, 3.0]], ids=["short", "long"])
+def test_write_solution_refuses_a_value_count_other_than_the_name_count(tmp_path, values):
+    with pytest.raises(ValueError):
+        write_solution(tmp_path / "sol.txt", ["a", "b"], values)
+    assert not list(tmp_path.iterdir())
 
 
 def test_solution_missing_and_unknown(tmp_path):

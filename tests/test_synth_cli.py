@@ -94,6 +94,26 @@ def test_synth_derived_cfs_in_unit_interval(tmp_path):
         assert np.all(series.values >= 0.0) and np.all(series.values <= 1.0)
 
 
+def test_synth_csvs_read_back_byte_for_byte(tmp_path):
+    """Each input CSV read by its reader and written by its writer is the
+    same file: the readers lose nothing the writers put in."""
+    assert main(["synth", "--out", str(tmp_path / "data"), "--seed", "7", "--sites", "6",
+                 "--partitions", "2", "--periods", "96"]) == 0
+    data, back = tmp_path / "data", tmp_path / "back"
+    back.mkdir()
+    for name in ("wind_speeds", "demand", "runoff_series"):
+        fileio.write_series_csv(back / f"{name}.csv", fileio.read_series_csv(data / f"{name}.csv"))
+    fileio.write_catalog_csv(back / "sites.csv", fileio.read_catalog_csv(data / "sites.csv"))
+    fileio.write_hydro_params_csv(back / "hydro_params.csv",
+                                  fileio.read_hydro_params_csv(data / "hydro_params.csv"))
+    for name in ("sites", "wind_speeds", "demand", "runoff_series", "hydro_params"):
+        assert (back / f"{name}.csv").read_bytes() == (data / f"{name}.csv").read_bytes(), name
+    bundled = Path(fileio.__file__).parent / "data" / "power_curves"
+    for name, curve in fileio.load_default_curves().items():
+        written = fileio.write_power_curve_csv(back / f"{name}.csv", curve)
+        assert written.read_bytes() == (bundled / f"{name}.csv").read_bytes(), name
+
+
 def test_synth_validation(tmp_path):
     with pytest.raises(ValueError):
         gen_synthetic(tmp_path, seed=0, n_sites=2, n_partitions=5)
