@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from windplan.lp import CanonicalLp, LpBuilder, LpSolution
+from windplan.lp import CanonicalLp, LpBuilder, LpSolution, Names
 from windplan.timeseries import TimeSeries
 
 RES = "res"
@@ -394,14 +394,11 @@ def _resolve_credit(tech: Technology, series: TimeSeries | None, bus: Bus, t: in
     return float(tech.capacity_credit)
 
 
-def _series_names(prefix: str, periods) -> list[str]:
-    return [f"{prefix}|{t}" for t in periods]
-
-
 def _add_by_period(builder: LpBuilder, t_len: int, sense: str, *families) -> None:
     """Add ``(prefix, rhs, terms)`` row families interleaved period by
     period: the rows of every family for period t, then for t + 1."""
-    names = [f"{prefix}|{t}" for t in range(t_len) for prefix, _, _ in families]
+    names = Names([prefix for prefix, _, _ in families], np.tile(np.arange(len(families)), t_len),
+                  np.repeat(np.arange(t_len), len(families)))
     rhs = np.column_stack([np.broadcast_to(value, t_len) for _, value, _ in families])
     rows = builder.add_rows(names, sense, rhs.ravel()).reshape(t_len, len(families))
     for family_rows, (_, _, terms) in zip(rows.T, families):
@@ -441,7 +438,7 @@ def build_lp(instance: CepInstance) -> tuple[CanonicalLp, CepIndex]:
         return col
 
     def series_vars(prefix: str, objective: float = 0.0, lower=0.0, upper=math.inf) -> np.ndarray:
-        return builder.add_vars(_series_names(prefix, periods), lower, upper, objective)
+        return builder.add_vars(Names.family(prefix, periods), lower, upper, objective)
 
     def output_cap(cf: np.ndarray, legacy: float, k_var: int) -> np.ndarray:
         """Upper bound on p: the fixed fleet's output, and zero where cf is."""
@@ -450,7 +447,7 @@ def build_lp(instance: CepInstance) -> tuple[CanonicalLp, CepIndex]:
     def availability_rows(prefix: str, cf: np.ndarray, legacy: float,
                           p_vars: np.ndarray, k_var: int) -> None:
         t = np.flatnonzero(np.isinf(output_cap(cf, legacy, k_var)))   # limits not made bounds
-        builder.add_rows(_series_names(prefix, t), "<", cf[t] * legacy,
+        builder.add_rows(Names.family(prefix, t), "<", cf[t] * legacy,
                          (p_vars[t], 1.0), (k_var, -cf[t]))
 
     sited_tech = instance.technology(instance.sited_technology) if instance.sited else None
@@ -479,7 +476,7 @@ def build_lp(instance: CepInstance) -> tuple[CanonicalLp, CepIndex]:
                                           (annuity or 0.0) + line.fixed_om)
 
     # -- energy balance rows, filled by the component passes ------------------
-    balance = {bus.id: builder.add_rows(_series_names(f"bal|{bus.id}", periods), "=",
+    balance = {bus.id: builder.add_rows(Names.family(f"bal|{bus.id}", periods), "=",
                                         bus.demand.values)
                for bus in instance.buses}
 
@@ -541,7 +538,7 @@ def build_lp(instance: CepInstance) -> tuple[CanonicalLp, CepIndex]:
                      (discharge[now], omega / tech.eta_discharge)]
             if pl.inflow is not None:
                 terms.append((ix.spill[key][now], 1.0))
-            builder.add_rows(_series_names(f"soc|{tag}", range(first, t_len)), "=",
+            builder.add_rows(Names.family(f"soc|{tag}", range(first, t_len)), "=",
                              pl.inflow.values[now] if pl.inflow is not None else 0.0, *terms)
             families = [(f"socmax|{tag}", energy, [(soc, 1.0), (s_var, -1.0)])]
             if tech.min_soc > 0.0:
@@ -565,11 +562,11 @@ def build_lp(instance: CepInstance) -> tuple[CanonicalLp, CepIndex]:
                 for prefix, ramp, sign in (("rampu", tech.ramp_up, 1.0),
                                            ("rampd", tech.ramp_down, -1.0)):
                     if ramp < 1.0:
-                        builder.add_rows(_series_names(f"{prefix}|{tag}", range(1, t_len)), "<",
+                        builder.add_rows(Names.family(f"{prefix}|{tag}", range(1, t_len)), "<",
                                          ramp * pl.legacy_MW, (p_vars[1:], sign),
                                          (p_vars[:-1], -sign), (k_var, -ramp))
                 if tech.must_run > 0.0 and not floored:
-                    builder.add_rows(_series_names(f"mustrun|{tag}", periods), "<",
+                    builder.add_rows(Names.family(f"mustrun|{tag}", periods), "<",
                                      -tech.must_run * pl.legacy_MW,
                                      (k_var, tech.must_run), (p_vars, -1.0))
         if tech.kind == RES:
@@ -587,7 +584,7 @@ def build_lp(instance: CepInstance) -> tuple[CanonicalLp, CepIndex]:
         bw = ix.flow_bw[line.id] = series_vars(f"f-|{line.id}", omega * line.variable_om)
         to_balance(line.from_bus, (fw, -1.0), (bw, eff))
         to_balance(line.to_bus, (fw, eff), (bw, -1.0))
-        builder.add_rows(_series_names(f"cap|{line.id}", periods), "<", line.legacy_MW,
+        builder.add_rows(Names.family(f"cap|{line.id}", periods), "<", line.legacy_MW,
                          (fw, 1.0), (bw, 1.0), (ix.line_K[line.id], -1.0))
 
     # -- load shedding --------------------------------------------------------

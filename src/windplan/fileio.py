@@ -137,9 +137,10 @@ def write_json(path: str | Path, doc) -> Path:
 
 def _read(path: Path, binary: bool = False):
     """A file's text (or bytes); a missing, unreadable or undecodable file
-    raises ValueError naming it."""
+    raises ValueError naming it.  Text is UTF-8; a byte-order mark at the
+    start, as spreadsheet tools save, is dropped."""
     try:
-        return path.read_bytes() if binary else path.read_text(encoding="utf-8")
+        return path.read_bytes() if binary else path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
 

@@ -5,9 +5,11 @@ senses, variable bounds and optional integrality flags (the flags exist
 only so mixed-integer relaxations can be exported; the bundled solver
 rejects them).  :class:`LpBuilder` assembles one from single variables,
 rows and coefficients or from whole families of them given as index
-arrays.  :func:`solve` is a bounded-variable revised simplex over a sparse
-working matrix, intended for desk-scale instances; anything larger should
-go through the MPS exporter in :mod:`windplan.mps` and an external solver.
+arrays; a family's names are one :class:`Names` prefix and an index
+array, spelled out only when read or written to a file.  :func:`solve`
+is a bounded-variable revised simplex over a sparse working matrix,
+intended for desk-scale instances; anything larger should go through the
+MPS exporter in :mod:`windplan.mps` and an external solver.
 It solves the LP as built (a model sets its bounds as column bounds, not
 rows), sets up its working matrix, bounds and starting basis with array
 expressions, and LU-factorises only the kernel of each basis.  Every LP
@@ -20,6 +22,8 @@ takes a closed form.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,10 +43,151 @@ _ARRAY_FIELDS = {
     "upper": np.float64, "integer": bool,
 }
 
+_SPELL_CHUNK = 1 << 13   # names spelled out at a time while iterating
+
+
+class Names(Sequence):
+    """An immutable sequence of LP names stored as families.
+
+    Item i is ``f"{prefixes[ids[i]]}|{indices[i]}"``, or the prefix alone when
+    ``indices[i]`` is -1: a family of T period rows is one prefix and T
+    integers, not T strings.  Names are spelled out only when read (by
+    ``[i]``, iteration, ``in``, ``index`` and ``==``, which compares with any
+    sequence of str item by item) or written to a file (:meth:`texts`).
+    Slices are Names sharing the prefix table.
+    """
+
+    __slots__ = ("prefixes", "ids", "indices")
+
+    def __init__(self, prefixes=(), ids=(), indices=()):
+        prefixes = list(prefixes)
+        if not all(isinstance(prefix, str) for prefix in prefixes):
+            raise TypeError("LP name prefixes must be str")
+        ids, indices = np.array(ids, dtype=np.intp), np.array(indices, dtype=np.int64)
+        if ids.shape != indices.shape or ids.ndim != 1:
+            raise ValueError("name ids and indices must be 1-D and of one length")
+        if ids.size and (ids.min() < 0 or ids.max() >= len(prefixes)):
+            raise ValueError("name prefix id out of range")
+        if indices.size and indices.min() < -1:
+            raise ValueError("name indices must be -1 (no index) or non-negative")
+        self._set(np.array(prefixes, dtype=object), ids, indices)
+
+    def _set(self, prefixes: np.ndarray, ids: np.ndarray, indices: np.ndarray) -> Names:
+        for arr in (prefixes, ids, indices):
+            arr.setflags(write=False)
+        self.prefixes, self.ids, self.indices = prefixes, ids, indices
+        return self
+
+    @classmethod
+    def _view(cls, prefixes: np.ndarray, ids: np.ndarray, indices: np.ndarray) -> Names:
+        """Names over arrays already checked, such as another Names' parts."""
+        return object.__new__(cls)._set(prefixes, ids, indices)
+
+    @classmethod
+    def family(cls, prefix: str, indices) -> Names:
+        """``prefix|i`` for each i of ``indices``."""
+        indices = np.asarray(indices, dtype=np.int64)
+        return cls([prefix], np.zeros(indices.size, dtype=np.intp), indices)
+
+    @classmethod
+    def of(cls, names) -> Names:
+        """``names`` itself when it is Names, else one prefix per str."""
+        if isinstance(names, Names):
+            return names
+        names = list(names)
+        return cls(names, np.arange(len(names)), np.full(len(names), -1))
+
+    @classmethod
+    def concat(cls, parts) -> Names:
+        """The names of ``parts`` one after another."""
+        parts = [cls.of(part) for part in parts]
+        offsets = np.cumsum([0] + [part.prefixes.size for part in parts])
+        return cls._view(
+            np.concatenate([part.prefixes for part in parts] + [np.zeros(0, object)]),
+            np.concatenate([part.ids + at for part, at in zip(parts, offsets)]
+                           + [np.zeros(0, np.intp)]),
+            np.concatenate([part.indices for part in parts] + [np.zeros(0, np.int64)]))
+
+    def take(self, positions) -> Names:
+        """The names at ``positions`` (an integer array)."""
+        return Names._view(self.prefixes, self.ids[positions], self.indices[positions])
+
+    def index_texts(self, end: str = "") -> tuple[np.ndarray, np.ndarray]:
+        """What follows the prefix in each name, then ``end``: a table with
+        ``|<i>`` for each distinct index i (nothing for -1), and each item's
+        position in it."""
+        values, where = np.unique(self.indices, return_inverse=True)
+        return np.array([f"|{i}{end}" if i >= 0 else end for i in values.tolist()],
+                        dtype=object), where.ravel()
+
+    def texts(self) -> np.ndarray:
+        """Every name spelled out, as an object array."""
+        tails, where = self.index_texts()
+        return self.prefixes[self.ids] + tails[where]
+
+    def _hits(self, name: str) -> np.ndarray:
+        """Which items spell ``name``."""
+        hits = (self.prefixes == name)[self.ids] & (self.indices < 0)
+        head, bar, tail = name.rpartition("|")
+        if bar and tail.isascii() and tail.isdigit() and len(tail) < 19 \
+                and str(int(tail)) == tail:
+            hits |= (self.prefixes == head)[self.ids] & (self.indices == int(tail))
+        return hits
+
+    def __len__(self) -> int:
+        return self.ids.size
+
+    def __getitem__(self, item):
+        if isinstance(item, slice):
+            return Names._view(self.prefixes, self.ids[item], self.indices[item])
+        item = operator.index(item)
+        prefix, i = self.prefixes[self.ids[item]], int(self.indices[item])
+        return prefix if i < 0 else f"{prefix}|{i}"
+
+    def __iter__(self):
+        for start in range(0, len(self), _SPELL_CHUNK):
+            yield from self[start:start + _SPELL_CHUNK].texts().tolist()
+
+    def __contains__(self, name) -> bool:
+        return isinstance(name, str) and bool(self._hits(name).any())
+
+    def index(self, name, start: int = 0, stop: int | None = None) -> int:
+        span = range(len(self))[start:stop]
+        hits = np.flatnonzero(self._hits(name)[span.start:span.stop]) if isinstance(name, str) \
+            else ()
+        if not len(hits):
+            raise ValueError(f"{name!r} is not in the names")
+        return span.start + int(hits[0])
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Names) and other.prefixes is self.prefixes:
+            return (np.array_equal(self.ids, other.ids)
+                    and np.array_equal(self.indices, other.indices))
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))   # a tuple with the same names compares equal
+
+    def __add__(self, other):
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return Names.concat([self, other])
+
+    def __repr__(self) -> str:
+        shown = list(self[:4])
+        return f"Names({shown}{' ...' if len(self) > 4 else ''}, n={len(self)})"
+
 
 @dataclass(frozen=True)
 class CanonicalLp:
-    """min c'x  s.t.  A x {<=,=,>=} b,  lower <= x <= upper."""
+    """min c'x  s.t.  A x {<=,=,>=} b,  lower <= x <= upper.
+
+    ``var_names`` and ``row_names`` are :class:`Names`: a sequence of str
+    given to the constructor is held as one prefix per name, and a model's
+    period families stay a prefix and an index array each.
+    """
 
     objective: np.ndarray
     entry_rows: np.ndarray
@@ -53,8 +198,8 @@ class CanonicalLp:
     lower: np.ndarray
     upper: np.ndarray
     integer: np.ndarray
-    var_names: tuple[str, ...]
-    row_names: tuple[str, ...]
+    var_names: Names
+    row_names: Names
     name: str = "lp"
 
     def __post_init__(self) -> None:
@@ -63,8 +208,8 @@ class CanonicalLp:
             arr.setflags(write=False)
             object.__setattr__(self, attr, arr)
         object.__setattr__(self, "senses", tuple(self.senses))
-        object.__setattr__(self, "var_names", tuple(self.var_names))
-        object.__setattr__(self, "row_names", tuple(self.row_names))
+        object.__setattr__(self, "var_names", Names.of(self.var_names))
+        object.__setattr__(self, "row_names", Names.of(self.row_names))
         n, m = self.n_vars, self.n_rows
         if len(self.var_names) != n or self.lower.size != n or self.upper.size != n \
                 or self.integer.size != n:
@@ -108,15 +253,19 @@ class LpBuilder:
     :meth:`add_vars`, :meth:`add_rows` and :meth:`add_entries` add whole
     families as index arrays and broadcast scalar arguments along them;
     :meth:`add_var`, :meth:`add_row` and :meth:`add_entry` are their
-    one-item forms.  :meth:`build` sorts the entries by (row, col).  A
-    repeated scalar entry is rejected at once, a (row, col) pair repeated
-    across blocks by the :class:`CanonicalLp` triplet check.
+    one-item forms.  The names of a block are a list of str or a
+    :class:`Names` family, which is kept as it is: :meth:`build` joins the
+    blocks' names without spelling them out.  :meth:`build` sorts the
+    entries by (row, col).  A repeated scalar entry is rejected at once, a
+    (row, col) pair repeated across blocks by the :class:`CanonicalLp`
+    triplet check.
     """
 
     def __init__(self, name: str = "lp"):
         self.name = name
-        self._var_names: list[str] = []
-        self._row_names: list[str] = []
+        self._var_names: list[Names] = []
+        self._row_names: list[Names] = []
+        self._n_vars = self._n_rows = 0
         self._senses: list[str] = []
         self._blocks = {key: [np.zeros(0, dtype)] for key, dtype in _ARRAY_FIELDS.items()}
         self._scalar_keys: set[tuple[int, int]] = set()
@@ -127,8 +276,10 @@ class LpBuilder:
     def add_vars(self, names, lower=0.0, upper=math.inf, objective=0.0,
                  integer=False) -> np.ndarray:
         """Append one column per name; returns their indices."""
-        start, n = len(self._var_names), len(names)
-        self._var_names.extend(names)
+        names = Names.of(names)
+        start, n = self._n_vars, len(names)
+        self._var_names.append(names)
+        self._n_vars += n
         for key, values in (("lower", lower), ("upper", upper), ("objective", objective),
                             ("integer", integer)):
             self._append(key, values, n)
@@ -138,8 +289,10 @@ class LpBuilder:
         """Append one row per name and return their indices.  ``sense`` is
         one sense or one per row; each ``(cols, vals)`` term is broadcast
         along the rows and puts one entry in every row."""
-        start, n = len(self._row_names), len(names)
-        self._row_names.extend(names)
+        names = Names.of(names)
+        start, n = self._n_rows, len(names)
+        self._row_names.append(names)
+        self._n_rows += n
         self._senses.extend([sense] * n if isinstance(sense, str) else sense)
         self._append("rhs", rhs, n)
         rows = np.arange(start, start + n, dtype=np.intp)
@@ -172,8 +325,8 @@ class LpBuilder:
         order = np.lexsort((arrays["entry_cols"], arrays["entry_rows"]))
         for key in ("entry_rows", "entry_cols", "entry_vals"):
             arrays[key] = arrays[key][order]
-        return CanonicalLp(senses=tuple(self._senses), var_names=tuple(self._var_names),
-                           row_names=tuple(self._row_names), name=self.name, **arrays)
+        return CanonicalLp(senses=tuple(self._senses), var_names=Names.concat(self._var_names),
+                           row_names=Names.concat(self._row_names), name=self.name, **arrays)
 
 
 @dataclass(frozen=True)

@@ -13,14 +13,24 @@ The writer runs no Python code per line or per field, and it writes each
 section in blocks of ``_BLOCK`` items: the row-name tables are laid out
 once, each block's column heads and distinct values with the block, and a
 line is a row of pieces taken from those tables.  Beyond the LP an export
-holds the name tables, the order of the entries by column (8 bytes a
-nonzero) and one block, so its memory is O(n + m + block).  The
-``export-19bus`` LP (an 8.2 MB file) exports in about 0.36 s, as it did
-when whole sections were built, with a traced peak of 15.6 MB against
-44.5 MB.  The paper-scale comp MIR (4.44 M nonzeros, a 108 MB file) raises
-the process's RSS from 243 to 313 MB, against 829 MB, in 1.3-1.6 s against
-2.4-2.6 s (one 2-core x86-64 host shared with other tenants).  The bytes
-are pinned to the line-at-a-time reference writer in
+holds the row-name tables, the order of the entries by column (8 bytes a
+nonzero) and one block, so its memory is O(n + m + block).
+
+Names stay families (:class:`~windplan.lp.Names`: a prefix table and
+index arrays) up to the file.  Mangling hashes each prefix once and the
+``|`` and digits of every index at once, keeps or shortens a name by its
+length, finds first-come collisions with one sort of integer keys (short
+prefix id, hash) and probes salts only for the names that collide; a
+short name is an integer key until a block spells it out.  The
+``.names.json`` table is sorted on those keys and quoted per prefix.  The
+``export-19bus`` LP (51,568 columns, 33,299 rows, an 8.2 MB file) exports
+in about 0.15 s, against 0.43 s when every name was a string, with a
+traced peak of 8.7 MiB against 15.6 MiB.  At the paper's horizon (that
+shape at T = 2,920: 1.54 M names, a 150 MB file, ``demos/06``) an export
+takes 2.8-3.4 s against 8.7-11.2 s, and the process's peak RSS is 465-471
+MB against 659 MB.  The paper-scale comp MIR (4.44 M nonzeros, a 114 MB file)
+exports in 1.1 s.  All on one 2-core x86-64 host shared with other tenants.
+The bytes are pinned to the line-at-a-time reference writer in
 ``tests/mps_oracle.py``.
 """
 
@@ -30,35 +40,203 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
 from windplan.fileio import _read
-from windplan.lp import CanonicalLp, LpBuilder, LpSolution
+from windplan.lp import CanonicalLp, LpBuilder, LpSolution, Names
 
 _OBJECTIVE_ROW = "COST"
 _B36 = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+_B36_VALUE = {digit: value for value, digit in enumerate(_B36)}
 # Two base-36 digits, low digit first: _B36_PAIRS[x] spells x < 36 ** 2.
 _B36_PAIRS = np.array([low + high for high in _B36 for low in _B36], dtype=object)
+# A short form is "<short prefix>~" and four base-36 digits of the name's
+# hash, low digit first; as an integer key it is short-prefix id * _SPAN + hash % _SPAN.
+_SPAN = 36 ** 4
+_OFFSET, _PRIME = 2166136261, np.uint32(16777619)   # 32-bit FNV-1a
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
 
 
-def _short_forms(names: np.ndarray, salt: int | np.ndarray) -> np.ndarray:
-    """``<first 3 non-space chars>~<4 base-36 digits>`` of every name, the
-    digits (low first) from the 32-bit FNV-1a hash of its UTF-8 bytes; one
-    salt for all names or one per name."""
-    data = list(map(str.encode, names))
+def _fnv(data: list[bytes], state) -> np.ndarray:
+    """32-bit FNV-1a of each byte string, continued from ``state`` (one
+    uint32 for all strings or one per string)."""
     lengths = np.fromiter(map(len, data), dtype=np.int64, count=len(data))
     padded = np.zeros((lengths.max(initial=0), len(data)), dtype=np.uint8)  # row k: byte k
     padded.T[lengths[:, None] > np.arange(len(padded))] = np.frombuffer(b"".join(data), np.uint8)
-    h = np.full(len(data), 2166136261, dtype=np.uint64) ^ np.asarray(salt, dtype=np.uint64)
+    h = np.array(np.broadcast_to(np.asarray(state, dtype=np.uint32), len(data)))
     for k, byte in enumerate(padded):
-        h = np.where(lengths > k, (h ^ byte) * np.uint64(16777619) & np.uint64(0xFFFFFFFF), h)
-    prefixes = map(itemgetter(slice(3)), map("".join, map(str.split, names)))
-    return np.fromiter(prefixes, dtype=object, count=len(data)) + "~" + \
-        _B36_PAIRS[h % 1296] + _B36_PAIRS[h // 1296 % 1296]
+        h = np.where(lengths > k, (h ^ byte) * _PRIME, h)
+    return h
+
+
+def _digit_counts(indices: np.ndarray) -> np.ndarray:
+    """Decimal digits of each index, 0 for -1 (no index)."""
+    return np.where(indices >= 0, np.searchsorted(_POW10[1:], indices, "right") + 1, 0)
+
+
+def _hash(names: Names) -> np.ndarray:
+    """The salt-0 FNV-1a hash of every name: each prefix's state once, then
+    ``|`` and the digits of all indices at once, a digit count at a time."""
+    h = _fnv([prefix.encode() for prefix in names.prefixes.tolist()],
+             np.uint32(_OFFSET))[names.ids]
+    digits = _digit_counts(names.indices)
+    for count in range(1, int(digits.max(initial=0)) + 1):
+        at = np.flatnonzero(digits == count)
+        state, index = (h[at] ^ np.uint32(ord("|"))) * _PRIME, names.indices[at]
+        for power in _POW10[count - 1::-1]:
+            state = (state ^ (index // power % 10 + ord("0")).astype(np.uint32)) * _PRIME
+        h[at] = state
+    return h
+
+
+def _short_prefixes(names: Names, stripped: list[str], shorts: dict[str, int]) -> np.ndarray:
+    """Each name's short prefix, its first three non-space characters, as
+    an id into ``shorts`` (which gains the new ones), given each prefix
+    without its whitespace.  A prefix with fewer takes the rest from ``|``
+    and the index's leading digits."""
+    sid = np.array([shorts.setdefault(text[:3], len(shorts)) for text in stripped],
+                   dtype=np.int64)[names.ids]
+    need = np.array([3 - len(text) for text in stripped], dtype=np.int64)[names.ids]
+    at = np.flatnonzero((need > 0) & (names.indices >= 0))
+    if at.size:
+        digits = _digit_counts(names.indices[at])
+        lead = np.minimum(need[at] - 1, digits)   # digits after the '|'
+        first = np.where(lead > 0, names.indices[at] // _POW10[np.minimum(digits - lead, 18)], 0)
+        combos, where = np.unique((names.ids[at] * 3 + lead) * 100 + first, return_inverse=True)
+        sid[at] = np.array([shorts.setdefault(
+            stripped[combo // 300] + "|" + (str(combo % 100) if combo // 100 % 3 else ""),
+            len(shorts)) for combo in combos.tolist()], dtype=np.int64)[where.ravel()]
+    return sid
+
+
+def _form_key(text: str, shorts: dict[str, int]) -> int | None:
+    """The key of ``text`` if it reads as a short form of a known short prefix."""
+    sid = shorts.get(text[:-5])
+    if sid is None or text[-5:-4] != "~" or not all(c in _B36_VALUE for c in text[-4:]):
+        return None
+    return sid * _SPAN + sum(_B36_VALUE[c] * 36 ** k for k, c in enumerate(text[-4:]))
+
+
+def _in_sorted(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Which ``keys`` the sorted ``table`` holds."""
+    if not table.size:
+        return np.zeros(keys.shape, dtype=bool)
+    return table[np.minimum(np.searchsorted(table, keys), table.size - 1)] == keys
+
+
+def _mangle(names: Names, shorts: dict[str, int], reserved: Iterable[str] = (),
+            reserved_keys: np.ndarray = np.zeros(0, dtype=np.int64)) -> np.ndarray:
+    """The short name of every name as a key: -1 where the name is kept,
+    else short-prefix id * ``_SPAN`` + the hash of its form (the ids index
+    ``shorts``, which gains this space's short prefixes).  No name keeps or
+    takes one of ``reserved`` or of the forms ``reserved_keys``.
+
+    A candidate is a key: a form is one by construction, a kept name that
+    reads as a form (``_form_key``) takes that form's key and any other
+    kept name a negative key of its own.  One sort of the candidates finds,
+    for each, the first name to hold it; only the names turned away probe
+    salts, one round at a time, as :func:`mangle_names` describes.  In a
+    round each form goes to the first of its holder and the names probing
+    it, which is where placing the names one by one leaves it.
+    """
+    n, prefixes = len(names), names.prefixes.tolist()
+    stripped = ["".join(prefix.split()) for prefix in prefixes]
+    sid = _short_prefixes(names, stripped, shorts)
+    code = (_hash(names) % _SPAN).astype(np.int64)
+    lengths = np.array(list(map(len, prefixes)), dtype=np.int64)[names.ids] \
+        + np.where(names.indices >= 0, _digit_counts(names.indices) + 1, 0)
+    spaced = np.array(list(map(str.__ne__, stripped, prefixes)), dtype=bool)[names.ids]
+    fits = (lengths <= 8) & (lengths > 0) & ~spaced
+    final = np.where(fits, -1, sid * _SPAN + code)
+    candidate = final.copy()
+    kept = np.flatnonzero(fits)
+    plain: dict[str, int] = {}   # kept names that read as no form -> their negative keys
+
+    def key_of(text: str, known_only: bool = False) -> int | None:
+        key = _form_key(text, shorts)
+        if key is None:
+            key = plain.get(text) if known_only else plain.setdefault(text, -1 - len(plain))
+        return key
+
+    # a name with an index ends in '|digits', so it never reads as a form
+    for at, text, alone in zip(kept.tolist(), names.take(kept).texts().tolist(),
+                               (names.indices[kept] < 0).tolist()):
+        candidate[at] = key_of(text) if alone else plain.setdefault(text, -1 - len(plain))
+    barred = [key for key in map(lambda text: key_of(text, True), reserved) if key is not None]
+    barred = np.sort(np.concatenate([np.array(barred, dtype=np.int64), reserved_keys]))
+
+    # each candidate's holder: the first name holding it, -1 if reserved
+    order = np.argsort(candidate)
+    ranked = candidate[order]
+    starts = np.flatnonzero(np.diff(ranked, prepend=ranked[:1] - 1))
+    held = ranked[starts]
+    holder = np.minimum.reduceat(order, starts) if n else np.zeros(0, dtype=np.intp)
+    holder[_in_sorted(barred, held)] = -1
+    turned = np.ones(n, dtype=bool)
+    turned[holder[holder >= 0]] = False
+    probing = np.flatnonzero(turned)
+    salt = np.where(fits, -1, 0).astype(np.int32)   # of each name's current candidate
+    extra: dict[int, int] = {}   # holders of forms that no first candidate is
+    while probing.size:
+        salt[probing] += 1
+        codes, later = code[probing], np.flatnonzero(salt[probing] > 0)
+        codes[later] = _fnv(list(map(str.encode, names.take(probing[later]).texts())),
+                            np.uint32(_OFFSET) ^ salt[probing[later]].astype(np.uint32)) % _SPAN
+        forms = sid[probing] * _SPAN + codes
+        spot = np.minimum(np.searchsorted(held, forms), held.size - 1)
+        found = held[spot] == forms
+        # each form's holder (-1: reserved, n: none) and the first name probing it
+        now = np.where(found, holder[spot], np.where(_in_sorted(barred, forms), -1, n))
+        free = np.flatnonzero(now == n)
+        now[free] = [extra.get(form, n) for form in forms[free].tolist()]
+        order = np.lexsort((probing, forms))
+        firsts = order[np.flatnonzero(np.diff(forms[order], prepend=-1 - forms[order[:1]]))]
+        wins = firsts[now[firsts] > probing[firsts]]
+        final[probing[wins]] = forms[wins]
+        held_wins = wins[found[wins]]
+        holder[spot[held_wins]] = probing[held_wins]
+        other_wins = wins[~found[wins]]
+        extra.update(zip(forms[other_wins].tolist(), probing[other_wins].tolist()))
+        losers = np.ones(probing.size, dtype=bool)
+        losers[wins] = False
+        sent_on = now[wins]   # later names that held a form a probing name took
+        probing = np.concatenate([probing[losers], sent_on[sent_on < n]])
+    return final
+
+
+class _ShortNames:
+    """A name space under its short names, as arrays: item i is
+    ``names[i]`` where ``keys[i]`` is -1, else the form ``keys[i]``, whose
+    short prefix with its ``~`` is ``tildes[keys[i] // _SPAN]``."""
+
+    def __init__(self, names: Names, keys: np.ndarray, tildes: np.ndarray):
+        self.names, self.keys, self.tildes = names, keys, tildes
+        self.tilde_lengths = np.fromiter(map(len, tildes), dtype=np.int64, count=tildes.size)
+        self._led = {"": tildes}   # the tildes after each lead
+
+    def texts(self, part: slice = slice(None), lead: str = "") -> tuple[np.ndarray, np.ndarray]:
+        """``lead`` and the short name of each item in ``part``, spelled
+        out, and the short names' lengths."""
+        keys = self.keys[part]
+        texts, lengths = np.empty(keys.size, dtype=object), np.empty(keys.size, dtype=np.int64)
+        kept, formed = np.flatnonzero(keys < 0), np.flatnonzero(keys >= 0)
+        names = self.names[part].take(kept).texts()
+        texts[kept] = lead + names
+        lengths[kept] = np.fromiter(map(len, names), dtype=np.int64, count=kept.size)
+        keys = keys[formed]
+        if lead not in self._led:
+            self._led[lead] = lead + self.tildes
+        texts[formed] = self._led[lead][keys // _SPAN] + _B36_PAIRS[keys % 1296] \
+            + _B36_PAIRS[keys % _SPAN // 1296]
+        lengths[formed] = self.tilde_lengths[keys // _SPAN] + 4
+        return texts, lengths
+
+
+def _tildes(shorts: dict[str, int]) -> np.ndarray:
+    return np.array([short + "~" for short in shorts], dtype=object)
 
 
 def mangle_names(names: Sequence[str],
@@ -81,35 +259,16 @@ def mangle_names(names: Sequence[str],
     one salt round at a time; a name whose form a later name holds takes it
     and sends the later name on to its next salt, which ends in the same
     assignment as placing the names one by one.
+
+    ``names`` may be :class:`~windplan.lp.Names`; the work is then done on
+    its prefix table and index arrays, and only the kept names, the names
+    that collide and the result are spelled out.
     """
-    n = len(names)
-    given = np.fromiter(names, dtype=object, count=n)
-    lengths = np.fromiter(map(len, names), dtype=np.int64, count=n)
-    unfit = (lengths > 8) | (lengths == 0)
-    fits = given[~unfit]  # kept unless one holds whitespace, which would split its field
-    unfit[~unfit] = np.fromiter(map(str.__ne__, map("".join, map(str.split, fits)), fits), bool,
-                                fits.size)
-    out = given.copy()
-    out[unfit] = _short_forms(given[unfit], 0)
-    salt = unfit - 1  # of out[i]; -1: the name itself
-    reserved, candidates = set(reserved), out.tolist()
-    holder = dict.fromkeys(reserved.intersection(candidates), -1)  # who holds each; -1: reserved
-    probing = np.array([i for i, candidate in enumerate(candidates)  # repeats, collisions
-                        if holder.setdefault(candidate, i) != i], dtype=np.int64)
-    while probing.size:
-        salt[probing] += 1
-        turned_away = []
-        for i, form in zip(probing.tolist(), _short_forms(given[probing], salt[probing])):
-            j = -1 if form in reserved else holder.setdefault(form, i)
-            if j < i:
-                turned_away.append(i)
-                continue
-            out[i], holder[form] = form, i
-            if j > i:  # a later name held the form
-                turned_away.append(j)
-        probing = np.array(turned_away, dtype=np.int64)
-    changed = out != given
-    return out.tolist(), dict(zip(out[changed].tolist(), given[changed].tolist()))
+    names, shorts = Names.of(names), {}
+    keys = _mangle(names, shorts, reserved)
+    out, _ = _ShortNames(names, keys, _tildes(shorts)).texts()
+    changed = np.flatnonzero(keys >= 0)
+    return out.tolist(), dict(zip(out[changed].tolist(), names.take(changed).texts().tolist()))
 
 
 def _table(texts: Iterable[str]) -> np.ndarray:
@@ -117,9 +276,10 @@ def _table(texts: Iterable[str]) -> np.ndarray:
     return np.fromiter(chain(texts, ("",)), dtype=object)
 
 
-def _heads(names: np.ndarray) -> np.ndarray:
-    """The start of a data line under each name: the name in its slot."""
-    return "    " + np.fromiter(map(str.ljust, names, repeat(10)), dtype=object, count=len(names))
+def _heads(names: _ShortNames, part: slice) -> np.ndarray:
+    """The start of a data line under each name of ``part``: the name in its slot."""
+    texts, lengths = names.texts(part, "    ")
+    return texts + _FILLS[10 - lengths]
 
 
 def _texts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -130,10 +290,11 @@ def _texts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 _FILLS = np.array([*(" " * k for k in range(16)), "\n"], dtype=object)  # [-1] ends a line
-# ROWS heads by sense; BOUNDS heads by kind, those with a value before a padded name
-_SENSES = np.array([" N  ", " L  ", " E  ", " G  "], dtype=object)
-_BOUNDS = np.array([" FX BND   ", " FR BND", " MI BND", " LO BND   ", " PL BND", " UP BND   "],
-                   dtype=object)
+# ROWS heads by sense (the senses in byte order); BOUNDS heads by kind
+_SENSE_BYTES = np.frombuffer(b"<=>N", dtype=np.uint8)
+_SENSES = np.array([" L  ", " E  ", " G  ", " N  "], dtype=object)
+_BOUNDS = np.array([" FX BND   ", " FR BND   ", " MI BND   ", " LO BND   ", " PL BND   ",
+                    " UP BND   "], dtype=object)
 # Items a section lays out at once: (row, value) pairs of COLUMNS and RHS,
 # two a line; lines of ROWS and BOUNDS (a column has at most two bounds);
 # keys of the names table.
@@ -142,37 +303,42 @@ _BLOCK = 1 << 13
 
 def _pair_pieces(heads: np.ndarray, rows: np.ndarray, values: np.ndarray,
                  names: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Pieces of the lines ``head row value [row value]``, eight a line: line
-    k pairs the items ``(rows[0, k], values[0, k])`` and ``(rows[1, k],
-    values[1, k])``, the second absent where its row is -1.  ``names`` holds
-    the tables of the rows (the objective row first): the names, the names
-    padded to their slot and their lengths.
+    """Pieces of the lines ``head row value [row value]``, seven a line:
+    line k pairs the items ``(rows[0, k], values[0, k])`` and ``(rows[1,
+    k], values[1, k])``, the second absent where its row is -1.  ``names``
+    holds the tables of the rows (the objective row first): the names and
+    their lengths.
 
     Names (at most eight characters, none holding whitespace) fit their
     slots.  A value running past its slot shifts the second name right; a
     name then reaching the last value's column is followed by a space.
+    Each distinct value's text is laid out twice, padded to the second
+    name's column and ending the line, so a value and what follows it are
+    one piece.
     """
-    table, padded, name_lengths = names
+    table, name_lengths = names
     present = rows >= 0
     texts, index = _texts(values[present])
+    lengths = np.fromiter(map(len, texts), dtype=np.int64, count=texts.size)
+    padded, ended = texts + _FILLS[np.maximum(15 - lengths, 1)], texts + "\n"
+    ended[-1] = ""   # no second item
     value = np.full(rows.shape, -1, dtype=np.int64)
     value[present] = index
     (row1, row2), (value1, value2), pair = rows, value, present[1]
-    length = np.fromiter(map(len, texts), dtype=np.int64)[value1]
-    gap = np.minimum(24 - length, 10) - name_lengths[row2]
+    gap = np.minimum(24 - lengths[value1], 10) - name_lengths[row2]
     return np.column_stack((
-        heads, padded[row1], texts[value1], _FILLS[np.where(pair, np.maximum(15 - length, 1), -1)],
-        table[row2], _FILLS[np.maximum(gap, 1) * pair],
-        texts[value2], _FILLS[np.where(pair, -1, 0)]))
+        heads, table[row1], _FILLS[10 - name_lengths[row1]],
+        np.where(pair, padded[value1], ended[value1]), table[row2],
+        _FILLS[np.maximum(gap, 1) * pair], ended[value2]))
 
 
-def _write_runs(out: TextIO, run_names: np.ndarray, runs: np.ndarray,
+def _write_runs(out: TextIO, run_heads: Callable[[slice], np.ndarray], runs: np.ndarray,
                 items: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
                 names: tuple[np.ndarray, ...], markers: tuple[np.ndarray, np.ndarray]) -> None:
-    """Write runs of (row, value) items, two a line: run j, under
-    ``run_names[j]``, holds the items ``items(j, k)`` for k < ``runs[j]``.
-    Each marker line goes before the run it names (``len(runs)``: after the
-    last).
+    """Write runs of (row, value) items, two a line: run j, under the line
+    start ``run_heads(slice(j, j + 1))`` (a row of pieces), holds the items
+    ``items(j, k)`` for k < ``runs[j]``.  Each marker line goes before the
+    run it names (``len(runs)``: after the last).
 
     The lines go out ``_BLOCK`` items at a time.  A run splits only at an
     even item, so each line keeps its pair and the bytes do not depend on
@@ -193,34 +359,38 @@ def _write_runs(out: TextIO, run_names: np.ndarray, runs: np.ndarray,
         values = np.zeros((2, line.size))
         rows[0], values[0] = items(run, k)
         rows[1, second], values[1, second] = items(run[second], k[second] + 1)
-        heads = _heads(run_names[run[0]:run[-1] + 1])[run - run[0]]
+        heads = run_heads(slice(run[0], run[-1] + 1))[run - run[0]]
         lines = _pair_pieces(heads, rows, values, names)
+        pieces = lines.ravel().tolist()
         lo, hi = np.searchsorted(at, (start, start + line.size))
-        marks = np.full((hi - lo, lines.shape[1]), "", dtype=object)
-        marks[:, 0] = texts[lo:hi]
-        out.write("".join(np.insert(lines, at[lo:hi] - start, marks, axis=0).ravel().tolist()))
+        for line_at, mark in reversed([*zip((at[lo:hi] - start).tolist(), texts[lo:hi])]):
+            pieces.insert(line_at * lines.shape[1], mark)  # the last first
+        out.write("".join(pieces))
     out.write("".join(texts[np.searchsorted(at, total):]))
 
 
-def _write_mps(out: TextIO, lp: CanonicalLp, var_names: list[str], row_names: list[str],
+def _write_mps(out: TextIO, lp: CanonicalLp, columns: _ShortNames, rows: _ShortNames,
                comments: Sequence[str]) -> None:
     """Write the MPS text of ``lp`` under its short names, each section a
     block of items at a time.  The row-name tables are laid out once, each
-    block's column heads and distinct values with the block, and a line is
-    a row of pieces taken from those tables.  Beyond the LP this holds
-    O(n + m) name tables, the order of the entries by column and one
-    block."""
+    block's column names, column heads and distinct values with the block,
+    and a line is a row of pieces taken from those tables.  Beyond the LP
+    this holds O(m) row-name tables, the order of the entries by column
+    and one block."""
     n, m = lp.n_vars, lp.n_rows
-    table = _table([_OBJECTIVE_ROW, *row_names])  # row i is table[i + 1]
-    names = (table, _table(map(str.ljust, table[:-1], repeat(10))),
-             np.fromiter(map(len, table), dtype=np.int64, count=m + 2))
+    texts, lengths = rows.texts()
+    # row i is table[i + 1]; table[-1], an absent field, is empty
+    table = np.concatenate([np.array([_OBJECTIVE_ROW], dtype=object), texts,
+                            np.array([""], dtype=object)])
+    names = (table, np.concatenate([[len(_OBJECTIVE_ROW)], lengths, [0]]))
     out.write("".join(f"* {comment}\n" for comment in comments))
     out.write(f"NAME          {lp.name}\nROWS\n")
     senses = "N" + "".join(lp.senses)
     for start in range(0, m + 1, _BLOCK):
         block = slice(start, start + _BLOCK)
-        sense = np.fromiter(map("N<=>".index, senses[block]), dtype=np.int64)
-        out.write("".join((_SENSES[sense] + table[:-1][block] + "\n").tolist()))
+        sense = np.searchsorted(_SENSE_BYTES, np.frombuffer(senses[block].encode(), np.uint8))
+        out.write("".join(np.column_stack((_SENSES[sense], table[:-1][block],
+                                           _FILLS[np.full(sense.size, -1)])).ravel().tolist()))
 
     # COLUMNS: a run per column, its objective entry (row 0) first, then its
     # entries by row; INTORG before each integer run, INTEND after it
@@ -235,16 +405,17 @@ def _write_mps(out: TextIO, lp: CanonicalLp, var_names: list[str], row_names: li
         rows[entry], values[entry] = lp.entry_rows[e] + 1, lp.entry_vals[e]
         return rows, values
 
-    columns = np.fromiter(var_names, dtype=object, count=n)
     flips = np.flatnonzero(np.diff(lp.integer, prepend=False, append=False))
     marks = np.fromiter((f"    MK{k:06d}  'MARKER'{' ' * 17}'{('INTEND', 'INTORG')[k % 2]}'\n"
                          for k in range(1, flips.size + 1)), dtype=object, count=flips.size)
     out.write("COLUMNS\n")
-    _write_runs(out, columns, counts + 1, column_items, names, (flips, marks))
+    _write_runs(out, lambda part: _heads(columns, part), counts + 1, column_items, names,
+                (flips, marks))
 
     # RHS: its header, then one run of the nonzero right-hand sides by row
     nonzero = np.flatnonzero(lp.rhs != 0.0)
-    _write_runs(out, np.array(["RHS"], dtype=object), np.array([nonzero.size]),
+    _write_runs(out, lambda _: np.array(["    RHS       "], dtype=object),
+                np.array([nonzero.size]),
                 lambda _, k: (nonzero[k] + 1, lp.rhs[nonzero[k]]), names,
                 (np.zeros(1, dtype=np.int64), np.array(["RHS\n"], dtype=object)))
     out.write("RANGES\n")  # for completeness; this writer produces none
@@ -260,16 +431,62 @@ def _write_mps(out: TextIO, lp: CanonicalLp, var_names: list[str], row_names: li
         kinds = np.column_stack((np.select([fixed, free, inf_lo], [0, 1, 2], 3),
                                  np.where(inf_up, 4, 5)))
         keep = np.column_stack((np.ones_like(fixed), ~(fixed | free)))
-        kind, var = kinds[keep], np.repeat(np.arange(start, start + fixed.size), 2)[keep.ravel()]
+        kind, var = kinds[keep], np.repeat(np.arange(fixed.size), 2)[keep.ravel()]
         valued = np.isin(kind, (0, 3, 5))  # FX, LO and UP
         texts, index = _texts(np.column_stack((lower, upper))[keep][valued])
         value = np.full(kind.size, -1, dtype=np.int64)
         value[valued] = index
-        tails = np.where(valued, _heads(columns[block])[var - start],
-                         "       " + columns[var] + "\n")
-        out.write("".join(np.column_stack((_BOUNDS[kind], tails, texts[value],
-                                           _FILLS[np.where(valued, -1, 0)])).ravel().tolist()))
+        indented, lengths = columns.texts(block, "    ")
+        out.write("".join(np.column_stack((
+            _BOUNDS[kind], indented[var], _FILLS[np.where(valued, 10 - lengths[var], 0)],
+            (texts + "\n")[value])).ravel().tolist()))
     out.write("ENDATA\n")
+
+
+def _write_names_table(path: Path, spaces: Sequence[_ShortNames]) -> None:
+    """Write the bytes of ``json.dumps(table, indent=2, sort_keys=True)``
+    for the table from each mangled name to its original, ``_BLOCK`` keys
+    at a time, without building the table; remove the file when no name
+    was mangled.
+
+    A key is ``<short prefix>~<4 base-36 digits>`` and the digits sort as
+    their characters do, low digit first; so the keys sort by the rank of
+    ``<short prefix>~`` and then by the digits read backwards, unless a
+    short prefix holds ``~`` (then ``a~`` may begin ``a~b~``): those keys
+    are spelled out and sorted.  Quoting works per prefix: ``|``, ``~``,
+    digits and base-36 letters need no escaping.
+    """
+    quote = json.encoder.encode_basestring_ascii
+    keys = np.concatenate([space.keys[space.keys >= 0] for space in spaces])
+    if not keys.size:
+        path.unlink(missing_ok=True)
+        return
+    originals = Names.concat([space.names.take(np.flatnonzero(space.keys >= 0))
+                              for space in spaces])
+    tildes = spaces[0].tildes   # one short-prefix table serves every space
+    sid, code = keys // _SPAN, keys % _SPAN
+    if any("~" in tilde[:-1] for tilde in tildes.tolist()):
+        order = np.argsort(tildes[sid] + _B36_PAIRS[code % 1296] + _B36_PAIRS[code // 1296])
+    else:
+        rank = np.empty(tildes.size, dtype=np.int64)
+        rank[np.argsort(tildes)] = np.arange(tildes.size)
+        backwards = code % 36 * 46656 + code // 36 % 36 * 1296 + code // 1296 % 36 * 36 \
+            + code // 46656
+        order = np.argsort(rank[sid] * _SPAN + backwards)
+    # a line: ',\n  "<short prefix>~', two digit pairs, '": "<prefix>' and '|<index>"'
+    key_heads = np.array([",\n  " + quote(tilde)[:-1] for tilde in tildes.tolist()], dtype=object)
+    value_heads = np.array(['": ' + quote(prefix)[:-1] for prefix in originals.prefixes.tolist()],
+                           dtype=object)
+    tails, where = originals.index_texts('"')
+    with path.open("w", encoding="utf-8") as out:
+        out.write("{\n")
+        for start in range(0, keys.size, _BLOCK):
+            at = order[start:start + _BLOCK]
+            text = "".join(np.column_stack((
+                key_heads[sid[at]], _B36_PAIRS[code[at] % 1296], _B36_PAIRS[code[at] // 1296],
+                value_heads[originals.ids[at]], tails[where[at]])).ravel().tolist())
+            out.write(text[2:] if start == 0 else text)   # the first line follows "{\n"
+        out.write("\n}")
 
 
 def export_mps(lp: CanonicalLp, path: str | Path, comments: Sequence[str] = ()) -> Path:
@@ -293,24 +510,16 @@ def export_mps(lp: CanonicalLp, path: str | Path, comments: Sequence[str] = ()) 
         raise ValueError("MPS NAME must be 1 to 60 characters with no whitespace at either "
                          f"end: {lp.name!r}")
     path = Path(path)
-    var_names, var_table = mangle_names(lp.var_names)
-    row_names, row_table = mangle_names(lp.row_names, reserved=[*var_names, _OBJECTIVE_ROW])
+    shorts: dict[str, int] = {}
+    var_keys = _mangle(lp.var_names, shorts)
+    kept = lp.var_names.take(np.flatnonzero(var_keys < 0)).texts().tolist()
+    row_keys = _mangle(lp.row_names, shorts, [*kept, _OBJECTIVE_ROW], var_keys[var_keys >= 0])
+    tildes = _tildes(shorts)
+    columns = _ShortNames(lp.var_names, var_keys, tildes)
+    rows = _ShortNames(lp.row_names, row_keys, tildes)
     with path.open("w", encoding="utf-8") as out:
-        _write_mps(out, lp, var_names, row_names, comments)
-
-    table = {**var_table, **row_table}
-    side = path.with_name(path.name + ".names.json")
-    if not table:
-        side.unlink(missing_ok=True)
-        return path
-    # the bytes of json.dumps(table, indent=2, sort_keys=True), _BLOCK keys at a time
-    quote, keys = json.encoder.encode_basestring_ascii, sorted(table)
-    with side.open("w", encoding="utf-8") as out:
-        for start in range(0, len(keys), _BLOCK):
-            block = keys[start:start + _BLOCK]
-            out.write(("{\n" if start == 0 else ",\n") + ",\n".join(map(
-                "  {}: {}".format, map(quote, block), map(quote, map(table.__getitem__, block)))))
-        out.write("\n}")
+        _write_mps(out, lp, columns, rows, comments)
+    _write_names_table(path.with_name(path.name + ".names.json"), (columns, rows))
     return path
 
 

@@ -711,15 +711,15 @@ def build_comp_mir(matrix: CriticalityMatrix, catalog: SiteCatalog, plan: Cardin
     solver.  Use :func:`mir_solution_to_init` to turn the returned site
     values into a search initialisation.
     """
-    from windplan.lp import LpBuilder
+    from windplan.lp import LpBuilder, Names
 
     part, legacy = _layout(catalog, plan, matrix)
     builder = LpBuilder(name="comp_mir")
     x_vars = builder.add_vars([f"x|{sid}" for sid in matrix.site_ids],
                               lower=np.where(legacy, 1.0, 0.0), upper=1.0, integer=True)
     windows = range(matrix.n_windows)
-    y_vars = builder.add_vars([f"y|{w}" for w in windows], upper=1.0, objective=-1.0)
-    cov = builder.add_rows([f"cov|{w}" for w in windows], ">", 0.0,
+    y_vars = builder.add_vars(Names.family("y", windows), upper=1.0, objective=-1.0)
+    cov = builder.add_rows(Names.family("cov", windows), ">", 0.0,
                            (y_vars, -float(matrix.threshold_c)))
     sites, covered = np.nonzero(matrix.dense)
     builder.add_entries(cov[covered], x_vars[sites], 1.0)

@@ -392,3 +392,27 @@ def test_power_curve_requires_its_header(tmp_path, edit, got):
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: expected the header "
                                          f"wind_speed_ms,power_pu, got '{got}'$"):
         fileio.read_power_curve_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# A UTF-8 byte-order mark, as spreadsheet tools save, is not part of the text
+# ---------------------------------------------------------------------------
+
+def _with_bom(path):
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    return path
+
+
+def test_catalog_saved_with_a_byte_order_mark_reads_its_first_column(tmp_path):
+    rows = [{"id": "s1", "lon": 1.25, "lat": 54.5, "partition": "A",
+             "legacy_MW": 150.0, "potential_MW": 400.0}]
+    path = _with_bom(fileio.write_catalog_csv(tmp_path / "cat.csv", rows))
+    assert fileio.read_catalog_csv(path) == rows
+
+
+def test_series_saved_with_a_byte_order_mark_keeps_its_first_id(tmp_path):
+    series = {"s1": TimeSeries([0.5, 0.25], 3.0), "s2": TimeSeries([1.0, 0.0], 3.0)}
+    path = _with_bom(fileio.write_series_csv(tmp_path / "s.csv", series))
+    back = fileio.read_series_csv(path, resolution_hours=3.0)
+    assert list(back) == ["s1", "s2"]
+    assert back["s1"].values.tolist() == [0.5, 0.25]

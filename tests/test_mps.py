@@ -759,3 +759,14 @@ def test_mangling_table_keys_name_one_column_or_row(columns, rows):
        st.lists(st.one_of(NAMES, st.sampled_from(PROBE_NAMES + (CHAINED,))), max_size=20))
 def test_mangling_table_keys_name_one_column_or_row_on_random_names(columns, rows):
     _assert_table_names_one_item(columns + columns[:3], rows + columns[:5])
+
+
+def test_mps_and_solution_files_saved_with_a_byte_order_mark_read_back(tmp_path):
+    lp = random_lp(np.random.default_rng(4))
+    path = export_mps(lp, tmp_path / "bom.mps", comments=["saved by a spreadsheet tool"])
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert_same_lp(lp, import_mps(path))
+    solution = tmp_path / "bom.sol"
+    solution.write_bytes(b"\xef\xbb\xbf" + f"{lp.var_names[0]} 1.5\n".encode())
+    sol, report = import_solution(solution, lp.var_names, lp)
+    assert sol.x[0] == 1.5 and report.unknown == []
