@@ -16,12 +16,16 @@ site counts, and residual-demand diagnostics summarise what a selection
 does to the system load.  A criticality matrix must list the catalog's
 sites in catalog order, as :func:`~windplan.resource.build_criticality_matrix`
 builds it; the ``comp`` functions raise ``ValueError`` otherwise.
+
+:func:`run_multistart` spreads its runs over forked worker processes, which
+share the matrix copy-on-write; a caller that runs threads of its own
+should pass ``threads=1``, since forking a multi-threaded process is unsafe.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Callable, Iterable, Mapping
@@ -673,7 +677,15 @@ def run_multistart(
     Run ``i`` is seeded with ``base_seed + i`` and all runs start from the
     same (deterministic) greedy initialisation, so the result only depends
     on the inputs and the base seed.  Ties go to the lowest seed, which
-    makes the reduction independent of the thread count.
+    makes the reduction independent of the worker count.
+
+    The runs go to ``min(threads, n_runs, usable CPUs)`` worker processes.
+    Workers are forked: they inherit the matrix, its unpacked ``dense``
+    cache and the start read-only, and send back only their solutions.
+    With one worker, or where ``fork`` is not a start method, the runs
+    execute in this process.  Forking a process that runs threads of its
+    own can deadlock the children, so such a caller should pass
+    ``threads=1``.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
@@ -681,21 +693,48 @@ def run_multistart(
         raise ValueError("threads must be >= 1")
     if init is None:
         init = greedy_init(matrix, catalog, plan)
+    job = (init, matrix, catalog, plan, params)
+    seeds = range(base_seed, base_seed + n_runs)
+    workers = min(threads, n_runs, _usable_cpus())
+    if workers > 1:
+        import multiprocessing
 
-    def one(seed: int) -> SitingSolution:
-        return local_search(init, matrix, catalog, plan, params, seed)
-
-    seeds = [base_seed + i for i in range(n_runs)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, seeds))
+        if "fork" not in multiprocessing.get_all_start_methods():
+            workers = 1
+    if workers == 1:
+        results = [local_search(*job, seed) for seed in seeds]
     else:
-        results = [one(seed) for seed in seeds]
+        from concurrent.futures.process import ProcessPoolExecutor
+
+        matrix.dense  # unpack before the fork, so that the workers share it
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_start_worker, initargs=job) as pool:
+            results = list(pool.map(_run_seed, seeds))
     best = results[0]
     for result in results[1:]:
         if result.objective > best.objective:
             best = result
     return best
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_worker_job: tuple | None = None
+
+
+def _start_worker(*job) -> None:
+    """Pool initializer: keep the search inputs, inherited through the fork."""
+    global _worker_job
+    _worker_job = job
+
+
+def _run_seed(seed: int) -> SitingSolution:
+    return local_search(*_worker_job, seed)
 
 
 # ---------------------------------------------------------------------------
