@@ -3,9 +3,13 @@
 Generates a synthetic 19-bus dataset (two sites per bus, hydro on) over
 8,760 hours, resamples it to T = 2,920 three-hourly periods and runs
 ``windplan pipeline`` with ``cep.solver: mps-export`` in a temporary
-directory.  Prints the time to build the capacity-expansion LP, the time
-to write it, the size of ``cep.mps`` and the process's peak resident set
-size.  It asserts no timings.
+directory.  Prints the time to build the capacity-expansion LP and to
+write it, the size of ``cep.mps`` and the process's peak resident set
+size.  Then it builds and writes the same LP again under ``tracemalloc``
+(which slows both) and prints each step's traced peak beside what the LP
+holds: the build keeps its matrix once, in compressed sparse column
+form, and the writer reads the columns as stored.  It asserts no
+timings or sizes.
 
 Run:  python3 demos/06_paper_horizon_export.py
 """
@@ -14,13 +18,16 @@ import json
 import resource
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 from windplan import cli
 from windplan.synth import gen_synthetic
 
 BUSES, HOURS, FACTOR = 19, 8760, 3
+MIB = 2 ** 20
 timings: dict[str, float] = {}
+instances = []
 
 
 def timed(label, fn):
@@ -32,6 +39,17 @@ def timed(label, fn):
         finally:
             timings[label] = time.perf_counter() - start
     return wrapper
+
+
+def traced(fn, *args):
+    """``fn(*args)``, with the bytes it allocated and still holds on
+    return, and its traced peak."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return (result, *tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
 
 
 with tempfile.TemporaryDirectory() as tmp:
@@ -51,7 +69,13 @@ with tempfile.TemporaryDirectory() as tmp:
     }
     (root / "config.json").write_text(json.dumps(config), encoding="utf-8")
 
-    cli.build_lp = timed("build", cli.build_lp)
+    build_lp = cli.build_lp
+
+    def kept(instance):
+        instances.append(instance)
+        return build_lp(instance)
+
+    cli.build_lp = timed("build", kept)
     cli.mps_io.export_mps = timed("export", cli.mps_io.export_mps)
     start = time.perf_counter()
     rc = cli.main(["pipeline", str(root / "config.json"), "--out", str(root / "out"),
@@ -66,3 +90,9 @@ with tempfile.TemporaryDirectory() as tmp:
     print(f"cep.mps: {mps.stat().st_size / 1e6:.1f} MB")
     # ru_maxrss is in KiB on Linux
     print(f"peak RSS (ru_maxrss): {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.0f} MB")
+
+    (lp, _), held, peak = traced(build_lp, instances[0])
+    print(f"traced build_lp: peak {peak / MIB:.0f} MiB, {peak / held:.2f} times the "
+          f"{held / MIB:.0f} MiB it returns")
+    _, _, peak = traced(cli.mps_io.export_mps, lp, root / "out" / "traced.mps")
+    print(f"traced export_mps: peak {peak / MIB:.0f} MiB above its start")

@@ -4,7 +4,7 @@ Every CSV is written by :func:`write_table` (``# `` comment lines, a header,
 one unquoted row per line, numbers as ``repr(float(x))``) and every CSV
 input is read by its inverse :func:`read_table`; every JSON document is
 written by :func:`write_json` (two-space indent, sorted keys, a final
-newline).  The pipeline's JSON outputs carry ``config_hash`` and
+newline, no ``NaN`` or ``Infinity``).  The pipeline's JSON outputs carry ``config_hash`` and
 ``tool_version``, its CSVs a ``# config_hash=`` comment.
 
 How a CSV is read
@@ -23,8 +23,9 @@ Time-series CSV
     Resolution is supplied by the caller, not stored in the file.
 
 Site catalog CSV
-    Columns ``id, lon, lat, partition, legacy_MW, potential_MW``.  The
-    legacy flag is derived from the configured capacity threshold.
+    Columns ``id, lon, lat, partition, legacy_MW, potential_MW``; ``lon``
+    and ``lat`` are finite.  The legacy flag is derived from the configured
+    capacity threshold.
 
 Power curve CSV
     ``# key=value`` comment lines carrying ``cut_in``, ``rated_speed``,
@@ -129,9 +130,11 @@ def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence
 
 
 def write_json(path: str | Path, doc) -> Path:
-    """Write a JSON document: two-space indent, sorted keys, final newline."""
+    """Write a JSON document: two-space indent, sorted keys, final newline.
+    JSON has no NaN or infinity, so a non-finite number raises ValueError."""
     path = Path(path)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n",
+                    encoding="utf-8")
     return path
 
 
@@ -241,9 +244,14 @@ def write_catalog_csv(path: str | Path, rows: Iterable[Mapping], comments: Seque
 
 
 def read_catalog_csv(path: str | Path) -> list[dict]:
-    return _records(Path(path), CATALOG_HEADER, "catalog", lambda row: {
-        key: row[key] if key in ("id", "partition") else float(row[key])
-        for key in CATALOG_HEADER})
+    def parse(row: dict) -> dict:
+        record = {key: row[key] if key in ("id", "partition") else float(row[key])
+                  for key in CATALOG_HEADER}
+        for key in ("lon", "lat"):
+            if not math.isfinite(record[key]):
+                raise ValueError(f"{key} {row[key]!r} is not a finite number")
+        return record
+    return _records(Path(path), CATALOG_HEADER, "catalog", parse)
 
 
 def load_catalog(

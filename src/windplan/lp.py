@@ -1,15 +1,19 @@
 """Solver-independent linear programming layer.
 
-:class:`CanonicalLp` is a sparse triplet form (minimisation) with row
-senses, variable bounds and optional integrality flags (the flags exist
-only so mixed-integer relaxations can be exported; the bundled solver
-rejects them).  :class:`LpBuilder` assembles one from single variables,
-rows and coefficients or from whole families of them given as index
-arrays; a family's names are one :class:`Names` prefix and an index
-array, spelled out only when read or written to a file.  :func:`solve`
-is a bounded-variable revised simplex over a sparse working matrix,
-intended for desk-scale instances; anything larger should go through the
-MPS exporter in :mod:`windplan.mps` and an external solver.
+:class:`CanonicalLp` is a minimisation with row senses, variable bounds
+and optional integrality flags (the flags exist only so mixed-integer
+relaxations can be exported; the bundled solver rejects them).  Its
+matrix is stored once, in compressed sparse column form with the rows
+sorted within each column: the constructor takes (row, col, value)
+triplets in any order and converts them with one column-major sort, and
+every reader (the simplex set-up, the MPS writer) reads the columns as
+stored.  :class:`LpBuilder` assembles one from single variables, rows and
+coefficients or from whole families of them given as index arrays; a
+family's names are one :class:`Names` prefix and an index array, spelled
+out only when read or written to a file.  :func:`solve` is a
+bounded-variable revised simplex over a sparse working matrix, intended
+for desk-scale instances; anything larger should go through the MPS
+exporter in :mod:`windplan.mps` and an external solver.
 It solves the LP as built (a model sets its bounds as column bounds, not
 rows), sets up its working matrix, bounds and starting basis with array
 expressions, and LU-factorises only the kernel of each basis.  Every LP
@@ -24,7 +28,7 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,12 +40,14 @@ SENSES = ("<", "=", ">")
 _REFACTOR_EVERY = 40   # eta vectors kept before the basis is refactorised
 _BLAND_AFTER = 1000    # non-improving pivots before switching to Bland's rule
 
-# Array fields of a CanonicalLp with their dtypes; LpBuilder collects them in blocks.
+# Vector fields of a CanonicalLp and its entry triplets, with their dtypes;
+# LpBuilder collects both in blocks.
 _ARRAY_FIELDS = {
-    "objective": np.float64, "entry_rows": np.intp, "entry_cols": np.intp,
-    "entry_vals": np.float64, "rhs": np.float64, "lower": np.float64,
-    "upper": np.float64, "integer": bool,
+    "objective": np.float64, "rhs": np.float64, "lower": np.float64, "upper": np.float64,
+    "integer": bool,
 }
+_ENTRY_FIELDS = {"entry_rows": np.intp, "entry_cols": np.intp, "entry_vals": np.float64}
+_GATHER_CHUNK = 1 << 13   # entries gathered at a time by an in-place gather
 
 _SPELL_CHUNK = 1 << 13   # names spelled out at a time while iterating
 
@@ -180,9 +186,64 @@ class Names(Sequence):
         return f"Names({shown}{' ...' if len(self) > 4 else ''}, n={len(self)})"
 
 
-@dataclass(frozen=True)
+def _frozen(value, dtype) -> np.ndarray:
+    """``value`` as a read-only array of ``dtype``.  A read-only array of
+    that dtype, such as :class:`LpBuilder` hands over or another LP holds,
+    is taken as it is; a writeable one is copied, so that its owner cannot
+    change the LP."""
+    arr = np.asarray(value, dtype=dtype)
+    if arr.flags.writeable and (arr is value or not arr.flags.owndata):
+        arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
+
+
+def _index_array(value) -> np.ndarray:
+    """``value`` as an array of a signed integer type no wider than intp,
+    taken as it is when it already is one (LpBuilder hands over int32)."""
+    arr = np.asarray(value)
+    if arr.dtype.kind != "i" or arr.dtype.itemsize > np.dtype(np.intp).itemsize:
+        arr = arr.astype(np.intp)
+    return arr
+
+
+def _column_major(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+                  m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CSC arrays ``(indptr, indices, data)`` of in-range (row, col,
+    value) triplets in any order, rows sorted within each column: one sort
+    of the column-major keys, whose order array then becomes the row
+    indices in place.  Beyond the triplets this holds the keys and the
+    order, then the order and the data.  A repeated (row, col) raises
+    ValueError."""
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
+    key = cols.astype(np.intp)
+    key *= m
+    key += rows
+    order = np.argsort(key)
+    del key
+    data = vals[order]
+    for start in range(0, order.size, _GATHER_CHUNK):
+        part = order[start:start + _GATHER_CHUNK]
+        part[...] = rows[part]
+    indices = order
+    # entries i and i + 1 with one row, repeated if they share a column
+    same = np.flatnonzero(indices[1:] == indices[:-1])
+    if np.any(np.searchsorted(indptr, same, "right") == np.searchsorted(indptr, same + 1, "right")):
+        raise ValueError("duplicate (row, col) triplets")
+    return indptr, indices, data
+
+
+@dataclass(frozen=True, init=False)
 class CanonicalLp:
     """min c'x  s.t.  A x {<=,=,>=} b,  lower <= x <= upper.
+
+    A is stored once, in compressed sparse column form: column j's entries
+    are ``indices[indptr[j]:indptr[j + 1]]`` (their rows, ascending) and
+    the same slice of ``data``.  The constructor takes A as
+    ``entry_rows``/``entry_cols``/``entry_vals`` triplets in any order and
+    sorts them once; the properties of those names give them back in
+    (row, col) order, computed on each access.
 
     ``var_names`` and ``row_names`` are :class:`Names`: a sequence of str
     given to the constructor is held as one prefix per name, and a model's
@@ -190,9 +251,11 @@ class CanonicalLp:
     """
 
     objective: np.ndarray
-    entry_rows: np.ndarray
-    entry_cols: np.ndarray
-    entry_vals: np.ndarray
+    # Constructor arguments only; the properties below read them back, which
+    # is also how dataclasses.replace passes them on.
+    entry_rows: InitVar[np.ndarray]
+    entry_cols: InitVar[np.ndarray]
+    entry_vals: InitVar[np.ndarray]
     senses: tuple[str, ...]
     rhs: np.ndarray
     lower: np.ndarray
@@ -201,37 +264,47 @@ class CanonicalLp:
     var_names: Names
     row_names: Names
     name: str = "lp"
+    indptr: np.ndarray = field(init=False)
+    indices: np.ndarray = field(init=False)
+    data: np.ndarray = field(init=False)
 
-    def __post_init__(self) -> None:
-        for attr, dtype in _ARRAY_FIELDS.items():
-            arr = np.array(getattr(self, attr), dtype=dtype)
-            arr.setflags(write=False)
-            object.__setattr__(self, attr, arr)
-        object.__setattr__(self, "senses", tuple(self.senses))
-        object.__setattr__(self, "var_names", Names.of(self.var_names))
-        object.__setattr__(self, "row_names", Names.of(self.row_names))
+    def __init__(self, objective, entry_rows, entry_cols, entry_vals, senses, rhs, lower,
+                 upper, integer, var_names, row_names, name: str = "lp"):
+        def put(attr, value):
+            object.__setattr__(self, attr, value)
+
+        for attr, value in zip(_ARRAY_FIELDS, (objective, rhs, lower, upper, integer)):
+            put(attr, _frozen(value, _ARRAY_FIELDS[attr]))
+        put("senses", tuple(senses))
+        put("var_names", Names.of(var_names))
+        put("row_names", Names.of(row_names))
+        put("name", name)
         n, m = self.n_vars, self.n_rows
         if len(self.var_names) != n or self.lower.size != n or self.upper.size != n \
                 or self.integer.size != n:
             raise ValueError("variable-sized fields disagree on the variable count")
         if len(self.row_names) != m or len(self.senses) != m or self.rhs.size != m:
             raise ValueError("row-sized fields disagree on the row count")
-        if any(s not in SENSES for s in self.senses):
+        if not set(self.senses) <= set(SENSES):
             raise ValueError("row senses must be one of <, =, >")
         if not np.all(np.isfinite(self.objective)):
             raise ValueError("objective coefficients must be finite")
-        if not np.all(np.isfinite(self.entry_vals)):
+        rows, cols = _index_array(entry_rows), _index_array(entry_cols)
+        vals = np.asarray(entry_vals, dtype=np.float64)
+        if not rows.ndim == cols.ndim == vals.ndim == 1 or not rows.size == cols.size == vals.size:
+            raise ValueError("entry rows, columns and values must be 1-D and of one length")
+        if not np.all(np.isfinite(vals)):
             raise ValueError("constraint coefficients must be finite")
         if np.any(self.lower > self.upper):
             raise ValueError("every lower bound must not exceed its upper bound")
-        if self.entry_rows.size:
-            if self.entry_rows.min() < 0 or self.entry_rows.max() >= m:
+        if rows.size:
+            if rows.min() < 0 or rows.max() >= m:
                 raise ValueError("entry row index out of range")
-            if self.entry_cols.min() < 0 or self.entry_cols.max() >= n:
+            if cols.min() < 0 or cols.max() >= n:
                 raise ValueError("entry column index out of range")
-            keys = np.sort(self.entry_rows * n + self.entry_cols)
-            if np.any(keys[1:] == keys[:-1]):
-                raise ValueError("duplicate (row, col) triplets")
+        for attr, arr in zip(("indptr", "indices", "data"), _column_major(rows, cols, vals, m, n)):
+            arr.setflags(write=False)
+            put(attr, arr)
 
     @property
     def n_vars(self) -> int:
@@ -241,10 +314,42 @@ class CanonicalLp:
     def n_rows(self) -> int:
         return int(self.rhs.size)
 
+    def column_of_entries(self) -> np.ndarray:
+        """The column of each stored entry."""
+        return np.repeat(np.arange(self.n_vars, dtype=np.intp), np.diff(self.indptr))
+
+    def _by_row(self, stored: np.ndarray) -> np.ndarray:
+        """``stored``, one item per stored entry, in (row, col) order and read-only."""
+        out = stored[np.argsort(self.indices, kind="stable")]
+        out.setflags(write=False)
+        return out
+
+    @property
+    def entry_rows(self) -> np.ndarray:
+        return self._by_row(self.indices)
+
+    @property
+    def entry_cols(self) -> np.ndarray:
+        return self._by_row(self.column_of_entries())
+
+    @property
+    def entry_vals(self) -> np.ndarray:
+        return self._by_row(self.data)
+
     def dense_matrix(self) -> np.ndarray:
         a = np.zeros((self.n_rows, self.n_vars))
-        a[self.entry_rows, self.entry_cols] = self.entry_vals
+        a[self.indices, self.column_of_entries()] = self.data
         return a
+
+
+def _narrowed(indices: np.ndarray, count: int) -> np.ndarray:
+    """``indices`` as int32 when every one lies in [0, count) and count
+    fits, which spares the LP's conversion 8 bytes an entry; else as they
+    are, for its range check."""
+    if count <= np.iinfo(np.int32).max and (not indices.size or (indices.min() >= 0
+                                                                 and indices.max() < count)):
+        return indices.astype(np.int32)
+    return indices
 
 
 class LpBuilder:
@@ -253,12 +358,12 @@ class LpBuilder:
     :meth:`add_vars`, :meth:`add_rows` and :meth:`add_entries` add whole
     families as index arrays and broadcast scalar arguments along them;
     :meth:`add_var`, :meth:`add_row` and :meth:`add_entry` are their
-    one-item forms.  The names of a block are a list of str or a
+    one-item forms.  A block keeps a broadcast scalar as one value until
+    :meth:`build`.  The names of a block are a list of str or a
     :class:`Names` family, which is kept as it is: :meth:`build` joins the
-    blocks' names without spelling them out.  :meth:`build` sorts the
-    entries by (row, col).  A repeated scalar entry is rejected at once, a
-    (row, col) pair repeated across blocks by the :class:`CanonicalLp`
-    triplet check.
+    blocks' names without spelling them out.  A repeated scalar entry is
+    rejected at once, a (row, col) pair repeated across blocks by the
+    :class:`CanonicalLp` conversion.
     """
 
     def __init__(self, name: str = "lp"):
@@ -267,7 +372,8 @@ class LpBuilder:
         self._row_names: list[Names] = []
         self._n_vars = self._n_rows = 0
         self._senses: list[str] = []
-        self._blocks = {key: [np.zeros(0, dtype)] for key, dtype in _ARRAY_FIELDS.items()}
+        self._blocks = {key: [np.zeros(0, dtype)]
+                        for key, dtype in (_ARRAY_FIELDS | _ENTRY_FIELDS).items()}
         self._scalar_keys: set[tuple[int, int]] = set()
 
     def _append(self, key: str, values, n: int) -> None:
@@ -302,10 +408,10 @@ class LpBuilder:
 
     def add_entries(self, rows, cols, vals) -> None:
         """Add a block of coefficients, broadcasting the three arguments."""
-        keys = ("entry_rows", "entry_cols", "entry_vals")
-        arrays = (np.array(v, _ARRAY_FIELDS[k]) for k, v in zip(keys, (rows, cols, vals)))
-        for key, values in zip(keys, np.broadcast_arrays(*arrays)):
-            self._blocks[key].append(values.ravel())
+        arrays = (np.array(v, dtype) for v, dtype in zip((rows, cols, vals),
+                                                          _ENTRY_FIELDS.values()))
+        for key, values in zip(_ENTRY_FIELDS, np.broadcast_arrays(*arrays)):
+            self._blocks[key].append(values.reshape(-1))
 
     def add_var(self, name: str, lower: float = 0.0, upper: float = math.inf,
                 objective: float = 0.0, integer: bool = False) -> int:
@@ -321,12 +427,22 @@ class LpBuilder:
         self.add_entries(row, col, value)
 
     def build(self) -> CanonicalLp:
-        arrays = {key: np.concatenate(blocks) for key, blocks in self._blocks.items()}
-        order = np.lexsort((arrays["entry_cols"], arrays["entry_rows"]))
-        for key in ("entry_rows", "entry_cols", "entry_vals"):
-            arrays[key] = arrays[key][order]
-        return CanonicalLp(senses=tuple(self._senses), var_names=Names.concat(self._var_names),
-                           row_names=Names.concat(self._row_names), name=self.name, **arrays)
+        """The LP of everything added so far; the builder starts over empty.
+        Each field's blocks are joined and freed in turn, and the entries go
+        to :class:`CanonicalLp` as they were added, for its one sort."""
+        blocks, senses, name = self._blocks, tuple(self._senses), self.name
+        counts = {"entry_rows": self._n_rows, "entry_cols": self._n_vars}
+        var_names, row_names = Names.concat(self._var_names), Names.concat(self._row_names)
+        self.__init__(name)
+        arrays = {}
+        for key in list(blocks):
+            joined = np.concatenate(blocks.pop(key))   # the blocks go once joined
+            if key in counts:
+                joined = _narrowed(joined, counts[key])
+            joined.setflags(write=False)
+            arrays[key] = joined
+        return CanonicalLp(senses=senses, var_names=var_names, row_names=row_names, name=name,
+                           **arrays)
 
 
 @dataclass(frozen=True)
@@ -416,6 +532,15 @@ class _Basis:
         return len(self.etas) < _REFACTOR_EVERY
 
 
+def _append_unit_columns(a, rows: np.ndarray, vals: np.ndarray, m: int) -> sp.csc_matrix:
+    """The m-row matrix of the columns of ``a`` (CSC arrays: a
+    :class:`CanonicalLp` or a ``csc_matrix``), then one column per item of
+    ``rows`` holding the matching ``vals`` item in that row."""
+    return sp.csc_matrix((np.concatenate([a.data, vals]), np.concatenate([a.indices, rows]),
+                          np.concatenate([a.indptr, a.indptr[-1] + np.arange(1, rows.size + 1)])),
+                         shape=(m, a.indptr.size - 1 + rows.size))
+
+
 class _Simplex:
     """Bounded-variable two-phase revised simplex.
 
@@ -449,10 +574,7 @@ class _Simplex:
         x = np.where(np.isfinite(lower), lower, np.where(np.isfinite(upper), upper, 0.0))
         status = np.where(np.isfinite(lower), _AT_LOWER,
                           np.where(np.isfinite(upper), _AT_UPPER, _FREE))
-        rows = np.concatenate([lp.entry_rows, slack_rows])
-        cols = np.concatenate([lp.entry_cols, np.arange(n, self.n_real)])
-        vals = np.concatenate([lp.entry_vals, np.ones(slack_rows.size)])
-        partial = sp.csc_matrix((vals, (rows, cols)), shape=(m, self.n_real), dtype=np.float64)
+        partial = _append_unit_columns(lp, slack_rows, np.ones(slack_rows.size), m)
         residual = self.b - partial @ x
 
         # Basis: the row's own slack when it can absorb the residual,
@@ -473,10 +595,8 @@ class _Simplex:
         self.x = np.concatenate([x, np.abs(residual[art_rows])])
         self.vstatus = np.concatenate([status, np.full(self.n_art, _BASIC, dtype=status.dtype)])
         self.basis = basis
-        self.A = sp.csc_matrix(
-            (np.concatenate([vals, np.where(residual[art_rows] >= 0, 1.0, -1.0)]),
-             (np.concatenate([rows, art_rows]), np.concatenate([cols, arts]))),
-            shape=(m, self.n_real + self.n_art), dtype=np.float64)
+        self.A = _append_unit_columns(partial, art_rows,
+                                      np.where(residual[art_rows] >= 0, 1.0, -1.0), m)
         self.AT = self.A.T.tocsr()
         self.cost = np.zeros(self.A.shape[1])   # phase two
         self.cost[:n] = lp.objective
@@ -619,10 +739,9 @@ class _Simplex:
         """
         active = (self.basis >= self.n_real) & (self.x[self.basis] == 0.0)
         n_active = np.count_nonzero(active)
-        struct = self.A[:, : self.n_struct]
-        big = np.abs(struct.data) > 1e-7
-        entry_rows = struct.indices[big]
-        entry_cols = np.repeat(np.arange(self.n_struct), np.diff(struct.indptr))[big]
+        big = np.abs(self.lp.data) > 1e-7
+        entry_rows = self.lp.indices[big]
+        entry_cols = self.lp.column_of_entries()[big]
         while True:
             hit = active[entry_rows] & (self.vstatus[entry_cols] != _BASIC)
             single = hit & (np.bincount(entry_cols[hit], minlength=self.n_struct)[entry_cols] == 1)

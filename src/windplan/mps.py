@@ -12,9 +12,10 @@ INTORG/INTEND markers.  Solution files are one ``name value`` pair per line.
 The writer runs no Python code per line or per field, and it writes each
 section in blocks of ``_BLOCK`` items: the row-name tables are laid out
 once, each block's column heads and distinct values with the block, and a
-line is a row of pieces taken from those tables.  Beyond the LP an export
-holds the row-name tables, the order of the entries by column (8 bytes a
-nonzero) and one block, so its memory is O(n + m + block).
+line is a row of pieces taken from those tables.  COLUMNS reads the
+entries in the order the LP stores them (by column, rows ascending), so
+beyond the LP an export holds the row-name tables and one block, and its
+memory is O(n + m + block).
 
 Names stay families (:class:`~windplan.lp.Names`: a prefix table and
 index arrays) up to the file.  Mangling hashes each prefix once and the
@@ -27,7 +28,7 @@ short name is an integer key until a block spells it out.  The
 in about 0.15 s, against 0.43 s when every name was a string, with a
 traced peak of 8.7 MiB against 15.6 MiB.  At the paper's horizon (that
 shape at T = 2,920: 1.54 M names, a 150 MB file, ``demos/06``) an export
-takes 2.8-3.4 s against 8.7-11.2 s, and the process's peak RSS is 465-471
+takes 2.3-3.4 s against 8.7-11.2 s, and the process's peak RSS is 413-420
 MB against 659 MB.  The paper-scale comp MIR (4.44 M nonzeros, a 114 MB file)
 exports in 1.1 s.  All on one 2-core x86-64 host shared with other tenants.
 The bytes are pinned to the line-at-a-time reference writer in
@@ -375,8 +376,8 @@ def _write_mps(out: TextIO, lp: CanonicalLp, columns: _ShortNames, rows: _ShortN
     block of items at a time.  The row-name tables are laid out once, each
     block's column names, column heads and distinct values with the block,
     and a line is a row of pieces taken from those tables.  Beyond the LP
-    this holds O(m) row-name tables, the order of the entries by column
-    and one block."""
+    this holds O(m) row-name tables and one block: COLUMNS reads the
+    entries as the LP stores them, by column."""
     n, m = lp.n_vars, lp.n_rows
     texts, lengths = rows.texts()
     # row i is table[i + 1]; table[-1], an absent field, is empty
@@ -393,24 +394,20 @@ def _write_mps(out: TextIO, lp: CanonicalLp, columns: _ShortNames, rows: _ShortN
                                            _FILLS[np.full(sense.size, -1)])).ravel().tolist()))
 
     # COLUMNS: a run per column, its objective entry (row 0) first, then its
-    # entries by row; INTORG before each integer run, INTEND after it
-    order = np.lexsort((lp.entry_rows, lp.entry_cols))
-    counts = np.bincount(lp.entry_cols, minlength=n)
-    entry_start = np.cumsum(counts) - counts
-
+    # entries as stored, by row; INTORG before each integer run, INTEND after it
     def column_items(col: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         entry = k > 0
-        e = order[(entry_start[col] + k - 1)[entry]]
+        e = (lp.indptr[col] + k - 1)[entry]
         rows, values = np.zeros(k.size, dtype=np.int64), lp.objective[col]
-        rows[entry], values[entry] = lp.entry_rows[e] + 1, lp.entry_vals[e]
+        rows[entry], values[entry] = lp.indices[e] + 1, lp.data[e]
         return rows, values
 
     flips = np.flatnonzero(np.diff(lp.integer, prepend=False, append=False))
     marks = np.fromiter((f"    MK{k:06d}  'MARKER'{' ' * 17}'{('INTEND', 'INTORG')[k % 2]}'\n"
                          for k in range(1, flips.size + 1)), dtype=object, count=flips.size)
     out.write("COLUMNS\n")
-    _write_runs(out, lambda part: _heads(columns, part), counts + 1, column_items, names,
-                (flips, marks))
+    _write_runs(out, lambda part: _heads(columns, part), np.diff(lp.indptr) + 1, column_items,
+                names, (flips, marks))
 
     # RHS: its header, then one run of the nonzero right-hand sides by row
     nonzero = np.flatnonzero(lp.rhs != 0.0)

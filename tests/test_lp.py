@@ -100,6 +100,75 @@ def test_duplicate_triplets_rejected():
         )
 
 
+def lp_of_triplets(m, n, rows, cols, vals):
+    return CanonicalLp(objective=np.zeros(n), entry_rows=rows, entry_cols=cols, entry_vals=vals,
+                       senses=["<"] * m, rhs=np.zeros(m), lower=np.zeros(n),
+                       upper=np.ones(n), integer=np.zeros(n, dtype=bool),
+                       var_names=[f"x{j}" for j in range(n)],
+                       row_names=[f"r{i}" for i in range(m)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 7), st.integers(1, 7), st.data())
+def test_the_lp_stores_its_triplets_as_sorted_columns(m, n, data):
+    cells = data.draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, n - 1)),
+                               unique=True))
+    order = data.draw(st.permutations(range(len(cells))))
+    vals = data.draw(st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=len(cells),
+                              max_size=len(cells)))
+    rows, cols = [cells[k][0] for k in order], [cells[k][1] for k in order]
+    given_vals = [vals[k] for k in order]
+    lp = lp_of_triplets(m, n, rows, cols, given_vals)
+    want = sp.csc_matrix((np.array(given_vals, dtype=float),
+                          (np.array(rows, dtype=int), np.array(cols, dtype=int))), shape=(m, n))
+    want.sort_indices()
+    assert lp.indptr.tolist() == want.indptr.tolist()
+    assert lp.indices.tolist() == want.indices.tolist()
+    assert lp.data.tobytes() == want.data.tobytes()
+    by_row = sorted(range(len(cells)), key=lambda k: cells[k])
+    assert lp.entry_rows.tolist() == [cells[k][0] for k in by_row]
+    assert lp.entry_cols.tolist() == [cells[k][1] for k in by_row]
+    assert lp.entry_vals.tolist() == [vals[k] for k in by_row]
+    for arr in (lp.indptr, lp.indices, lp.data, lp.entry_rows, lp.entry_cols, lp.entry_vals):
+        assert not arr.flags.writeable
+    again = dataclasses.replace(lp, rhs=np.ones(m))
+    assert again.indices.tobytes() == lp.indices.tobytes()
+    assert again.data.tobytes() == lp.data.tobytes() and again.rhs.tolist() == [1.0] * m
+    if cells:
+        at = data.draw(st.integers(0, len(cells)))
+        r, c = cells[data.draw(st.integers(0, len(cells) - 1))]
+        with pytest.raises(ValueError, match="duplicate"):
+            lp_of_triplets(m, n, rows[:at] + [r] + rows[at:], cols[:at] + [c] + cols[at:],
+                           given_vals[:at] + [0.5] + given_vals[at:])
+
+
+def test_the_lp_keeps_no_writeable_array_of_its_caller():
+    lower, rows = np.zeros(2), np.array([0, 1])
+    lp = CanonicalLp(objective=[1.0, 2.0], entry_rows=rows, entry_cols=[1, 0],
+                     entry_vals=[3.0, 4.0], senses=["<", ">"], rhs=[1.0, 2.0], lower=lower,
+                     upper=[1.0, 1.0], integer=[False, False], var_names=["a", "b"],
+                     row_names=["r", "s"])
+    lower[0], rows[0] = -5.0, 1
+    assert lp.lower.tolist() == [0.0, 0.0] and lp.entry_rows.tolist() == [0, 1]
+    assert lower.flags.writeable and rows.flags.writeable
+
+
+def test_builder_indices_out_of_range_are_not_wrapped():
+    """The builder hands in-range indices over as int32; one beyond int32
+    must still fail the range check, not wrap into range."""
+    builder = LpBuilder()
+    builder.add_vars(["x0", "x1"])
+    builder.add_rows(["r0"], "<", 1.0)
+    builder.add_entries(0, np.array([2**32 + 1]), 1.0)
+    with pytest.raises(ValueError, match="entry column index out of range"):
+        builder.build()
+    builder.add_vars(["x0"])
+    builder.add_rows(["r0"], "<", 1.0)
+    builder.add_entries(np.array([2**32]), 0, 1.0)
+    with pytest.raises(ValueError, match="entry row index out of range"):
+        builder.build()
+
+
 def test_bound_sanity_rejected():
     with pytest.raises(ValueError, match="lower bound"):
         build_lp([1.0], [], [], [], lower=[2.0], upper=[1.0])

@@ -597,10 +597,10 @@ def _traced_export_peak(lp, path):
 
 
 def test_export_memory_per_nonzero_is_bounded(tmp_path):
-    """An export holds one block of lines, so on a comp-MIR-shaped LP (600
-    columns, 3,000 rows) going from 50 to 400 entries a column adds little
-    beyond the order of the entries by column (8 bytes a nonzero): at most
-    24 bytes a nonzero, where a writer holding whole sections added 136."""
+    """An export holds one block of lines and reads the entries as the LP
+    stores them, so on a comp-MIR-shaped LP (600 columns, 3,000 rows) going
+    from 50 to 400 entries a column adds at most 24 bytes a nonzero, where
+    a writer holding whole sections added 136."""
 
     def lp_of(per_column):
         n, m = 600, 3000

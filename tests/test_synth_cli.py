@@ -672,6 +672,47 @@ def test_exit_data_on_unreadable_inputs(dataset, capsys, overrides, setup, messa
     assert message in err["message"]
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("column, cell", [("lon", "nan"), ("lat", "inf"), ("lon", "-inf")])
+def test_non_finite_catalog_coordinates_exit_data(dataset, capsys, column, cell):
+    """A site's coordinates go into ``siting_solution.geojson``, where a
+    non-finite one would be a bare ``NaN`` or ``Infinity``: not JSON, so
+    the catalog refuses it, naming the file and the line."""
+    tmp_path, data_dir = dataset
+    config = write_config(tmp_path, data_dir)
+    path = data_dir / "sites.csv"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    at = lines[0].split(",").index(column)
+    cells = lines[3].split(",")
+    cells[at] = cell
+    lines[3] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["pipeline", str(config)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "data" and err["exit_code"] == 2
+    assert f"sites.csv: line 4: {column} '{cell}' is not a finite number" in err["message"]
+    assert not (tmp_path / "out" / "siting_solution.geojson").exists()
+
+
+def test_every_pipeline_json_artifact_is_strict_json(dataset):
+    tmp_path, data_dir = dataset
+    assert main(["pipeline", str(write_config(tmp_path, data_dir))]) == 0
+    documents = sorted((tmp_path / "out").glob("*.*json"))
+    assert {path.name for path in documents} >= {"siting_solution.geojson", "cep_solution.json"}
+    for path in documents:
+        json.loads(path.read_text(encoding="utf-8"), parse_constant=_refuse_constant)
+
+
+def test_write_json_refuses_non_finite_numbers(tmp_path):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        fileio.write_json(tmp_path / "doc.json", {"x": float("nan")})
+
+
 # ---------------------------------------------------------------------------
 # Unusable output paths
 # ---------------------------------------------------------------------------
