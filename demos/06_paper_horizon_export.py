@@ -8,7 +8,9 @@ write it, the size of ``cep.mps`` and the process's peak resident set
 size.  Then it builds and writes the same LP again under ``tracemalloc``
 (which slows both) and prints each step's traced peak beside what the LP
 holds: the build keeps its matrix once, in compressed sparse column
-form, and the writer reads the columns as stored.  It asserts no
+form, and the writer reads the columns as stored and writes free-format
+MPS under the LP's own names, each row name as a prefix piece and an
+index piece, so it spells out no table of row names.  It asserts no
 timings or sizes.
 
 Run:  python3 demos/06_paper_horizon_export.py

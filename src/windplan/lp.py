@@ -52,6 +52,16 @@ _GATHER_CHUNK = 1 << 13   # entries gathered at a time by an in-place gather
 _SPELL_CHUNK = 1 << 13   # names spelled out at a time while iterating
 
 
+def family_of(name: str) -> tuple[str, int]:
+    """The prefix and index under which a family item spells ``name``
+    (``prefix|index``), or ``(name, -1)`` when none does."""
+    head, bar, tail = name.rpartition("|")
+    if bar and tail.isascii() and tail.isdigit() and len(tail) <= 19 \
+            and str(int(tail)) == tail and int(tail) < 2 ** 63:
+        return head, int(tail)
+    return name, -1
+
+
 class Names(Sequence):
     """An immutable sequence of LP names stored as families.
 
@@ -114,16 +124,12 @@ class Names(Sequence):
                            + [np.zeros(0, np.intp)]),
             np.concatenate([part.indices for part in parts] + [np.zeros(0, np.int64)]))
 
-    def take(self, positions) -> Names:
-        """The names at ``positions`` (an integer array)."""
-        return Names._view(self.prefixes, self.ids[positions], self.indices[positions])
-
-    def index_texts(self, end: str = "") -> tuple[np.ndarray, np.ndarray]:
-        """What follows the prefix in each name, then ``end``: a table with
-        ``|<i>`` for each distinct index i (nothing for -1), and each item's
-        position in it."""
+    def index_texts(self) -> tuple[np.ndarray, np.ndarray]:
+        """What follows the prefix in each name: a table with ``|<i>`` for
+        each distinct index i (nothing for -1), and each item's position in
+        it."""
         values, where = np.unique(self.indices, return_inverse=True)
-        return np.array([f"|{i}{end}" if i >= 0 else end for i in values.tolist()],
+        return np.array([f"|{i}" if i >= 0 else "" for i in values.tolist()],
                         dtype=object), where.ravel()
 
     def texts(self) -> np.ndarray:
@@ -134,10 +140,9 @@ class Names(Sequence):
     def _hits(self, name: str) -> np.ndarray:
         """Which items spell ``name``."""
         hits = (self.prefixes == name)[self.ids] & (self.indices < 0)
-        head, bar, tail = name.rpartition("|")
-        if bar and tail.isascii() and tail.isdigit() and len(tail) < 19 \
-                and str(int(tail)) == tail:
-            hits |= (self.prefixes == head)[self.ids] & (self.indices == int(tail))
+        head, i = family_of(name)
+        if i >= 0:
+            hits |= (self.prefixes == head)[self.ids] & (self.indices == i)
         return hits
 
     def __len__(self) -> int:

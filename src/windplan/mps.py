@@ -1,275 +1,85 @@
 """MPS interchange for canonical LPs plus a plain-text solution format.
 
-The writer emits fixed-format MPS (fields anchored at columns 2-3, 5-12,
-15-22, 25-36, 40-47 and 50-61) with values printed to 12 significant
-digits; a field longer than its slot simply runs on, which every
-whitespace-tolerant reader (including ours) accepts.  Names the file cannot
-hold (longer than eight characters, empty or holding whitespace, and a row
-named like the objective row) are mangled deterministically and the
-mangling table is written next to the file.  Integer columns are wrapped in
-INTORG/INTEND markers.  Solution files are one ``name value`` pair per line.
+The writer emits free-format MPS under the LP's own names: a data line is
+one leading space and its fields joined by single spaces, values are
+printed to 12 significant digits, COLUMNS and RHS hold two (row, value)
+pairs a line and integer columns are wrapped in INTORG/INTEND markers.  A
+name such a file cannot hold raises ValueError before the file is opened:
+an empty name, one holding anything ``str.split`` splits on, a row named
+like the objective row ``COST``, and a name that repeats among the columns
+or among the rows.  Solution files are one ``name value`` pair per line.
 
-The writer runs no Python code per line or per field, and it writes each
-section in blocks of ``_BLOCK`` items: the row-name tables are laid out
-once, each block's column heads and distinct values with the block, and a
-line is a row of pieces taken from those tables.  COLUMNS reads the
-entries in the order the LP stores them (by column, rows ascending), so
-beyond the LP an export holds the row-name tables and one block, and its
-memory is O(n + m + block).
+The writer runs no Python code per line or per field.  It writes each
+section in blocks of ``_BLOCK`` items, a line a row of pieces taken from
+tables: each block's column names and distinct values, spelled out with
+the block, and the row names, which stay families
+(:class:`~windplan.lp.Names`) up to the file: a row name is a prefix piece
+and an ``|<index>`` piece, taken through integer arrays.  COLUMNS reads
+the entries as the LP stores them (by column), so beyond the LP an export
+holds O(n + m) integers and one block.
 
-Names stay families (:class:`~windplan.lp.Names`: a prefix table and
-index arrays) up to the file.  Mangling hashes each prefix once and the
-``|`` and digits of every index at once, keeps or shortens a name by its
-length, finds first-come collisions with one sort of integer keys (short
-prefix id, hash) and probes salts only for the names that collide; a
-short name is an integer key until a block spells it out.  The
-``.names.json`` table is sorted on those keys and quoted per prefix.  The
-``export-19bus`` LP (51,568 columns, 33,299 rows, an 8.2 MB file) exports
-in about 0.15 s, against 0.43 s when every name was a string, with a
-traced peak of 8.7 MiB against 15.6 MiB.  At the paper's horizon (that
-shape at T = 2,920: 1.54 M names, a 150 MB file, ``demos/06``) an export
-takes 2.3-3.4 s against 8.7-11.2 s, and the process's peak RSS is 413-420
-MB against 659 MB.  The paper-scale comp MIR (4.44 M nonzeros, a 114 MB file)
-exports in 1.1 s.  All on one 2-core x86-64 host shared with other tenants.
-The bytes are pinned to the line-at-a-time reference writer in
-``tests/mps_oracle.py``.
+The ``export-19bus`` LP (51,568 columns, 33,299 rows, a 9.5 MB file)
+exports in 0.08-0.09 s with a traced peak of 3.5 MiB; at the paper's
+horizon (T = 2,920, 1.54 M names, a 182 MB file, ``demos/06``) in 1.9-2.3
+s, at a process peak RSS of 292 MB; both on one 2-core x86-64 host shared
+with other tenants.  HiGHS's own reader takes the files
+(``tests/test_mps_highs.py``), and their bytes are pinned to the
+line-at-a-time reference writer in ``tests/mps_oracle.py``.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
 from windplan.fileio import _read
-from windplan.lp import CanonicalLp, LpBuilder, LpSolution, Names
+from windplan.lp import CanonicalLp, LpBuilder, LpSolution, Names, family_of
 
 _OBJECTIVE_ROW = "COST"
-_B36 = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-_B36_VALUE = {digit: value for value, digit in enumerate(_B36)}
-# Two base-36 digits, low digit first: _B36_PAIRS[x] spells x < 36 ** 2.
-_B36_PAIRS = np.array([low + high for high in _B36 for low in _B36], dtype=object)
-# A short form is "<short prefix>~" and four base-36 digits of the name's
-# hash, low digit first; as an integer key it is short-prefix id * _SPAN + hash % _SPAN.
-_SPAN = 36 ** 4
-_OFFSET, _PRIME = 2166136261, np.uint32(16777619)   # 32-bit FNV-1a
-_POW10 = 10 ** np.arange(19, dtype=np.int64)
 
 
-def _fnv(data: list[bytes], state) -> np.ndarray:
-    """32-bit FNV-1a of each byte string, continued from ``state`` (one
-    uint32 for all strings or one per string)."""
-    lengths = np.fromiter(map(len, data), dtype=np.int64, count=len(data))
-    padded = np.zeros((lengths.max(initial=0), len(data)), dtype=np.uint8)  # row k: byte k
-    padded.T[lengths[:, None] > np.arange(len(padded))] = np.frombuffer(b"".join(data), np.uint8)
-    h = np.array(np.broadcast_to(np.asarray(state, dtype=np.uint32), len(data)))
-    for k, byte in enumerate(padded):
-        h = np.where(lengths > k, (h ^ byte) * _PRIME, h)
-    return h
+def _check_names(names: Names, kind: str, reserved: str | None = None) -> None:
+    """Raise ValueError naming the first of ``names`` (the LP's ``kind``
+    names) that a free MPS file cannot hold: an empty name, one holding
+    whitespace, ``reserved``, or a repeat.  A name is keyed by the (prefix,
+    index) it spells, so ``a|1`` alone repeats item 1 of family ``a``, and
+    one sort of the keys finds repeats; only a refused name is spelled out."""
+    prefixes, bare = names.prefixes.tolist(), names.indices < 0
+    spaced = np.array(["".join(prefix.split()) != prefix for prefix in prefixes], dtype=bool)
+    alone = np.array([prefix in ("", reserved) for prefix in prefixes], dtype=bool)
+    bad = spaced[names.ids] | (alone[names.ids] & bare)
+    if bad.any():
+        name = names[int(np.argmax(bad))]
+        reason = "it is empty" if not name else "it holds whitespace" \
+            if name.split() != [name] else "it names the objective row"
+        raise ValueError(f"cannot write the {kind} name {name!r} to MPS: {reason}")
+    heads: dict[str, int] = {}
+    own = np.array([heads.setdefault(prefix, len(heads)) for prefix in prefixes], dtype=np.int64)
+    parts = [family_of(prefix) for prefix in prefixes]
+    spelled = np.array([heads.setdefault(head, len(heads)) for head, _ in parts], dtype=np.int64)
+    key = np.where(bare, spelled[names.ids], own[names.ids])
+    index = np.where(bare, np.array([i for _, i in parts], dtype=np.int64)[names.ids],
+                     names.indices)
+    order = np.lexsort((index, key))
+    same = np.flatnonzero((np.diff(key[order]) == 0) & (np.diff(index[order]) == 0))
+    if same.size:
+        raise ValueError(f"cannot write the {kind} name {names[int(order[same[0]])]!r} to MPS: "
+                         "it repeats")
 
 
-def _digit_counts(indices: np.ndarray) -> np.ndarray:
-    """Decimal digits of each index, 0 for -1 (no index)."""
-    return np.where(indices >= 0, np.searchsorted(_POW10[1:], indices, "right") + 1, 0)
-
-
-def _hash(names: Names) -> np.ndarray:
-    """The salt-0 FNV-1a hash of every name: each prefix's state once, then
-    ``|`` and the digits of all indices at once, a digit count at a time."""
-    h = _fnv([prefix.encode() for prefix in names.prefixes.tolist()],
-             np.uint32(_OFFSET))[names.ids]
-    digits = _digit_counts(names.indices)
-    for count in range(1, int(digits.max(initial=0)) + 1):
-        at = np.flatnonzero(digits == count)
-        state, index = (h[at] ^ np.uint32(ord("|"))) * _PRIME, names.indices[at]
-        for power in _POW10[count - 1::-1]:
-            state = (state ^ (index // power % 10 + ord("0")).astype(np.uint32)) * _PRIME
-        h[at] = state
-    return h
-
-
-def _short_prefixes(names: Names, stripped: list[str], shorts: dict[str, int]) -> np.ndarray:
-    """Each name's short prefix, its first three non-space characters, as
-    an id into ``shorts`` (which gains the new ones), given each prefix
-    without its whitespace.  A prefix with fewer takes the rest from ``|``
-    and the index's leading digits."""
-    sid = np.array([shorts.setdefault(text[:3], len(shorts)) for text in stripped],
-                   dtype=np.int64)[names.ids]
-    need = np.array([3 - len(text) for text in stripped], dtype=np.int64)[names.ids]
-    at = np.flatnonzero((need > 0) & (names.indices >= 0))
-    if at.size:
-        digits = _digit_counts(names.indices[at])
-        lead = np.minimum(need[at] - 1, digits)   # digits after the '|'
-        first = np.where(lead > 0, names.indices[at] // _POW10[np.minimum(digits - lead, 18)], 0)
-        combos, where = np.unique((names.ids[at] * 3 + lead) * 100 + first, return_inverse=True)
-        sid[at] = np.array([shorts.setdefault(
-            stripped[combo // 300] + "|" + (str(combo % 100) if combo // 100 % 3 else ""),
-            len(shorts)) for combo in combos.tolist()], dtype=np.int64)[where.ravel()]
-    return sid
-
-
-def _form_key(text: str, shorts: dict[str, int]) -> int | None:
-    """The key of ``text`` if it reads as a short form of a known short prefix."""
-    sid = shorts.get(text[:-5])
-    if sid is None or text[-5:-4] != "~" or not all(c in _B36_VALUE for c in text[-4:]):
-        return None
-    return sid * _SPAN + sum(_B36_VALUE[c] * 36 ** k for k, c in enumerate(text[-4:]))
-
-
-def _in_sorted(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Which ``keys`` the sorted ``table`` holds."""
-    if not table.size:
-        return np.zeros(keys.shape, dtype=bool)
-    return table[np.minimum(np.searchsorted(table, keys), table.size - 1)] == keys
-
-
-def _mangle(names: Names, shorts: dict[str, int], reserved: Iterable[str] = (),
-            reserved_keys: np.ndarray = np.zeros(0, dtype=np.int64)) -> np.ndarray:
-    """The short name of every name as a key: -1 where the name is kept,
-    else short-prefix id * ``_SPAN`` + the hash of its form (the ids index
-    ``shorts``, which gains this space's short prefixes).  No name keeps or
-    takes one of ``reserved`` or of the forms ``reserved_keys``.
-
-    A candidate is a key: a form is one by construction, a kept name that
-    reads as a form (``_form_key``) takes that form's key and any other
-    kept name a negative key of its own.  One sort of the candidates finds,
-    for each, the first name to hold it; only the names turned away probe
-    salts, one round at a time, as :func:`mangle_names` describes.  In a
-    round each form goes to the first of its holder and the names probing
-    it, which is where placing the names one by one leaves it.
-    """
-    n, prefixes = len(names), names.prefixes.tolist()
-    stripped = ["".join(prefix.split()) for prefix in prefixes]
-    sid = _short_prefixes(names, stripped, shorts)
-    code = (_hash(names) % _SPAN).astype(np.int64)
-    lengths = np.array(list(map(len, prefixes)), dtype=np.int64)[names.ids] \
-        + np.where(names.indices >= 0, _digit_counts(names.indices) + 1, 0)
-    spaced = np.array(list(map(str.__ne__, stripped, prefixes)), dtype=bool)[names.ids]
-    fits = (lengths <= 8) & (lengths > 0) & ~spaced
-    final = np.where(fits, -1, sid * _SPAN + code)
-    candidate = final.copy()
-    kept = np.flatnonzero(fits)
-    plain: dict[str, int] = {}   # kept names that read as no form -> their negative keys
-
-    def key_of(text: str, known_only: bool = False) -> int | None:
-        key = _form_key(text, shorts)
-        if key is None:
-            key = plain.get(text) if known_only else plain.setdefault(text, -1 - len(plain))
-        return key
-
-    # a name with an index ends in '|digits', so it never reads as a form
-    for at, text, alone in zip(kept.tolist(), names.take(kept).texts().tolist(),
-                               (names.indices[kept] < 0).tolist()):
-        candidate[at] = key_of(text) if alone else plain.setdefault(text, -1 - len(plain))
-    barred = [key for key in map(lambda text: key_of(text, True), reserved) if key is not None]
-    barred = np.sort(np.concatenate([np.array(barred, dtype=np.int64), reserved_keys]))
-
-    # each candidate's holder: the first name holding it, -1 if reserved
-    order = np.argsort(candidate)
-    ranked = candidate[order]
-    starts = np.flatnonzero(np.diff(ranked, prepend=ranked[:1] - 1))
-    held = ranked[starts]
-    holder = np.minimum.reduceat(order, starts) if n else np.zeros(0, dtype=np.intp)
-    holder[_in_sorted(barred, held)] = -1
-    turned = np.ones(n, dtype=bool)
-    turned[holder[holder >= 0]] = False
-    probing = np.flatnonzero(turned)
-    salt = np.where(fits, -1, 0).astype(np.int32)   # of each name's current candidate
-    extra: dict[int, int] = {}   # holders of forms that no first candidate is
-    while probing.size:
-        salt[probing] += 1
-        codes, later = code[probing], np.flatnonzero(salt[probing] > 0)
-        codes[later] = _fnv(list(map(str.encode, names.take(probing[later]).texts())),
-                            np.uint32(_OFFSET) ^ salt[probing[later]].astype(np.uint32)) % _SPAN
-        forms = sid[probing] * _SPAN + codes
-        spot = np.minimum(np.searchsorted(held, forms), held.size - 1)
-        found = held[spot] == forms
-        # each form's holder (-1: reserved, n: none) and the first name probing it
-        now = np.where(found, holder[spot], np.where(_in_sorted(barred, forms), -1, n))
-        free = np.flatnonzero(now == n)
-        now[free] = [extra.get(form, n) for form in forms[free].tolist()]
-        order = np.lexsort((probing, forms))
-        firsts = order[np.flatnonzero(np.diff(forms[order], prepend=-1 - forms[order[:1]]))]
-        wins = firsts[now[firsts] > probing[firsts]]
-        final[probing[wins]] = forms[wins]
-        held_wins = wins[found[wins]]
-        holder[spot[held_wins]] = probing[held_wins]
-        other_wins = wins[~found[wins]]
-        extra.update(zip(forms[other_wins].tolist(), probing[other_wins].tolist()))
-        losers = np.ones(probing.size, dtype=bool)
-        losers[wins] = False
-        sent_on = now[wins]   # later names that held a form a probing name took
-        probing = np.concatenate([probing[losers], sent_on[sent_on < n]])
-    return final
-
-
-class _ShortNames:
-    """A name space under its short names, as arrays: item i is
-    ``names[i]`` where ``keys[i]`` is -1, else the form ``keys[i]``, whose
-    short prefix with its ``~`` is ``tildes[keys[i] // _SPAN]``."""
-
-    def __init__(self, names: Names, keys: np.ndarray, tildes: np.ndarray):
-        self.names, self.keys, self.tildes = names, keys, tildes
-        self.tilde_lengths = np.fromiter(map(len, tildes), dtype=np.int64, count=tildes.size)
-        self._led = {"": tildes}   # the tildes after each lead
-
-    def texts(self, part: slice = slice(None), lead: str = "") -> tuple[np.ndarray, np.ndarray]:
-        """``lead`` and the short name of each item in ``part``, spelled
-        out, and the short names' lengths."""
-        keys = self.keys[part]
-        texts, lengths = np.empty(keys.size, dtype=object), np.empty(keys.size, dtype=np.int64)
-        kept, formed = np.flatnonzero(keys < 0), np.flatnonzero(keys >= 0)
-        names = self.names[part].take(kept).texts()
-        texts[kept] = lead + names
-        lengths[kept] = np.fromiter(map(len, names), dtype=np.int64, count=kept.size)
-        keys = keys[formed]
-        if lead not in self._led:
-            self._led[lead] = lead + self.tildes
-        texts[formed] = self._led[lead][keys // _SPAN] + _B36_PAIRS[keys % 1296] \
-            + _B36_PAIRS[keys % _SPAN // 1296]
-        lengths[formed] = self.tilde_lengths[keys // _SPAN] + 4
-        return texts, lengths
-
-
-def _tildes(shorts: dict[str, int]) -> np.ndarray:
-    return np.array([short + "~" for short in shorts], dtype=object)
-
-
-def mangle_names(names: Sequence[str],
-                 reserved: Iterable[str] = ()) -> tuple[list[str], dict[str, str]]:
-    """Shorten names to at most eight characters, deterministically.
-
-    Short unique names pass through.  Long, empty or colliding names, and
-    names holding whitespace (which would split their field), become
-    ``<first 3 non-space chars>~<4-char hash>``, probing the hash salt
-    until unique.  Returns the final names and a map from mangled name to
-    original for every name that changed.
-
-    No name keeps or takes one of ``reserved``: the rows are mangled around
-    the final column names and the objective row, so that each key of the
-    joint table names one column or row of the file.
-
-    First come, first served: each name gets the first of its candidates
-    (the name itself or its salt-0 form, then its forms at the next salts)
-    that no earlier name got.  The names still probing are hashed together,
-    one salt round at a time; a name whose form a later name holds takes it
-    and sends the later name on to its next salt, which ends in the same
-    assignment as placing the names one by one.
-
-    ``names`` may be :class:`~windplan.lp.Names`; the work is then done on
-    its prefix table and index arrays, and only the kept names, the names
-    that collide and the result are spelled out.
-    """
-    names, shorts = Names.of(names), {}
-    keys = _mangle(names, shorts, reserved)
-    out, _ = _ShortNames(names, keys, _tildes(shorts)).texts()
-    changed = np.flatnonzero(keys >= 0)
-    return out.tolist(), dict(zip(out[changed].tolist(), names.take(changed).texts().tolist()))
+def mangle_names(names: Sequence[str]) -> tuple[list[str], dict[str, str]]:
+    """The names as :func:`export_mps` writes them, which is as they are,
+    and an empty renaming table; a name the file cannot hold raises
+    ValueError.  Kept for callers that compare the names an imported file
+    holds with these."""
+    names = Names.of(names)
+    _check_names(names, "LP")
+    return list(names), {}
 
 
 def _table(texts: Iterable[str]) -> np.ndarray:
@@ -277,65 +87,59 @@ def _table(texts: Iterable[str]) -> np.ndarray:
     return np.fromiter(chain(texts, ("",)), dtype=object)
 
 
-def _heads(names: _ShortNames, part: slice) -> np.ndarray:
-    """The start of a data line under each name of ``part``: the name in its slot."""
-    texts, lengths = names.texts(part, "    ")
-    return texts + _FILLS[10 - lengths]
+def _value_pieces(values: np.ndarray, present: np.ndarray) -> np.ndarray:
+    """A space and the .12g text of each value, empty where not ``present``:
+    each distinct bit pattern (which keeps -0.0, "-0", apart) is formatted
+    once."""
+    bits, inverse = np.unique(values[present].view(np.int64), return_inverse=True)
+    texts = _table(map(" {:.12g}".format, bits.view(np.float64).tolist()))
+    value = np.full(values.shape, -1, dtype=np.int64)
+    value[present] = inverse.ravel()
+    return texts[value]
 
 
-def _texts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The .12g text of each distinct bit pattern of ``values`` (which keeps
-    -0.0, "-0", apart) as a table, and each value's index into it."""
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    return _table(map(format, bits.view(np.float64).tolist(), repeat(".12g"))), inverse.ravel()
+def _row_pieces(names: Names) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """The two pieces of the field of each of an array of rows, a space and
+    the prefix, then ``|<index>``, from tables per prefix and per distinct
+    index: row 0 is the objective row, i + 1 is row i of ``names`` and -1
+    an absent field, whose pieces are empty."""
+    heads = _table(chain([" " + _OBJECTIVE_ROW], (" " + prefix for prefix in names.prefixes)))
+    head_of = np.concatenate([[0], names.ids + 1, [-1]])
+    tail_texts, where = names.index_texts()
+    tails = _table(tail_texts)
+    tail_of = np.concatenate([[-1], where, [-1]])
+    return lambda rows: (heads[head_of[rows]], tails[tail_of[rows]])
 
 
-_FILLS = np.array([*(" " * k for k in range(16)), "\n"], dtype=object)  # [-1] ends a line
 # ROWS heads by sense (the senses in byte order); BOUNDS heads by kind
 _SENSE_BYTES = np.frombuffer(b"<=>N", dtype=np.uint8)
-_SENSES = np.array([" L  ", " E  ", " G  ", " N  "], dtype=object)
-_BOUNDS = np.array([" FX BND   ", " FR BND   ", " MI BND   ", " LO BND   ", " PL BND   ",
-                    " UP BND   "], dtype=object)
+_SENSES = np.array([" L", " E", " G", " N"], dtype=object)
+_BOUNDS = np.array([" FX BND", " FR BND", " MI BND", " LO BND", " PL BND", " UP BND"],
+                   dtype=object)
 # Items a section lays out at once: (row, value) pairs of COLUMNS and RHS,
-# two a line; lines of ROWS and BOUNDS (a column has at most two bounds);
-# keys of the names table.
+# two a line; lines of ROWS and BOUNDS (a column has at most two bounds).
 _BLOCK = 1 << 13
 
 
-def _pair_pieces(heads: np.ndarray, rows: np.ndarray, values: np.ndarray,
-                 names: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Pieces of the lines ``head row value [row value]``, seven a line:
-    line k pairs the items ``(rows[0, k], values[0, k])`` and ``(rows[1,
-    k], values[1, k])``, the second absent where its row is -1.  ``names``
-    holds the tables of the rows (the objective row first): the names and
-    their lengths.
+def _ends(count: int) -> np.ndarray:
+    return np.full(count, "\n", dtype=object)
 
-    Names (at most eight characters, none holding whitespace) fit their
-    slots.  A value running past its slot shifts the second name right; a
-    name then reaching the last value's column is followed by a space.
-    Each distinct value's text is laid out twice, padded to the second
-    name's column and ending the line, so a value and what follows it are
-    one piece.
-    """
-    table, name_lengths = names
-    present = rows >= 0
-    texts, index = _texts(values[present])
-    lengths = np.fromiter(map(len, texts), dtype=np.int64, count=texts.size)
-    padded, ended = texts + _FILLS[np.maximum(15 - lengths, 1)], texts + "\n"
-    ended[-1] = ""   # no second item
-    value = np.full(rows.shape, -1, dtype=np.int64)
-    value[present] = index
-    (row1, row2), (value1, value2), pair = rows, value, present[1]
-    gap = np.minimum(24 - lengths[value1], 10) - name_lengths[row2]
-    return np.column_stack((
-        heads, table[row1], _FILLS[10 - name_lengths[row1]],
-        np.where(pair, padded[value1], ended[value1]), table[row2],
-        _FILLS[np.maximum(gap, 1) * pair], ended[value2]))
+
+def _pair_pieces(heads: np.ndarray, rows: np.ndarray, values: np.ndarray,
+                 row_pieces: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Pieces of the lines ``head row value [row value]``, eight a line:
+    line k pairs the items ``(rows[0, k], values[0, k])`` and ``(rows[1,
+    k], values[1, k])``, the second absent where its row is -1."""
+    value1, value2 = _value_pieces(values, rows >= 0)
+    (prefix1, prefix2), (tail1, tail2) = row_pieces(rows)
+    return np.column_stack((heads, prefix1, tail1, value1, prefix2, tail2, value2,
+                            _ends(rows.shape[1])))
 
 
 def _write_runs(out: TextIO, run_heads: Callable[[slice], np.ndarray], runs: np.ndarray,
                 items: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
-                names: tuple[np.ndarray, ...], markers: tuple[np.ndarray, np.ndarray]) -> None:
+                row_pieces: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+                markers: tuple[np.ndarray, np.ndarray]) -> None:
     """Write runs of (row, value) items, two a line: run j, under the line
     start ``run_heads(slice(j, j + 1))`` (a row of pieces), holds the items
     ``items(j, k)`` for k < ``runs[j]``.  Each marker line goes before the
@@ -361,7 +165,7 @@ def _write_runs(out: TextIO, run_heads: Callable[[slice], np.ndarray], runs: np.
         rows[0], values[0] = items(run, k)
         rows[1, second], values[1, second] = items(run[second], k[second] + 1)
         heads = run_heads(slice(run[0], run[-1] + 1))[run - run[0]]
-        lines = _pair_pieces(heads, rows, values, names)
+        lines = _pair_pieces(heads, rows, values, row_pieces)
         pieces = lines.ravel().tolist()
         lo, hi = np.searchsorted(at, (start, start + line.size))
         for line_at, mark in reversed([*zip((at[lo:hi] - start).tolist(), texts[lo:hi])]):
@@ -370,28 +174,20 @@ def _write_runs(out: TextIO, run_heads: Callable[[slice], np.ndarray], runs: np.
     out.write("".join(texts[np.searchsorted(at, total):]))
 
 
-def _write_mps(out: TextIO, lp: CanonicalLp, columns: _ShortNames, rows: _ShortNames,
-               comments: Sequence[str]) -> None:
-    """Write the MPS text of ``lp`` under its short names, each section a
-    block of items at a time.  The row-name tables are laid out once, each
-    block's column names, column heads and distinct values with the block,
-    and a line is a row of pieces taken from those tables.  Beyond the LP
-    this holds O(m) row-name tables and one block: COLUMNS reads the
-    entries as the LP stores them, by column."""
+def _write_mps(out: TextIO, lp: CanonicalLp, comments: Sequence[str]) -> None:
+    """Write the MPS text of ``lp``, each section a block of items at a
+    time, as the module docstring describes."""
     n, m = lp.n_vars, lp.n_rows
-    texts, lengths = rows.texts()
-    # row i is table[i + 1]; table[-1], an absent field, is empty
-    table = np.concatenate([np.array([_OBJECTIVE_ROW], dtype=object), texts,
-                            np.array([""], dtype=object)])
-    names = (table, np.concatenate([[len(_OBJECTIVE_ROW)], lengths, [0]]))
+    row_pieces = _row_pieces(lp.row_names)
     out.write("".join(f"* {comment}\n" for comment in comments))
     out.write(f"NAME          {lp.name}\nROWS\n")
     senses = "N" + "".join(lp.senses)
     for start in range(0, m + 1, _BLOCK):
-        block = slice(start, start + _BLOCK)
-        sense = np.searchsorted(_SENSE_BYTES, np.frombuffer(senses[block].encode(), np.uint8))
-        out.write("".join(np.column_stack((_SENSES[sense], table[:-1][block],
-                                           _FILLS[np.full(sense.size, -1)])).ravel().tolist()))
+        rows = np.arange(start, min(start + _BLOCK, m + 1))
+        sense = np.searchsorted(_SENSE_BYTES,
+                                np.frombuffer(senses[start:start + _BLOCK].encode(), np.uint8))
+        out.write("".join(np.column_stack((_SENSES[sense], *row_pieces(rows),
+                                           _ends(rows.size))).ravel().tolist()))
 
     # COLUMNS: a run per column, its objective entry (row 0) first, then its
     # entries as stored, by row; INTORG before each integer run, INTEND after it
@@ -403,17 +199,16 @@ def _write_mps(out: TextIO, lp: CanonicalLp, columns: _ShortNames, rows: _ShortN
         return rows, values
 
     flips = np.flatnonzero(np.diff(lp.integer, prepend=False, append=False))
-    marks = np.fromiter((f"    MK{k:06d}  'MARKER'{' ' * 17}'{('INTEND', 'INTORG')[k % 2]}'\n"
+    marks = np.fromiter((f" MK{k:06d} 'MARKER' '{('INTEND', 'INTORG')[k % 2]}'\n"
                          for k in range(1, flips.size + 1)), dtype=object, count=flips.size)
     out.write("COLUMNS\n")
-    _write_runs(out, lambda part: _heads(columns, part), np.diff(lp.indptr) + 1, column_items,
-                names, (flips, marks))
+    _write_runs(out, lambda part: " " + lp.var_names[part].texts(), np.diff(lp.indptr) + 1,
+                column_items, row_pieces, (flips, marks))
 
     # RHS: its header, then one run of the nonzero right-hand sides by row
     nonzero = np.flatnonzero(lp.rhs != 0.0)
-    _write_runs(out, lambda _: np.array(["    RHS       "], dtype=object),
-                np.array([nonzero.size]),
-                lambda _, k: (nonzero[k] + 1, lp.rhs[nonzero[k]]), names,
+    _write_runs(out, lambda _: np.array([" RHS"], dtype=object), np.array([nonzero.size]),
+                lambda _, k: (nonzero[k] + 1, lp.rhs[nonzero[k]]), row_pieces,
                 (np.zeros(1, dtype=np.int64), np.array(["RHS\n"], dtype=object)))
     out.write("RANGES\n")  # for completeness; this writer produces none
 
@@ -429,76 +224,28 @@ def _write_mps(out: TextIO, lp: CanonicalLp, columns: _ShortNames, rows: _ShortN
                                  np.where(inf_up, 4, 5)))
         keep = np.column_stack((np.ones_like(fixed), ~(fixed | free)))
         kind, var = kinds[keep], np.repeat(np.arange(fixed.size), 2)[keep.ravel()]
-        valued = np.isin(kind, (0, 3, 5))  # FX, LO and UP
-        texts, index = _texts(np.column_stack((lower, upper))[keep][valued])
-        value = np.full(kind.size, -1, dtype=np.int64)
-        value[valued] = index
-        indented, lengths = columns.texts(block, "    ")
-        out.write("".join(np.column_stack((
-            _BOUNDS[kind], indented[var], _FILLS[np.where(valued, 10 - lengths[var], 0)],
-            (texts + "\n")[value])).ravel().tolist()))
+        values = _value_pieces(np.column_stack((lower, upper))[keep],
+                               np.isin(kind, (0, 3, 5)))   # FX, LO and UP have one
+        names = " " + lp.var_names[block].texts()
+        out.write("".join(np.column_stack((_BOUNDS[kind], names[var], values,
+                                           _ends(kind.size))).ravel().tolist()))
     out.write("ENDATA\n")
 
 
-def _write_names_table(path: Path, spaces: Sequence[_ShortNames]) -> None:
-    """Write the bytes of ``json.dumps(table, indent=2, sort_keys=True)``
-    for the table from each mangled name to its original, ``_BLOCK`` keys
-    at a time, without building the table; remove the file when no name
-    was mangled.
-
-    A key is ``<short prefix>~<4 base-36 digits>`` and the digits sort as
-    their characters do, low digit first; so the keys sort by the rank of
-    ``<short prefix>~`` and then by the digits read backwards, unless a
-    short prefix holds ``~`` (then ``a~`` may begin ``a~b~``): those keys
-    are spelled out and sorted.  Quoting works per prefix: ``|``, ``~``,
-    digits and base-36 letters need no escaping.
-    """
-    quote = json.encoder.encode_basestring_ascii
-    keys = np.concatenate([space.keys[space.keys >= 0] for space in spaces])
-    if not keys.size:
-        path.unlink(missing_ok=True)
-        return
-    originals = Names.concat([space.names.take(np.flatnonzero(space.keys >= 0))
-                              for space in spaces])
-    tildes = spaces[0].tildes   # one short-prefix table serves every space
-    sid, code = keys // _SPAN, keys % _SPAN
-    if any("~" in tilde[:-1] for tilde in tildes.tolist()):
-        order = np.argsort(tildes[sid] + _B36_PAIRS[code % 1296] + _B36_PAIRS[code // 1296])
-    else:
-        rank = np.empty(tildes.size, dtype=np.int64)
-        rank[np.argsort(tildes)] = np.arange(tildes.size)
-        backwards = code % 36 * 46656 + code // 36 % 36 * 1296 + code // 1296 % 36 * 36 \
-            + code // 46656
-        order = np.argsort(rank[sid] * _SPAN + backwards)
-    # a line: ',\n  "<short prefix>~', two digit pairs, '": "<prefix>' and '|<index>"'
-    key_heads = np.array([",\n  " + quote(tilde)[:-1] for tilde in tildes.tolist()], dtype=object)
-    value_heads = np.array(['": ' + quote(prefix)[:-1] for prefix in originals.prefixes.tolist()],
-                           dtype=object)
-    tails, where = originals.index_texts('"')
-    with path.open("w", encoding="utf-8") as out:
-        out.write("{\n")
-        for start in range(0, keys.size, _BLOCK):
-            at = order[start:start + _BLOCK]
-            text = "".join(np.column_stack((
-                key_heads[sid[at]], _B36_PAIRS[code[at] % 1296], _B36_PAIRS[code[at] // 1296],
-                value_heads[originals.ids[at]], tails[where[at]])).ravel().tolist())
-            out.write(text[2:] if start == 0 else text)   # the first line follows "{\n"
-        out.write("\n}")
-
-
 def export_mps(lp: CanonicalLp, path: str | Path, comments: Sequence[str] = ()) -> Path:
-    """Write the LP to ``path`` in fixed-format MPS (minimisation).
+    """Write the LP to ``path`` in free-format MPS (minimisation), under
+    its own names.
 
     Every variable appears in COLUMNS with an explicit objective entry (a
     zero keeps empty columns alive through a round trip) and every bound is
     written explicitly, so importing the file reproduces the LP exactly up
-    to the 12-significant-digit decimal representation of values.  A
-    mangling table is emitted as ``<path>.names.json`` when any name had to
-    be changed, and one left by an earlier export is removed otherwise.
-    ``lp.name`` and each comment must fit on one line: a line break in
-    either raises ``ValueError``.  So does a name that would read back
-    changed: an empty one, one longer than 60 characters, or one with
-    whitespace at either end.
+    to the 12-significant-digit decimal representation of values.  Before
+    the file is opened, each of these raises ``ValueError``: a line break
+    in ``lp.name`` or a comment; an ``lp.name`` that would read back
+    changed (empty, longer than 60 characters, or with whitespace at either
+    end); and a column or row name that the file cannot hold: an empty
+    name, one holding whitespace, a row named like the objective row
+    ``COST``, and a name that repeats among the columns or among the rows.
     """
     for text in (lp.name, *comments):
         if "".join(text.splitlines()) != text:
@@ -506,17 +253,11 @@ def export_mps(lp: CanonicalLp, path: str | Path, comments: Sequence[str] = ()) 
     if not 0 < len(lp.name) <= 60 or lp.name.strip() != lp.name:
         raise ValueError("MPS NAME must be 1 to 60 characters with no whitespace at either "
                          f"end: {lp.name!r}")
+    _check_names(lp.var_names, "column")
+    _check_names(lp.row_names, "row", _OBJECTIVE_ROW)
     path = Path(path)
-    shorts: dict[str, int] = {}
-    var_keys = _mangle(lp.var_names, shorts)
-    kept = lp.var_names.take(np.flatnonzero(var_keys < 0)).texts().tolist()
-    row_keys = _mangle(lp.row_names, shorts, [*kept, _OBJECTIVE_ROW], var_keys[var_keys >= 0])
-    tildes = _tildes(shorts)
-    columns = _ShortNames(lp.var_names, var_keys, tildes)
-    rows = _ShortNames(lp.row_names, row_keys, tildes)
     with path.open("w", encoding="utf-8") as out:
-        _write_mps(out, lp, columns, rows, comments)
-    _write_names_table(path.with_name(path.name + ".names.json"), (columns, rows))
+        _write_mps(out, lp, comments)
     return path
 
 

@@ -6,6 +6,7 @@ import copy
 import io
 import json
 import re
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -366,6 +367,58 @@ def test_mutated_config_exits_cleanly(small_dataset, path, mutation):
     if code:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict)
+
+
+# The synth CSVs a run reads; what a mutation puts in one cell (the last a
+# byte that is not UTF-8) or does to a whole file.
+DATA_FILES = ("sites.csv", "wind_speeds.csv", "demand.csv", "runoff.csv", "runoff_series.csv",
+              "hydro_params.csv")
+CELL_TEXTS = ("nan", "inf", "-5", "1e400", "", "text", "\xff")
+FILE_MUTATIONS = ("empty", "header-only", "directory", "repeat-last-row", "drop-last-row")
+
+
+def _mutate_file(path: Path, mutation: str, row: int, column: int) -> None:
+    """Apply ``mutation`` to the CSV at ``path``; a cell text goes to the
+    cell at ``row`` (the header is row 0) and ``column``, each taken modulo
+    the file's own count."""
+    raw = path.read_bytes()
+    lines = raw.splitlines(keepends=True)
+    if mutation == "directory":
+        path.unlink()
+        path.mkdir()
+    elif mutation in FILE_MUTATIONS:
+        path.write_bytes({"empty": b"", "header-only": lines[0],
+                          "repeat-last-row": raw + lines[-1],
+                          "drop-last-row": b"".join(lines[:-1])}[mutation])
+    else:
+        at = row % len(lines)
+        cells = lines[at].rstrip(b"\r\n").split(b",")
+        cells[column % len(cells)] = mutation.encode("latin-1")
+        lines[at] = b",".join(cells) + b"\n"
+        path.write_bytes(b"".join(lines))
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(DATA_FILES), mutation=st.sampled_from(FILE_MUTATIONS + CELL_TEXTS),
+       row=st.integers(0, 100), column=st.integers(0, 20))
+def test_mutated_input_file_exits_cleanly(small_dataset, name, mutation, row, column):
+    run = Path(tempfile.mkdtemp(dir=small_dataset))
+    shutil.copytree(small_dataset / "data", run / "data")
+    _mutate_file(run / "data" / name, mutation, row, column)
+    (run / "config.json").write_text(json.dumps(FULL_CONFIG), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["pipeline", str(run / "config.json")])
+    assert code in (0, 2, 3)
+    if code:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict)
+    for path in [*run.glob("out/*.json"), *run.glob("out/*.geojson")]:
+        json.loads(path.read_text(encoding="utf-8"), parse_constant=_refuse_constant)
 
 
 # ---------------------------------------------------------------------------

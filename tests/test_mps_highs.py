@@ -1,7 +1,9 @@
 """The MPS writer against an independent reader: HiGHS as bundled with scipy
 (``scipy.optimize._highspy._core``, scipy 1.15 and later).  Every file
 written must read with the LP's column and row counts and solve to the
-optimum of :func:`windplan.lp.solve` within 1e-9 relative."""
+optimum of :func:`windplan.lp.solve` within 1e-9 relative, and HiGHS's
+solution, written under the column names it read, must import against the
+LP's own names."""
 
 import dataclasses
 import tempfile
@@ -15,7 +17,7 @@ from hypothesis import assume, given, settings, strategies as st
 from test_assembly import cep_instances, comp_mir_case
 from windplan.cep import build_lp
 from windplan.lp import solve
-from windplan.mps import export_mps
+from windplan.mps import export_mps, import_solution, write_solution
 from windplan.siting import build_comp_mir
 
 try:
@@ -28,9 +30,10 @@ pytestmark = pytest.mark.skipif(
                           "(it came with scipy 1.15)")
 
 
-def highs_optimum(lp, relax: bool = False):
-    """The LP written by ``export_mps``, read and solved by HiGHS: checks
-    the counts (and the integer columns) read, returns the optimum."""
+def highs_solved(lp, relax: bool = False):
+    """HiGHS after it read the LP written by ``export_mps`` and solved it
+    (to optimality, checked), with the counts and integer columns it read
+    checked."""
     highs = _core._Highs()
     highs.setOptionValue("output_flag", False)
     with tempfile.TemporaryDirectory() as tmp:
@@ -42,7 +45,11 @@ def highs_optimum(lp, relax: bool = False):
     highs.setOptionValue("solve_relaxation", relax)
     highs.run()
     assert highs.getModelStatus() == _core.HighsModelStatus.kOptimal
-    return highs.getInfo().objective_function_value
+    return highs
+
+
+def highs_optimum(lp, relax: bool = False):
+    return highs_solved(lp, relax).getInfo().objective_function_value
 
 
 def assert_same_optimum(got: float, want: float) -> None:
@@ -56,6 +63,23 @@ def test_highs_reads_cep_exports(instance):
     ours = solve(lp)
     assume(ours.status == "optimal")
     assert_same_optimum(highs_optimum(lp), ours.objective)
+
+
+@settings(max_examples=30, deadline=None)
+@given(cep_instances())
+def test_highs_solution_imports_under_the_lp_names(tmp_path_factory, instance):
+    """The external-solver loop closes with no names table: HiGHS's primal
+    values, written under the column names it read, import against
+    ``lp.var_names`` with none missing or unknown, at our optimum."""
+    lp, _ = build_lp(instance)
+    ours = solve(lp)
+    assume(ours.status == "optimal")
+    highs = highs_solved(lp)
+    path = write_solution(tmp_path_factory.mktemp("sol") / "cep.sol", highs.getLp().col_names_,
+                          highs.getSolution().col_value)
+    solution, report = import_solution(path, lp.var_names, lp)
+    assert report.missing == [] and report.unknown == []
+    assert_same_optimum(solution.objective, ours.objective)
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -254,6 +255,25 @@ def test_cli_mps_export_mode(dataset):
 
     lp = import_mps(out / "cep.mps")
     assert lp.n_vars > 0 and lp.n_rows > 0
+
+
+def test_cli_export_refuses_an_id_free_mps_cannot_hold(dataset, capsys):
+    """A site id holding a space loads, and the embedded solver sizes the
+    system, but a free MPS file cannot hold a name built from it."""
+    tmp_path, data_dir = dataset
+    for name in ("sites.csv", "wind_speeds.csv"):
+        path = data_dir / name
+        path.write_text(path.read_text(encoding="utf-8").replace("s01", "s 01"), encoding="utf-8")
+    config = write_config(tmp_path, data_dir)
+    assert main(["export-mps", str(config)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "data" and err["exit_code"] == 2
+    assert re.fullmatch(r"cannot write the column name '[^']*\|s 01' to MPS: it holds whitespace",
+                        err["message"])
+    assert not (tmp_path / "out" / "cep.mps").exists()
+    assert main(["pipeline", str(config)]) == 0
 
 
 def test_cli_export_comp_mir(dataset):
