@@ -44,8 +44,8 @@ _OBJECTIVE_ROW = "COST"
 
 
 def _check_names(names: Names, kind: str, reserved: str | None = None) -> None:
-    """Raise ValueError naming the first of ``names`` (the LP's ``kind``
-    names) that a free MPS file cannot hold: an empty name, one holding
+    """Raise ValueError naming one of ``names`` (the LP's ``kind`` names)
+    that a free MPS file cannot hold: an empty name, one holding
     whitespace, ``reserved``, or a repeat.  A name is keyed by the (prefix,
     index) it spells, so ``a|1`` alone repeats item 1 of family ``a``, and
     one sort of the keys finds repeats; only a refused name is spelled out."""
