@@ -394,6 +394,8 @@ def main(argv=None) -> int:
         return _emit_error("data", str(exc), EXIT_DATA)
     except SolverFailure as exc:
         return _emit_error("solver", str(exc), EXIT_SOLVER, status=exc.status)
+    except OSError as exc:   # an output that cannot be written; readers raise ValueError
+        return _emit_error("data", f"cannot write output: {exc}", EXIT_DATA)
 
 
 def _emit_error(kind: str, message: str, code: int, **extra) -> int:

@@ -43,7 +43,12 @@ Runoff manifest CSV (``runoff.csv`` of ``windplan synth``)
     column header equals the cell id.
 
 Criticality matrix
-    Packed binary: see :meth:`windplan.resource.CriticalityMatrix.to_bytes`.
+    Packed binary: a 21-byte header (magic ``WCRM``, a version byte, then
+    W, L, c and the window length as little-endian uint32) and W packed
+    bit rows of ceil(L / 8) bytes; see
+    :meth:`windplan.resource.CriticalityMatrix.to_bytes`.  A file shorter
+    than the header, with other magic or version, or with a payload of
+    another size is refused with ``ValueError`` naming it.
 
 Siting outputs
     The solution as JSON and as a GeoJSON point collection for mapping;
@@ -378,7 +383,12 @@ def save_criticality(path: str | Path, matrix: CriticalityMatrix) -> Path:
 
 
 def load_criticality(path: str | Path, site_ids: tuple[str, ...] = ()) -> CriticalityMatrix:
-    return CriticalityMatrix.from_bytes(_read(Path(path), binary=True), site_ids)
+    path = Path(path)
+    blob = _read(path, binary=True)
+    try:
+        return CriticalityMatrix.from_bytes(blob, site_ids)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,12 @@ and optional integrality flags (the flags exist only so mixed-integer
 relaxations can be exported; the bundled solver rejects them).  Its
 matrix is stored once, in compressed sparse column form with the rows
 sorted within each column: the constructor takes (row, col, value)
-triplets in any order and converts them with one column-major sort, and
-every reader (the simplex set-up, the MPS writer) reads the columns as
-stored.  :class:`LpBuilder` assembles one from single variables, rows and
-coefficients or from whole families of them given as index arrays; a
-family's names are one :class:`Names` prefix and an index array, spelled
-out only when read or written to a file.  :func:`solve` is a
+triplets in any order and converts them with scipy.sparse's COO-to-CSC
+conversion, and every reader (the simplex set-up, the MPS writer) reads
+the columns as stored.  :class:`LpBuilder` assembles one from single
+variables, rows and coefficients or from whole families of them given as
+index arrays; a family's names are one :class:`Names` prefix and an index
+array, spelled out only when read or written to a file.  :func:`solve` is a
 bounded-variable revised simplex over a sparse working matrix, intended
 for desk-scale instances; anything larger should go through the MPS
 exporter in :mod:`windplan.mps` and an external solver.
@@ -47,7 +47,6 @@ _ARRAY_FIELDS = {
     "integer": bool,
 }
 _ENTRY_FIELDS = {"entry_rows": np.intp, "entry_cols": np.intp, "entry_vals": np.float64}
-_GATHER_CHUNK = 1 << 13   # entries gathered at a time by an in-place gather
 
 _SPELL_CHUNK = 1 << 13   # names spelled out at a time while iterating
 
@@ -68,9 +67,10 @@ class Names(Sequence):
     Item i is ``f"{prefixes[ids[i]]}|{indices[i]}"``, or the prefix alone when
     ``indices[i]`` is -1: a family of T period rows is one prefix and T
     integers, not T strings.  Names are spelled out only when read (by
-    ``[i]``, iteration, ``in``, ``index`` and ``==``, which compares with any
-    sequence of str item by item) or written to a file (:meth:`texts`).
-    Slices are Names sharing the prefix table.
+    ``[i]``, iteration and ``==``, which compares with any sequence of str
+    item by item) or written to a file (:meth:`texts`); ``in``, ``index``
+    and ``count`` are the :class:`~collections.abc.Sequence` mixins', which
+    search the spelled names.  Slices are Names sharing the prefix table.
     """
 
     __slots__ = ("prefixes", "ids", "indices")
@@ -137,14 +137,6 @@ class Names(Sequence):
         tails, where = self.index_texts()
         return self.prefixes[self.ids] + tails[where]
 
-    def _hits(self, name: str) -> np.ndarray:
-        """Which items spell ``name``."""
-        hits = (self.prefixes == name)[self.ids] & (self.indices < 0)
-        head, i = family_of(name)
-        if i >= 0:
-            hits |= (self.prefixes == head)[self.ids] & (self.indices == i)
-        return hits
-
     def __len__(self) -> int:
         return self.ids.size
 
@@ -158,17 +150,6 @@ class Names(Sequence):
     def __iter__(self):
         for start in range(0, len(self), _SPELL_CHUNK):
             yield from self[start:start + _SPELL_CHUNK].texts().tolist()
-
-    def __contains__(self, name) -> bool:
-        return isinstance(name, str) and bool(self._hits(name).any())
-
-    def index(self, name, start: int = 0, stop: int | None = None) -> int:
-        span = range(len(self))[start:stop]
-        hits = np.flatnonzero(self._hits(name)[span.start:span.stop]) if isinstance(name, str) \
-            else ()
-        if not len(hits):
-            raise ValueError(f"{name!r} is not in the names")
-        return span.start + int(hits[0])
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Names) and other.prefixes is self.prefixes:
@@ -212,33 +193,6 @@ def _index_array(value) -> np.ndarray:
     return arr
 
 
-def _column_major(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
-                  m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The CSC arrays ``(indptr, indices, data)`` of in-range (row, col,
-    value) triplets in any order, rows sorted within each column: one sort
-    of the column-major keys, whose order array then becomes the row
-    indices in place.  Beyond the triplets this holds the keys and the
-    order, then the order and the data.  A repeated (row, col) raises
-    ValueError."""
-    indptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
-    key = cols.astype(np.intp)
-    key *= m
-    key += rows
-    order = np.argsort(key)
-    del key
-    data = vals[order]
-    for start in range(0, order.size, _GATHER_CHUNK):
-        part = order[start:start + _GATHER_CHUNK]
-        part[...] = rows[part]
-    indices = order
-    # entries i and i + 1 with one row, repeated if they share a column
-    same = np.flatnonzero(indices[1:] == indices[:-1])
-    if np.any(np.searchsorted(indptr, same, "right") == np.searchsorted(indptr, same + 1, "right")):
-        raise ValueError("duplicate (row, col) triplets")
-    return indptr, indices, data
-
-
 @dataclass(frozen=True, init=False)
 class CanonicalLp:
     """min c'x  s.t.  A x {<=,=,>=} b,  lower <= x <= upper.
@@ -247,8 +201,11 @@ class CanonicalLp:
     are ``indices[indptr[j]:indptr[j + 1]]`` (their rows, ascending) and
     the same slice of ``data``.  The constructor takes A as
     ``entry_rows``/``entry_cols``/``entry_vals`` triplets in any order and
-    sorts them once; the properties of those names give them back in
-    (row, col) order, computed on each access.
+    converts them with ``scipy.sparse.coo_matrix(...).tocsc()``, which
+    sorts by column, then by row; ``indptr`` and ``indices`` are int32 when
+    the LP fits, and a (row, col) pair given twice raises ValueError, even
+    when its values cancel.  The properties of the triplet names give them
+    back in (row, col) order, computed on each access.
 
     ``var_names`` and ``row_names`` are :class:`Names`: a sequence of str
     given to the constructor is held as one prefix per name, and a model's
@@ -307,7 +264,13 @@ class CanonicalLp:
                 raise ValueError("entry row index out of range")
             if cols.min() < 0 or cols.max() >= n:
                 raise ValueError("entry column index out of range")
-        for attr, arr in zip(("indptr", "indices", "data"), _column_major(rows, cols, vals, m, n)):
+        # a counting sort by column, then each column's rows sorted and
+        # repeated (row, col) pairs summed into one entry
+        a = sp.coo_matrix((vals, (rows, cols)), shape=(m, n)).tocsc()
+        if a.nnz != vals.size:
+            raise ValueError("duplicate (row, col) triplets")
+        for attr in ("indptr", "indices", "data"):
+            arr = getattr(a, attr)
             arr.setflags(write=False)
             put(attr, arr)
 
@@ -434,7 +397,7 @@ class LpBuilder:
     def build(self) -> CanonicalLp:
         """The LP of everything added so far; the builder starts over empty.
         Each field's blocks are joined and freed in turn, and the entries go
-        to :class:`CanonicalLp` as they were added, for its one sort."""
+        to :class:`CanonicalLp` as they were added, for its one conversion."""
         blocks, senses, name = self._blocks, tuple(self._senses), self.name
         counts = {"entry_rows": self._n_rows, "entry_cols": self._n_vars}
         var_names, row_names = Names.concat(self._var_names), Names.concat(self._row_names)

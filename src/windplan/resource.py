@@ -26,6 +26,7 @@ DEFAULT_SMOOTHING_FACTOR = 0.15
 
 _MATRIX_MAGIC = b"WCRM"
 _MATRIX_VERSION = 1
+_MATRIX_HEADER = 21   # magic, version byte, four uint32 dimensions
 
 #: Float64 bytes per block of sites in the criticality build.
 _BLOCK_BYTES = 2 << 20
@@ -270,13 +271,19 @@ class CriticalityMatrix:
 
     @classmethod
     def from_bytes(cls, blob: bytes, site_ids: tuple[str, ...] = ()) -> "CriticalityMatrix":
+        """The matrix :meth:`to_bytes` wrote.  A blob shorter than the
+        header, with other magic bytes or version, or whose payload is not
+        W rows of ceil(L / 8) bytes raises ValueError."""
+        if len(blob) < _MATRIX_HEADER:
+            raise ValueError(f"criticality matrix blob of {len(blob)} bytes is shorter than "
+                             f"its {_MATRIX_HEADER}-byte header")
         if blob[:4] != _MATRIX_MAGIC:
             raise ValueError("not a criticality matrix blob (bad magic bytes)")
         if blob[4] != _MATRIX_VERSION:
             raise ValueError(f"unsupported criticality matrix version {blob[4]}")
-        w, l, c, delta = np.frombuffer(blob[5:21], dtype="<u4")
+        w, l, c, delta = np.frombuffer(blob[5:_MATRIX_HEADER], dtype="<u4")
         row_bytes = (int(l) + 7) // 8
-        body = np.frombuffer(blob[21:], dtype=np.uint8)
+        body = np.frombuffer(blob[_MATRIX_HEADER:], dtype=np.uint8)
         if body.size != int(w) * row_bytes:
             raise ValueError("criticality matrix payload size mismatch")
         rows = body.reshape(int(w), row_bytes)

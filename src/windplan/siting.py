@@ -710,11 +710,7 @@ def run_multistart(
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                  initializer=_start_worker, initargs=job) as pool:
             results = list(pool.map(_run_seed, seeds))
-    best = results[0]
-    for result in results[1:]:
-        if result.objective > best.objective:
-            best = result
-    return best
+    return max(results, key=lambda result: result.objective)   # the first of a tie
 
 
 def _usable_cpus() -> int:

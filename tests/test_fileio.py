@@ -132,6 +132,16 @@ def test_criticality_persistence(tmp_path):
     assert back.threshold_c == 3 and back.window_length == 2
 
 
+@pytest.mark.parametrize("size", [0, 4, 5, 20])
+def test_a_truncated_criticality_file_is_refused_by_name(tmp_path, size):
+    matrix = CriticalityMatrix.from_bool(np.ones((2, 5), dtype=bool), 1, 1)
+    path = tmp_path / "crit.bin"
+    path.write_bytes(matrix.to_bytes()[:size])
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: criticality matrix blob of "
+                                         f"{size} bytes is shorter than its 21-byte header$"):
+        fileio.load_criticality(path)
+
+
 def test_solution_json_and_geojson(tmp_path):
     from helpers import build_catalog
 

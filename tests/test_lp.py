@@ -142,6 +142,55 @@ def test_the_lp_stores_its_triplets_as_sorted_columns(m, n, data):
                            given_vals[:at] + [0.5] + given_vals[at:])
 
 
+def python_sorted_columns(n, rows, cols, vals):
+    """The CSC arrays of unrepeated triplets, by Python's sort of (col, row)."""
+    order = sorted(range(len(rows)), key=lambda k: (cols[k], rows[k]))
+    indptr = [0] * (n + 1)
+    for col in cols:
+        indptr[col + 1] += 1
+    for j in range(n):
+        indptr[j + 1] += indptr[j]
+    return indptr, [rows[k] for k in order], [vals[k] for k in order]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 7), st.integers(1, 7), st.booleans(), st.data())
+def test_the_stored_columns_match_a_python_sort(m, n, by_builder, data):
+    """Explicit 0.0 and -0.0 coefficients are stored with their sign bits,
+    and the stored indices are int32 when the LP fits, whether the triplets
+    come as the builder's int32 or as int64."""
+    cells = data.draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, n - 1)),
+                               unique=True))
+    vals = data.draw(st.lists(st.one_of(st.sampled_from([0.0, -0.0]),
+                                        st.floats(-1e3, 1e3, allow_nan=False)),
+                              min_size=len(cells), max_size=len(cells)))
+    rows, cols = [r for r, _ in cells], [c for _, c in cells]
+    if by_builder:
+        builder = LpBuilder()
+        builder.add_vars([f"x{j}" for j in range(n)])
+        builder.add_rows([f"r{i}" for i in range(m)], "<", 0.0)
+        builder.add_entries(rows, cols, vals)
+        lp = builder.build()
+    else:
+        lp = lp_of_triplets(m, n, np.array(rows, np.int64), np.array(cols, np.int64), vals)
+    indptr, indices, stored = python_sorted_columns(n, rows, cols, vals)
+    assert lp.indptr.tolist() == indptr and lp.indices.tolist() == indices
+    assert lp.data.tobytes() == np.array(stored, dtype=np.float64).tobytes()
+    assert lp.indptr.dtype == lp.indices.dtype == np.int32
+
+
+@pytest.mark.parametrize("value", [1.0, -2.5, 0.0, -0.0, 1e300])
+@pytest.mark.parametrize("at", [0, 1, 3])
+def test_a_repeated_pair_whose_values_cancel_still_raises(value, at):
+    """x and -x at one (row, col) sum to a stored zero: one entry fewer
+    than the triplets, so the conversion refuses them."""
+    rows, cols, vals = [0, 1, 1], [0, 0, 1], [3.0, 4.0, 5.0]
+    rows[at:at], cols[at:at], vals[at:at] = [0], [1], [value]
+    rows, cols, vals = rows + [0], cols + [1], vals + [-value]
+    with pytest.raises(ValueError, match="duplicate"):
+        lp_of_triplets(2, 2, rows, cols, vals)
+
+
 def test_the_lp_keeps_no_writeable_array_of_its_caller():
     lower, rows = np.zeros(2), np.array([0, 1])
     lp = CanonicalLp(objective=[1.0, 2.0], entry_rows=rows, entry_cols=[1, 0],

@@ -220,6 +220,14 @@ def test_packed_binary_round_trip():
         CriticalityMatrix.from_bytes(b"XXXX" + blob[4:])
 
 
+@pytest.mark.parametrize("size", [0, 4, 5, 20])
+def test_a_blob_shorter_than_the_header_is_refused(size):
+    blob = CriticalityMatrix.from_bool(np.ones((3, 9), dtype=bool), 1, 1).to_bytes()[:size]
+    with pytest.raises(ValueError, match=f"^criticality matrix blob of {size} bytes is shorter "
+                                         "than its 21-byte header$"):
+        CriticalityMatrix.from_bytes(blob)
+
+
 def test_matrix_columns_are_dense_columns():
     rng = np.random.default_rng(6)
     for n_sites in (1, 7, 8, 9, 21):

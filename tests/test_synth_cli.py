@@ -328,6 +328,30 @@ def test_exit_data_on_missing_config(tmp_path, capsys):
     assert err["error"] == "data"
 
 
+@pytest.mark.parametrize("command, blocked", [
+    ("pipeline", "out/siting_solution.json"),
+    ("export-mps", "out/cep.mps"),
+    ("synth", "afile/data"),
+])
+def test_exit_data_on_an_output_that_cannot_be_written(dataset, capsys, command, blocked):
+    """A directory where an output file goes, or a file where an output
+    directory goes, ends in exit 2 with one JSON line naming the path."""
+    tmp_path, data_dir = dataset
+    path = tmp_path / blocked
+    if command == "synth":
+        path.parent.write_text("", encoding="utf-8")
+        argv = ["synth", "--out", str(path)]
+    else:
+        path.mkdir(parents=True)
+        argv = [command, str(write_config(tmp_path, data_dir))]
+    assert main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "data" and err["exit_code"] == 2
+    assert err["message"].startswith("cannot write output: ") and str(path) in err["message"]
+
+
 def test_exit_data_on_missing_input_path(dataset, capsys):
     tmp_path, data_dir = dataset
     config = write_config(tmp_path, data_dir)
