@@ -257,6 +257,9 @@ class CanonicalLp:
             raise ValueError("entry rows, columns and values must be 1-D and of one length")
         if not np.all(np.isfinite(vals)):
             raise ValueError("constraint coefficients must be finite")
+        # NaN fails every comparison, so the bound check below would pass it
+        if np.isnan(self.rhs).any() or np.isnan(self.lower).any() or np.isnan(self.upper).any():
+            raise ValueError("right-hand sides and bounds must not be NaN")
         if np.any(self.lower > self.upper):
             raise ValueError("every lower bound must not exceed its upper bound")
         if rows.size:

@@ -1,30 +1,28 @@
 """MPS interchange for canonical LPs plus a plain-text solution format.
 
-The writer emits free-format MPS under the LP's own names: a data line is
-one leading space and its fields joined by single spaces, values are
-printed to 12 significant digits, COLUMNS and RHS hold two (row, value)
-pairs a line and integer columns are wrapped in INTORG/INTEND markers.  A
-name such a file cannot hold raises ValueError before the file is opened:
-an empty name, one holding anything ``str.split`` splits on, a row named
-like the objective row ``COST``, and a name that repeats among the columns
-or among the rows.  Solution files are one ``name value`` pair per line.
+The writer emits free-format MPS under the LP's own names
+(:func:`export_mps` lists the names it refuses): a data line is one
+leading space and its fields joined by single spaces, values are printed
+to 12 significant digits, COLUMNS and RHS hold two (row, value) pairs a
+line and integer columns are wrapped in INTORG/INTEND markers.  Solution
+files are one ``name value`` pair per line.
 
-The writer runs no Python code per line or per field.  It writes each
-section in blocks of ``_BLOCK`` items, a line a row of pieces taken from
-tables: each block's column names and distinct values, spelled out with
-the block, and the row names, which stay families
-(:class:`~windplan.lp.Names`) up to the file: a row name is a prefix piece
-and an ``|<index>`` piece, taken through integer arrays.  COLUMNS reads
-the entries as the LP stores them (by column), so beyond the LP an export
-holds O(n + m) integers and one block.
+The writer runs no Python code per line or per field.  Every section goes
+out through one block writer, which joins a block of lines from columns of
+pieces taken from tables: the block's column names and distinct values,
+and the row names, which stay families (:class:`~windplan.lp.Names`) up to
+the file, a prefix piece and an ``|<index>`` piece each.  COLUMNS and RHS
+are runs of (row, value) pairs, COLUMNS read as the LP stores its entries
+(by column), and an integer marker leads the first line of the column it
+precedes; beyond the LP an export holds O(n + m) integers and one block.
+The reader maps each bound type through one table.
 
-The ``export-19bus`` LP (51,568 columns, 33,299 rows, a 9.5 MB file)
-exports in 0.08-0.09 s with a traced peak of 3.5 MiB; at the paper's
-horizon (T = 2,920, 1.54 M names, a 182 MB file, ``demos/06``) in 1.9-2.3
-s, at a process peak RSS of 292 MB; both on one 2-core x86-64 host shared
-with other tenants.  HiGHS's own reader takes the files
-(``tests/test_mps_highs.py``), and their bytes are pinned to the
-line-at-a-time reference writer in ``tests/mps_oracle.py``.
+On one 2-core x86-64 host shared with other tenants, the ``export-19bus``
+LP (51,568 columns, a 9.5 MB file) exports in 0.10-0.11 s (traced peak
+2.6 MiB), and ``demos/06`` (T = 2,920, a 182 MB file) in 2.0-2.2 s at a
+peak RSS of 273 MB.  HiGHS's own reader takes the files
+(``tests/test_mps_highs.py``), and ``tests/mps_oracle.py``'s
+line-at-a-time writer pins their bytes.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from typing import Callable, Iterable, Iterator, Sequence, TextIO
 import numpy as np
 
 from windplan.fileio import _read
-from windplan.lp import CanonicalLp, LpBuilder, LpSolution, Names, family_of
+from windplan.lp import SENSES, CanonicalLp, LpBuilder, LpSolution, Names, family_of
 
 _OBJECTIVE_ROW = "COST"
 
@@ -73,10 +71,9 @@ def _check_names(names: Names, kind: str, reserved: str | None = None) -> None:
 
 
 def mangle_names(names: Sequence[str]) -> tuple[list[str], dict[str, str]]:
-    """The names as :func:`export_mps` writes them, which is as they are,
-    and an empty renaming table; a name the file cannot hold raises
-    ValueError.  Kept for callers that compare the names an imported file
-    holds with these."""
+    """The names as :func:`export_mps` writes them (as they are) and an empty
+    renaming table; a name the file cannot hold raises ValueError.  Kept for
+    callers that compare the names an imported file holds with these."""
     names = Names.of(names)
     _check_names(names, "LP")
     return list(names), {}
@@ -116,47 +113,37 @@ _SENSE_BYTES = np.frombuffer(b"<=>N", dtype=np.uint8)
 _SENSES = np.array([" L", " E", " G", " N"], dtype=object)
 _BOUNDS = np.array([" FX BND", " FR BND", " MI BND", " LO BND", " PL BND", " UP BND"],
                    dtype=object)
-# Items a section lays out at once: (row, value) pairs of COLUMNS and RHS,
-# two a line; lines of ROWS and BOUNDS (a column has at most two bounds).
+# (row, value) items of COLUMNS and RHS a block holds, two a line; a block
+# of ROWS or of BOUNDS holds half as many rows or columns.
 _BLOCK = 1 << 13
 
 
-def _ends(count: int) -> np.ndarray:
-    return np.full(count, "\n", dtype=object)
+def _write_blocks(out: TextIO, count: int,
+                  pieces: Callable[[slice], Sequence[np.ndarray]]) -> None:
+    """Write the lines of ``count`` items, ``_BLOCK // 2`` items and one
+    join a block, for every section: ``pieces(block)`` gives the columns of
+    the pieces of the lines of a slice of items, each line ended here."""
+    step = max(_BLOCK // 2, 1)
+    for start in range(0, count, step):
+        columns = pieces(slice(start, min(start + step, count)))
+        ends = np.full(len(columns[0]), "\n", dtype=object)
+        out.write("".join(np.column_stack((*columns, ends)).ravel().tolist()))
 
 
-def _pair_pieces(heads: np.ndarray, rows: np.ndarray, values: np.ndarray,
-                 row_pieces: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """Pieces of the lines ``head row value [row value]``, eight a line:
-    line k pairs the items ``(rows[0, k], values[0, k])`` and ``(rows[1,
-    k], values[1, k])``, the second absent where its row is -1."""
-    value1, value2 = _value_pieces(values, rows >= 0)
-    (prefix1, prefix2), (tail1, tail2) = row_pieces(rows)
-    return np.column_stack((heads, prefix1, tail1, value1, prefix2, tail2, value2,
-                            _ends(rows.shape[1])))
-
-
-def _write_runs(out: TextIO, run_heads: Callable[[slice], np.ndarray], runs: np.ndarray,
-                items: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
-                row_pieces: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-                markers: tuple[np.ndarray, np.ndarray]) -> None:
-    """Write runs of (row, value) items, two a line: run j, under the line
-    start ``run_heads(slice(j, j + 1))`` (a row of pieces), holds the items
-    ``items(j, k)`` for k < ``runs[j]``.  Each marker line goes before the
-    run it names (``len(runs)``: after the last).
-
-    The lines go out ``_BLOCK`` items at a time.  A run splits only at an
-    even item, so each line keeps its pair and the bytes do not depend on
-    the block.
-    """
+def _write_pairs(out: TextIO, runs: np.ndarray,
+                 heads: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                 items: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
+                 row_pieces: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]) -> None:
+    """Write runs of (row, value) items, two a line ``head row value [row
+    value]``: run j holds the items ``items(j, k)`` for k < ``runs[j]``,
+    and ``heads(run, k)`` gives the heads of lines that start with item
+    ``k[i]`` of run ``run[i]``.  A run splits between blocks only at an
+    even item, so the bytes do not depend on the block."""
     per_run = (runs + 1) // 2
     first = np.cumsum(per_run) - per_run
-    total = int(per_run.sum())
-    before, texts = markers
-    at = np.append(first, total)[before]  # the line each marker precedes
-    step = max(_BLOCK // 2, 1)
-    for start in range(0, total, step):
-        line = np.arange(start, min(start + step, total))
+
+    def lines(block: slice) -> tuple[np.ndarray, ...]:
+        line = np.arange(block.start, block.stop)
         run = np.searchsorted(first, line, "right") - 1
         k = 2 * (line - first[run])
         second = k + 1 < runs[run]
@@ -164,33 +151,24 @@ def _write_runs(out: TextIO, run_heads: Callable[[slice], np.ndarray], runs: np.
         values = np.zeros((2, line.size))
         rows[0], values[0] = items(run, k)
         rows[1, second], values[1, second] = items(run[second], k[second] + 1)
-        heads = run_heads(slice(run[0], run[-1] + 1))[run - run[0]]
-        lines = _pair_pieces(heads, rows, values, row_pieces)
-        pieces = lines.ravel().tolist()
-        lo, hi = np.searchsorted(at, (start, start + line.size))
-        for line_at, mark in reversed([*zip((at[lo:hi] - start).tolist(), texts[lo:hi])]):
-            pieces.insert(line_at * lines.shape[1], mark)  # the last first
-        out.write("".join(pieces))
-    out.write("".join(texts[np.searchsorted(at, total):]))
+        value1, value2 = _value_pieces(values, rows >= 0)
+        (prefix1, prefix2), (tail1, tail2) = row_pieces(rows)
+        return heads(run, k), prefix1, tail1, value1, prefix2, tail2, value2
+
+    _write_blocks(out, int(per_run.sum()), lines)
 
 
 def _write_mps(out: TextIO, lp: CanonicalLp, comments: Sequence[str]) -> None:
-    """Write the MPS text of ``lp``, each section a block of items at a
-    time, as the module docstring describes."""
-    n, m = lp.n_vars, lp.n_rows
+    """Write the MPS text of ``lp``, as the module docstring describes."""
     row_pieces = _row_pieces(lp.row_names)
     out.write("".join(f"* {comment}\n" for comment in comments))
     out.write(f"NAME          {lp.name}\nROWS\n")
     senses = "N" + "".join(lp.senses)
-    for start in range(0, m + 1, _BLOCK):
-        rows = np.arange(start, min(start + _BLOCK, m + 1))
-        sense = np.searchsorted(_SENSE_BYTES,
-                                np.frombuffer(senses[start:start + _BLOCK].encode(), np.uint8))
-        out.write("".join(np.column_stack((_SENSES[sense], *row_pieces(rows),
-                                           _ends(rows.size))).ravel().tolist()))
+    _write_blocks(out, lp.n_rows + 1, lambda rows: (
+        _SENSES[np.searchsorted(_SENSE_BYTES, np.frombuffer(senses[rows].encode(), np.uint8))],
+        *row_pieces(rows)))
 
-    # COLUMNS: a run per column, its objective entry (row 0) first, then its
-    # entries as stored, by row; INTORG before each integer run, INTEND after it
+    # COLUMNS: a run per column, its objective entry (row 0) first, then its stored entries
     def column_items(col: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         entry = k > 0
         e = (lp.indptr[col] + k - 1)[entry]
@@ -198,25 +176,33 @@ def _write_mps(out: TextIO, lp: CanonicalLp, comments: Sequence[str]) -> None:
         rows[entry], values[entry] = lp.indices[e] + 1, lp.data[e]
         return rows, values
 
+    # Marker k (from 1) goes before column flips[k - 1], where an integer
+    # run opens (k odd) or closes (k even): it leads that column's first line.
     flips = np.flatnonzero(np.diff(lp.integer, prepend=False, append=False))
-    marks = np.fromiter((f" MK{k:06d} 'MARKER' '{('INTEND', 'INTORG')[k % 2]}'\n"
-                         for k in range(1, flips.size + 1)), dtype=object, count=flips.size)
-    out.write("COLUMNS\n")
-    _write_runs(out, lambda part: " " + lp.var_names[part].texts(), np.diff(lp.indptr) + 1,
-                column_items, row_pieces, (flips, marks))
+    marks = np.array([f" MK{k:06d} 'MARKER' '{('INTEND', 'INTORG')[k % 2]}'\n"
+                      for k in range(1, flips.size + 1)], dtype=object)
 
-    # RHS: its header, then one run of the nonzero right-hand sides by row
+    def column_heads(run: np.ndarray, k: np.ndarray) -> np.ndarray:
+        heads = (" " + lp.var_names[run[0]:run[-1] + 1].texts())[run - run[0]]
+        lo, hi = np.searchsorted(flips, (run[0] + (k[0] > 0), run[-1] + 1))
+        at = np.searchsorted(run, flips[lo:hi])
+        heads[at] = marks[lo:hi] + heads[at]
+        return heads
+
+    out.write("COLUMNS\n")
+    _write_pairs(out, np.diff(lp.indptr) + 1, column_heads, column_items, row_pieces)
+    out.write("".join(marks[flips == lp.n_vars]))  # the INTEND after an integer last column
+
+    # RHS: one run of the nonzero right-hand sides by row
     nonzero = np.flatnonzero(lp.rhs != 0.0)
-    _write_runs(out, lambda _: np.array([" RHS"], dtype=object), np.array([nonzero.size]),
-                lambda _, k: (nonzero[k] + 1, lp.rhs[nonzero[k]]), row_pieces,
-                (np.zeros(1, dtype=np.int64), np.array(["RHS\n"], dtype=object)))
+    out.write("RHS\n")
+    _write_pairs(out, np.array([nonzero.size]),
+                 lambda run, _: np.full(run.size, " RHS", dtype=object),
+                 lambda _, k: (nonzero[k] + 1, lp.rhs[nonzero[k]]), row_pieces)
     out.write("RANGES\n")  # for completeness; this writer produces none
 
     # BOUNDS: FX or FR alone, else MI or LO followed by PL or UP
-    out.write("BOUNDS\n")
-    step = max(_BLOCK // 2, 1)
-    for start in range(0, n, step):
-        block = slice(start, start + step)
+    def bound_lines(block: slice) -> tuple[np.ndarray, ...]:
         lower, upper = lp.lower[block], lp.upper[block]
         fixed, inf_lo, inf_up = lower == upper, np.isinf(lower), np.isinf(upper)
         free = ~fixed & inf_lo & inf_up
@@ -226,9 +212,10 @@ def _write_mps(out: TextIO, lp: CanonicalLp, comments: Sequence[str]) -> None:
         kind, var = kinds[keep], np.repeat(np.arange(fixed.size), 2)[keep.ravel()]
         values = _value_pieces(np.column_stack((lower, upper))[keep],
                                np.isin(kind, (0, 3, 5)))   # FX, LO and UP have one
-        names = " " + lp.var_names[block].texts()
-        out.write("".join(np.column_stack((_BOUNDS[kind], names[var], values,
-                                           _ends(kind.size))).ravel().tolist()))
+        return _BOUNDS[kind], (" " + lp.var_names[block].texts())[var], values
+
+    out.write("BOUNDS\n")
+    _write_blocks(out, lp.n_vars, bound_lines)
     out.write("ENDATA\n")
 
 
@@ -261,8 +248,11 @@ def export_mps(lp: CanonicalLp, path: str | Path, comments: Sequence[str] = ()) 
     return path
 
 
-#: Fields of a BOUNDS line per bound type: type, set name, column, value.
-_BOUND_FIELDS = {"UP": 4, "LO": 4, "FX": 4, "FR": 3, "MI": 3, "PL": 3, "BV": 3}
+#: Bound type: (field count, lower, upper it sets); "value" is the 4th field, None keeps a bound.
+_BOUND_TYPES = {"UP": (4, None, "value"), "LO": (4, "value", None), "FX": (4, "value", "value"),
+                "FR": (3, -math.inf, math.inf), "MI": (3, -math.inf, None),
+                "PL": (3, None, math.inf), "BV": (3, 0.0, 1.0)}
+_ROW_SENSES = {"N": "N", "L": "<", "E": "=", "G": ">"}
 
 
 def _number(token: str) -> float:
@@ -272,11 +262,18 @@ def _number(token: str) -> float:
         raise ValueError(f"bad value {token!r}") from None
 
 
+def _value(token: str) -> float:
+    """The number of an MPS value field, which may be infinite but not NaN."""
+    if math.isnan(value := _number(token)):
+        raise ValueError(f"bad value {token!r}")
+    return value
+
+
 def _pairs(tokens: list[str]) -> Iterator[tuple[str, float]]:
     """``(row, value)`` pairs of the name/value fields of a data line."""
     if len(tokens) % 2:
         raise ValueError("odd number of row/value tokens")
-    return zip(tokens[::2], map(_number, tokens[1::2]))
+    return zip(tokens[::2], map(_value, tokens[1::2]))
 
 
 def import_mps(path: str | Path) -> CanonicalLp:
@@ -284,30 +281,19 @@ def import_mps(path: str | Path) -> CanonicalLp:
     the same section vocabulary).  RANGES entries are rejected; split the
     ranged row into two rows instead.  The name is the whole rest of the
     NAME line, and a COLUMNS line is an integer marker only when it reads
-    ``<id> 'MARKER' 'INTORG'`` or ``<id> 'MARKER' 'INTEND'``."""
+    ``<id> 'MARKER' 'INTORG'`` or ``<id> 'MARKER' 'INTEND'``.  Every
+    ValueError names the path, and the line number when one line is at fault."""
     path = Path(path)
     name = "lp"
     section = None
-    row_sense: dict[str, str] = {}
-    row_order: list[str] = []
-    declared_rows: set[str] = set()
+    senses: dict[str, str] = {}  # every row in file order, "N" for a free row
     objective_row: str | None = None
-    var_order: list[str] = []
-    var_set: dict[str, int] = {}
-    var_integer: dict[str, bool] = {}
-    obj_coeff: dict[str, float] = {}
-    entries: dict[tuple[str, str], float] = {}
+    var_integer: dict[str, bool] = {}  # every column in file order
+    entries: dict[tuple[str, str], float] = {}  # the objective row's entries too
     rhs: dict[str, float] = {}
-    bounds_lo: dict[str, float] = {}
-    bounds_up: dict[str, float] = {}
+    bounds: dict[tuple[int, str], float] = {}  # (0 lower or 1 upper, column): the bound
     bound_kinds: set[tuple[str, str]] = set()
     in_integer = False
-
-    def ensure_var(token: str) -> None:
-        if token not in var_set:
-            var_set[token] = len(var_order)
-            var_order.append(token)
-            var_integer[token] = in_integer
 
     for lineno, raw in enumerate(_read(path).splitlines(), start=1):
         if not raw.strip() or raw.startswith("*"):
@@ -328,42 +314,31 @@ def import_mps(path: str | Path) -> CanonicalLp:
                 if len(tokens) != 2:
                     raise ValueError(f"expected a row sense and name, got {raw.strip()!r}")
                 sense, row = tokens[0].upper(), tokens[1]
-                if row in declared_rows:
+                if row in senses:
                     raise ValueError(f"duplicate row {row!r}")
-                declared_rows.add(row)
-                if sense == "N":
-                    if objective_row is None:
-                        objective_row = row
-                    continue
-                letter = {"L": "<", "E": "=", "G": ">"}.get(sense)
-                if letter is None:
+                if sense not in _ROW_SENSES:
                     raise ValueError(f"unknown row sense {sense!r}")
-                row_sense[row] = letter
-                row_order.append(row)
+                senses[row] = _ROW_SENSES[sense]
+                if sense == "N" and objective_row is None:
+                    objective_row = row
             elif section == "COLUMNS":
-                if (len(tokens) == 3 and tokens[1] == "'MARKER'"
-                        and tokens[2] in ("'INTORG'", "'INTEND'")):
+                if tokens[1:] in (["'MARKER'", "'INTORG'"], ["'MARKER'", "'INTEND'"]):
                     in_integer = tokens[2] == "'INTORG'"
                     continue
                 var = tokens[0]
-                ensure_var(var)
+                var_integer.setdefault(var, in_integer)
                 for row, val in _pairs(tokens[1:]):
-                    if row == objective_row:
-                        if var in obj_coeff:
-                            raise ValueError(f"duplicate objective entry for column {var!r}")
-                        obj_coeff[var] = val
-                    elif row in row_sense:
-                        key = (row, var)
-                        if key in entries:
-                            raise ValueError(f"duplicate entry {key}")
-                        entries[key] = val
-                    else:
+                    if row != objective_row and senses.get(row) not in SENSES:
                         raise ValueError(f"unknown row {row!r}")
+                    if (row, var) in entries:
+                        raise ValueError(f"duplicate entry {(row, var)}" if row != objective_row
+                                         else f"duplicate objective entry for column {var!r}")
+                    entries[row, var] = val
             elif section == "RHS":
                 for row, val in _pairs(tokens[1:]):
                     if row in rhs:
                         raise ValueError(f"duplicate RHS entry for row {row!r}")
-                    if row in row_sense:
+                    if senses.get(row) in SENSES:
                         rhs[row] = val
                     elif row != objective_row:  # objective offsets are not represented
                         raise ValueError(f"unknown row {row!r}")
@@ -371,52 +346,40 @@ def import_mps(path: str | Path) -> CanonicalLp:
                 raise ValueError("RANGES entries are not supported")
             elif section == "BOUNDS":
                 kind = tokens[0].upper()
-                if kind not in _BOUND_FIELDS:
+                if kind not in _BOUND_TYPES:
                     raise ValueError(f"unknown bound type {kind!r}")
-                if len(tokens) != _BOUND_FIELDS[kind]:
-                    raise ValueError(f"{kind} bound needs {_BOUND_FIELDS[kind]} fields, "
-                                     f"got {len(tokens)}")
+                fields, *sets = _BOUND_TYPES[kind]
+                if len(tokens) != fields:
+                    raise ValueError(f"{kind} bound needs {fields} fields, got {len(tokens)}")
                 var = tokens[2]
                 if (kind, var) in bound_kinds:
                     raise ValueError(f"duplicate {kind} bound for column {var!r}")
                 bound_kinds.add((kind, var))
-                ensure_var(var)
-                if kind == "UP":
-                    bounds_up[var] = _number(tokens[3])
-                elif kind == "LO":
-                    bounds_lo[var] = _number(tokens[3])
-                elif kind == "FX":
-                    bounds_lo[var] = bounds_up[var] = _number(tokens[3])
-                elif kind == "FR":
-                    bounds_lo[var] = -math.inf
-                    bounds_up[var] = math.inf
-                elif kind == "MI":
-                    bounds_lo[var] = -math.inf
-                elif kind == "PL":
-                    bounds_up[var] = math.inf
-                else:  # BV
-                    bounds_lo[var] = 0.0
-                    bounds_up[var] = 1.0
-                    var_integer[var] = True
+                var_integer[var] = var_integer.get(var, in_integer) or kind == "BV"
+                given = _value(tokens[3]) if fields == 4 else None
+                for side, to in enumerate(sets):
+                    if to is not None:
+                        bounds[side, var] = given if to == "value" else to
             else:
                 raise ValueError("data outside any section")
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
 
+    rows = [row for row, sense in senses.items() if sense != "N"]
+    row_index = {row: i for i, row in enumerate(rows)}
+    column = {var: j for j, var in enumerate(var_integer)}
     builder = LpBuilder(name=name)
-    builder.add_vars(
-        var_order,
-        lower=[bounds_lo.get(var, 0.0) for var in var_order],
-        upper=[bounds_up.get(var, math.inf) for var in var_order],
-        objective=[obj_coeff.get(var, 0.0) for var in var_order],
-        integer=[var_integer[var] for var in var_order],
-    )
-    rows = builder.add_rows(row_order, [row_sense[row] for row in row_order],
-                            [rhs.get(row, 0.0) for row in row_order])
-    row_index = dict(zip(row_order, rows.tolist()))
+    builder.add_vars(list(var_integer), lower=[bounds.get((0, var), 0.0) for var in var_integer],
+                     upper=[bounds.get((1, var), math.inf) for var in var_integer],
+                     objective=[entries.pop((objective_row, var), 0.0) for var in var_integer],
+                     integer=list(var_integer.values()))
+    builder.add_rows(rows, [senses[row] for row in rows], [rhs.get(row, 0.0) for row in rows])
     builder.add_entries([row_index[row] for row, _ in entries],
-                        [var_set[var] for _, var in entries], list(entries.values()))
-    return builder.build()
+                        [column[var] for _, var in entries], list(entries.values()))
+    try:
+        return builder.build()
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

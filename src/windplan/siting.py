@@ -133,7 +133,8 @@ def build_plan(
 
     With ``partitioned=False`` the per-partition quotas are first computed
     as in the partitioned case, then collapsed into a single pool covering
-    the whole catalog (total quota re-clamped to the catalog size).
+    the whole catalog: its candidates and legacy sites are the catalog's,
+    and the total quota is re-clamped to them.
     """
     unknown = set(targets_MW) - set(catalog.partitions)
     if unknown:
@@ -156,8 +157,7 @@ def build_plan(
     if partitioned:
         return CardinalityPlan(tuple(quotas))
     total_k = sum(q.final_k for q in quotas)
-    candidates = sum(q.candidate_count for q in quotas)
-    legacy = sum(q.legacy_count for q in quotas)
+    candidates, legacy = len(catalog.sites), len(catalog.legacy_ids)
     merged = PartitionQuota(
         partition_id=_MERGED_PARTITION,
         target_capacity_MW=float(sum(targets_MW.values())),
@@ -252,14 +252,14 @@ def _finish_solution(
 def solve_prod(catalog: SiteCatalog, plan: CardinalityPlan) -> SitingSolution:
     """Globally optimal aggregate-output selection.
 
-    In each partition the legacy sites are kept and the remaining slots go
+    Every legacy site is kept, and in each partition the remaining slots go
     to the candidates with the highest mean capacity factor (ties to the
     lower catalog index).  The objective is the mean of the selected sites'
     mean capacity factors.
     """
     part, legacy = _layout(catalog, plan)
     mean_cf = np.array([site.mean_cf for site in catalog.sites])
-    chosen = np.zeros(len(catalog.sites), dtype=bool)
+    chosen = legacy.copy()
     for p, quota in enumerate(plan.quotas):
         held = np.flatnonzero((part == p) & legacy)
         free = np.flatnonzero((part == p) & ~legacy)
@@ -267,10 +267,9 @@ def solve_prod(catalog: SiteCatalog, plan: CardinalityPlan) -> SitingSolution:
         if free_slots < 0 or quota.final_k > held.size + free.size:
             raise ValueError(f"partition {quota.partition_id}: infeasible quota {quota.final_k}")
         ranked = free[np.lexsort((free, -mean_cf[free]))]
-        chosen[held] = True
         chosen[ranked[:free_slots]] = True
     # fsum: exactly rounded, so the objective is independent of summation order
-    objective = math.fsum(mean_cf[chosen]) / plan.k
+    objective = math.fsum(mean_cf[chosen]) / np.count_nonzero(chosen)
     selected = [site.id for site, pick in zip(catalog.sites, chosen) if pick]
     return _finish_solution(catalog, plan, selected, objective, "prod")
 
@@ -344,7 +343,7 @@ def greedy_init(
 ) -> SitingSolution:
     """Deterministic coverage-greedy starting point.
 
-    Starts from the legacy sites and repeatedly adds the candidate whose
+    Starts from every legacy site and repeatedly adds the candidate whose
     addition covers the most additional windows, restricted to partitions
     with remaining quota; ties break to the lower catalog index.  Stands in
     for solving a mixed-integer relaxation with an external solver (see
@@ -359,11 +358,10 @@ def greedy_init(
     part, legacy = _layout(catalog, plan, matrix)
     dense = matrix.dense
     c = matrix.threshold_c
-    start = legacy & (part >= 0)
-    selected = np.flatnonzero(start).tolist()
+    selected = np.flatnonzero(legacy).tolist()
     remaining = (np.array([quota.final_k for quota in plan.quotas], dtype=np.int64)
-                 - np.bincount(part[start], minlength=len(plan.quotas)))
-    counts = dense[start].sum(axis=0, dtype=np.int32)
+                 - np.bincount(part[legacy & (part >= 0)], minlength=len(plan.quotas)))
+    counts = dense[legacy].sum(axis=0, dtype=np.int32)
     cand_idx = np.flatnonzero((part >= 0) & ~legacy)
     cand_part = part[cand_idx]
     is_open = remaining[cand_part] > 0
@@ -592,7 +590,7 @@ def local_search(
     # full selections): the initial point is the whole neighbourhood.
     if params.iterations == 0 or int(space.caps.sum()) == 0:
         return solution
-    free_slots = plan.k - len(catalog.legacy_ids & solution.selected)
+    free_slots = space.sel_flat.size
     if params.radius > free_slots:
         raise ValueError(f"radius {params.radius} exceeds the {free_slots} swappable slots")
 

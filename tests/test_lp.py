@@ -223,6 +223,15 @@ def test_bound_sanity_rejected():
         build_lp([1.0], [], [], [], lower=[2.0], upper=[1.0])
 
 
+@pytest.mark.parametrize("field", ["rhs", "lower", "upper"])
+def test_nan_right_hand_sides_and_bounds_are_rejected(field):
+    """NaN fails every comparison, so it would pass the bound check and
+    reach the solver; infinite bounds stay allowed."""
+    data = {"rhs": [1.0], "lower": [0.0], "upper": [math.inf]} | {field: [math.nan]}
+    with pytest.raises(ValueError, match="^right-hand sides and bounds must not be NaN$"):
+        build_lp([1.0], [[1.0]], ["<"], data["rhs"], lower=data["lower"], upper=data["upper"])
+
+
 def test_matches_vertex_enumeration():
     rng = np.random.default_rng(31)
     for _ in range(12):

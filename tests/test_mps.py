@@ -463,6 +463,65 @@ def test_import_rejects_data_it_would_drop(tmp_path, line, new, message):
     assert str(info.value) == f"{path}:{line + len(new) - 1}: {message}"
 
 
+@pytest.mark.parametrize("line, new, message", [
+    (8, ["    RHS  r0  nan"], ":8: bad value 'nan'"),
+    (10, [" UP BND  x0  nan"], ":10: bad value 'nan'"),
+    (10, [" LO BND  x0  NaN"], ":10: bad value 'NaN'"),
+    (6, ["    x0  COST  1.0  r0  nan"], ":6: bad value 'nan'"),
+    (10, [" LO BND  x0  5", " UP BND  x0  4"],
+     ": every lower bound must not exceed its upper bound"),
+    (6, ["    x0  COST  inf  r0  1.0"], ": objective coefficients must be finite"),
+], ids=["rhs-nan", "up-nan", "lo-nan", "entry-nan", "lower-above-upper", "objective-inf"])
+def test_import_names_the_file_of_a_model_no_lp_holds(tmp_path, line, new, message):
+    """A NaN value is refused on its line; a model the lines hold but no
+    LP does (the LP's own checks) is refused under the file's name."""
+    lines = list(_SMALL_MPS)
+    lines[line - 1:line] = new
+    path = tmp_path / "bad.mps"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        import_mps(path)
+    assert str(info.value) == f"{path}{message}"
+
+
+@pytest.mark.parametrize("bounds, lower, upper, integer", [
+    ([" UP BND  x0  4.0"], 0.0, 4.0, False),
+    ([" LO BND  x0  -2.5"], -2.5, math.inf, False),
+    ([" FX BND  x0  3.0"], 3.0, 3.0, False),
+    ([" FR BND  x0"], -math.inf, math.inf, False),
+    ([" MI BND  x0"], -math.inf, math.inf, False),
+    ([" PL BND  x0"], 0.0, math.inf, False),
+    ([" BV BND  x0"], 0.0, 1.0, True),
+    ([" LO BND  x0  1.0", " UP BND  x0  4.0"], 1.0, 4.0, False),
+    ([" MI BND  x0", " UP BND  x0  4.0"], -math.inf, 4.0, False),
+    ([" UP BND  x0  4.0", " PL BND  x0"], 0.0, math.inf, False),
+], ids=["UP", "LO", "FX", "FR", "MI", "PL", "BV", "LO+UP", "MI+UP", "UP+PL"])
+def test_import_reads_every_bound_type(tmp_path, bounds, lower, upper, integer):
+    lines = list(_SMALL_MPS)
+    lines[9:10] = bounds
+    path = tmp_path / "bounds.mps"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lp = import_mps(path)
+    assert (lp.lower.tolist(), lp.upper.tolist(), lp.integer.tolist()) == ([lower], [upper],
+                                                                           [integer])
+
+
+@pytest.mark.parametrize("marker, integer", [([], False),
+                                             (["    M1  'MARKER'  'INTORG'"], True)],
+                         ids=["outside-markers", "inside-an-open-intorg"])
+def test_a_column_first_named_in_bounds_takes_the_marker_state(tmp_path, marker, integer):
+    """A column no COLUMNS line names is integer when COLUMNS ended inside
+    an integer run."""
+    lines = _SMALL_MPS[:6] + marker + _SMALL_MPS[6:10] + [" UP BND  x1  2.0", "ENDATA"]
+    path = tmp_path / "late.mps"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lp = import_mps(path)
+    assert list(lp.var_names) == ["x0", "x1"]
+    assert lp.integer.tolist() == [False, integer]
+    assert (lp.lower.tolist(), lp.upper.tolist(), lp.objective.tolist()) == (
+        [0.0, 0.0], [4.0, 2.0], [1.0, 0.0])
+
+
 def test_import_rejects_directory(tmp_path):
     for read in (import_mps, lambda path: import_solution(path, ["x0"])):
         with pytest.raises(ValueError) as info:

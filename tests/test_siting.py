@@ -692,3 +692,44 @@ def test_scripted_neighbour_naming_an_unknown_site_is_rejected():
                                          r"not index: \['zz'\]$"):
         local_search(init, m, catalog, plan, AnnealParams(iterations=1, neighbors=1),
                      ScriptedRng([]), neighbor_sampler=lambda cur, i, j, rng: ("s01", "zz"))
+
+
+@pytest.fixture
+def untargeted_legacy():
+    """Six sites in partitions A, A, B, B, C, C with s05, in C, legacy; the
+    targets name A and B only, one site each."""
+    rng = np.random.default_rng(5)
+    catalog = build_catalog(rng.uniform(0, 1, (6, 8)), ["A", "A", "B", "B", "C", "C"],
+                            legacy_MW=[0.0] * 5 + [150.0])
+    return catalog, random_matrix(rng, 6, 8), {"A": 1000.0, "B": 1000.0}
+
+
+@pytest.mark.parametrize("partitioned", [True, False], ids=["partitioned", "merged"])
+def test_stage_one_keeps_a_legacy_site_outside_every_target(untargeted_legacy, partitioned):
+    catalog, m, targets = untargeted_legacy
+    plan = build_plan(catalog, targets, partitioned=partitioned)
+    prod, comp = solve_prod(catalog, plan), greedy_init(m, catalog, plan)
+    searched = local_search(comp, m, catalog, plan, AnnealParams(iterations=5, neighbors=4), 0)
+    for solution in (prod, comp, searched):
+        assert "s05" in solution.selected
+        assert len(solution.selected) == plan.k + partitioned  # s05 is outside A and B
+    mean_cf = {site.id: site.mean_cf for site in catalog.sites}
+    assert prod.objective == pytest.approx(np.mean([mean_cf[sid] for sid in prod.selected]))
+    assert comp.objective == naive_coverage(m, comp.selected)
+
+
+def test_the_merged_quota_counts_the_whole_catalog(untargeted_legacy):
+    catalog, _, targets = untargeted_legacy
+    (quota,) = build_plan(catalog, targets, partitioned=False).quotas
+    assert (quota.candidate_count, quota.legacy_count, quota.final_k) == (6, 1, 2)
+
+
+def test_a_legacy_site_outside_every_quota_takes_no_swappable_slot(untargeted_legacy):
+    catalog, m, targets = untargeted_legacy
+    plan = build_plan(catalog, targets)
+    init = _finish_solution(catalog, plan, {"s00", "s02", "s05"}, 0, "comp")
+    searched = local_search(init, m, catalog, plan,
+                            AnnealParams(iterations=3, neighbors=4, radius=2), 0)
+    assert "s05" in searched.selected
+    with pytest.raises(ValueError, match="^radius 3 exceeds the 2 swappable slots$"):
+        local_search(init, m, catalog, plan, AnnealParams(iterations=3, neighbors=4, radius=3), 0)
